@@ -5,11 +5,11 @@ Subcommands: ``measures`` (single-state report), ``werner``
 ``charfunc`` (characteristic-function evaluation) and ``verify``
 (closed-form versus Fock-space cross-check battery).
 
-Reports are JSON objects with snake_case keys on stdout.  Domain errors
-print a JSON error object on stderr and exit with code 2; an unwritable
-sweep output path exits with code 3.  Data files carry no timestamps and
-use fixed float formatting, so identical invocations produce identical
-bytes.
+Reports are JSON objects with snake_case keys on stdout.  Domain errors,
+failed sweep points and non-finite results print a JSON error object on
+stderr and exit with code 2; an unwritable sweep output path exits with
+code 3.  Data files carry no timestamps and use fixed float formatting,
+so identical invocations produce identical bytes.
 """
 
 import argparse
@@ -37,7 +37,7 @@ def fmt_float(x):
 
 
 def _emit(report):
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _fail(message, code=2):
@@ -111,7 +111,8 @@ def cmd_decohere(args):
     else:
         keys = ("alpha", "eta", "f", "beta_star", "eof_lower_bound")
         payload = json.dumps(
-            {"points": [dict(zip(keys, map(float, row))) for row in rows]}, indent=2
+            {"points": [dict(zip(keys, map(float, row))) for row in rows]},
+            indent=2, allow_nan=False,
         ) + "\n"
     if args.output == "-":
         sys.stdout.write(payload)
@@ -220,7 +221,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, fock.TruncationError, measures.MaximizerError) as exc:
+    except (ValueError, fock.TruncationError, measures.MaximizerError,
+            decoherence.SweepError) as exc:
         _fail(exc)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import QuasiBell, check_index, normalization_constant, reduced_spectrum
+from .states import QuasiBell, check_index, reduced_spectrum
 
 __all__ = [
     "CoherentQuasiBell",
@@ -25,7 +25,6 @@ __all__ = [
     "witness_points",
     "asymmetric_spectrum",
     "coherent_spectrum",
-    "coherent_normalization",
 ]
 
 
@@ -89,15 +88,18 @@ def mean_photon_numbers(state):
     """Mean photon number of each reduced mode, as a pair.
 
     Equal on both modes by symmetry; (1 - kappa^2)/(1 + kappa^2) alpha^2
-    for indices 1 and 3, (1 + kappa^2)/(1 - kappa^2) alpha^2 for 2 and 4.
+    for indices 1 and 3, (1 + kappa^2)/(1 - kappa^2) alpha^2 for 2 and 4,
+    with 1 - kappa^2 = -expm1(-4 alpha^2) so that indices 2 and 4 keep
+    their limit 1/2 as alpha -> 0.
     """
     _require_symmetric(state)
-    k2 = state.kappa_a ** 2
     a2 = state.alpha**2
+    plus = 1.0 + state.kappa_a**2
+    minus = -float(np.expm1(-4.0 * a2))
     if state.index in (1, 3):
-        n = (1.0 - k2) / (1.0 + k2) * a2
+        n = minus / plus * a2
     else:
-        n = (1.0 + k2) / (1.0 - k2) * a2
+        n = plus / minus * a2
     return n, n
 
 
@@ -252,8 +254,3 @@ def coherent_spectrum(state):
     _require_symmetric(state)
     return reduced_spectrum(QuasiBell(state.index, state.kappa_a))
 
-
-def coherent_normalization(state):
-    """Normalization constant of a symmetric coherent quasi-Bell state."""
-    _require_symmetric(state)
-    return normalization_constant(state.index, state.kappa_a)

@@ -62,52 +62,46 @@ class DecoheredState:
     coherence: float
     matrix: np.ndarray
 
-    @property
-    def kappa_a(self):
-        return float(np.exp(-2.0 * self.alpha**2))
 
-    @property
-    def kappa_b(self):
-        return float(np.exp(-2.0 * self.eta * self.alpha**2))
-
-
-def _qubit_components(sign, kappa):
-    """(<+|g>, <-|g>) for |g> = |+c> (sign +1) or |-c> (sign -1) in the
-    orthonormal basis built from span{|c>, |-c>}, kappa = <c|-c>."""
-    plus = np.sqrt((1.0 + kappa) / 2.0)
-    minus = np.sqrt((1.0 - kappa) / 2.0)
-    return np.array([plus, sign * minus])
+def _qubit_components(c2):
+    """(<+|c>, <-|c>) in the orthonormal basis built from span{|c>, |-c>},
+    c2 = c^2; |-c> has components (<+|c>, -<-|c>).  The overlap
+    <c|-c> = exp(-2 c2) enters as 1 - <c|-c> = -expm1(-2 c2), which keeps
+    the minus component exact as c -> 0."""
+    plus = np.sqrt((1.0 + np.exp(-2.0 * c2)) / 2.0)
+    minus = np.sqrt(-np.expm1(-2.0 * c2) / 2.0)
+    return plus, minus
 
 
 def apply_loss(alpha, channel):
     """Propagate |B2(alpha)> through the loss channel and trace out the
     environment.
 
-    The result is h2^2 times the two coherent dyads minus L times the two
-    cross dyads, expressed as a 4x4 matrix; at eta = 1 it is the pure
-    |B2(alpha)> projector.
+    With x = |alpha>|-sqrt(eta) alpha> and y = |-alpha>|sqrt(eta) alpha>
+    the result is h2^2 (x x+ + y y+ - L (x y+ + y x+)), written as
+
+        ((1 + L) u u+ + (1 - L) v v+) / (1 - ka^2)
+
+    with u = (x - y)/2, v = (x + y)/2, 1 - L = -expm1(-2 (1-eta) alpha^2)
+    and 1 - ka^2 = -expm1(-4 alpha^2).  The components of u and v are
+    products, not differences, so every entry stays exact as alpha -> 0.
+    At eta = 1 it is the pure |B2(alpha)> projector.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("state is undefined at zero amplitude")
     eta = channel.eta
-    ka = np.exp(-2.0 * alpha**2)
-    kb = np.exp(-2.0 * eta * alpha**2)
-    coherence = np.exp(-2.0 * (1.0 - eta) * alpha**2)
-    h2sq = 1.0 / (2.0 * (1.0 - ka**2))
+    a2 = alpha**2
+    coherence = np.exp(-2.0 * (1.0 - eta) * a2)
+    one_minus_coherence = -np.expm1(-2.0 * (1.0 - eta) * a2)
 
-    plus_a = _qubit_components(+1, ka)
-    minus_a = _qubit_components(-1, ka)
-    plus_b = _qubit_components(+1, kb)
-    minus_b = _qubit_components(-1, kb)
-
-    x = np.kron(plus_a, minus_b)   # |alpha>|-sqrt(eta) alpha>
-    y = np.kron(minus_a, plus_b)   # |-alpha>|sqrt(eta) alpha>
-    rho = h2sq * (
-        np.outer(x, x)
-        + np.outer(y, y)
-        - coherence * (np.outer(y, x) + np.outer(x, y))
-    )
+    plus_a, minus_a = _qubit_components(a2)
+    plus_b, minus_b = _qubit_components(eta * a2)
+    u = np.array([0.0, -plus_a * minus_b, minus_a * plus_b, 0.0])
+    v = np.array([plus_a * plus_b, 0.0, 0.0, -minus_a * minus_b])
+    rho = (
+        (1.0 + coherence) * np.outer(u, u) + one_minus_coherence * np.outer(v, v)
+    ) / -np.expm1(-4.0 * a2)
     return DecoheredState(alpha, eta, float(coherence), rho.astype(complex))
 
 
@@ -119,8 +113,9 @@ def fraction_over_family(state, beta):
     with k0 = exp(-2 beta^2) and k1..k4 the pairwise coherent overlaps
     of +/-beta with +/-alpha and +/-sqrt(eta) alpha.  Evaluated through
     the identities (k1 k2 - k3 k4)^2 = 4 exp(-(a^2+s^2) - 2 b^2)
-    sinh((a+s) b)^2 and 1 - k0^2 = -expm1(-4 b^2), which stay exact
-    where the literal differences of exponentials cancel (beta -> 0).
+    sinh((a+s) b)^2, 1 - k0^2 = -expm1(-4 b^2) and 1 - ka^2 =
+    -expm1(-4 a^2), which stay exact where the literal differences of
+    exponentials cancel (alpha -> 0 or beta -> 0).
     """
     beta = float(beta)
     if beta == 0.0:
@@ -133,7 +128,7 @@ def fraction_over_family(state, beta):
         * np.exp(-(alpha**2 + root**2) - 2.0 * beta**2)
         * np.sinh((alpha + root) * beta) ** 2
     )
-    denom = 2.0 * (1.0 - state.kappa_a**2) * (-np.expm1(-4.0 * beta**2))
+    denom = 2.0 * (-np.expm1(-4.0 * alpha**2)) * (-np.expm1(-4.0 * beta**2))
     # the overlap is a fraction by construction; cap the rounding excursion
     return float(min(1.0, num / denom))
 
@@ -243,7 +238,7 @@ def figure1_sweep(alphas, etas):
     return points
 
 
-def diagnostic_fef(state, **kwargs):
+def diagnostic_fef(state):
     """General two-qubit fully entangled fraction of the 4x4 matrix on
     the state's support.
 
@@ -251,4 +246,4 @@ def diagnostic_fef(state, **kwargs):
     |B2(beta)> family, while this maximizes over every maximally
     entangled state of the embedded two-qubit space.  The two need not
     coincide and neither is asserted to bound the other."""
-    return measures.fully_entangled_fraction(state.matrix, **kwargs)
+    return measures.fully_entangled_fraction(state.matrix)

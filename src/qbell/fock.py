@@ -16,7 +16,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "TruncationError",
@@ -122,7 +121,16 @@ def quasi_bell_fock(state, truncation=None):
     return raw / math.sqrt(norm_sq)
 
 
-@lru_cache(maxsize=None)
+def _expm_antihermitian(gen):
+    """exp(gen) for an anti-Hermitian generator, from the eigensystem of
+    the Hermitian matrix i gen = V diag(w) V+: exp(gen) = V diag(e^{-iw}) V+."""
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+# one default verify battery fills 578 blocks; the bound keeps a
+# long-lived process that visits many transmissivities from growing
+@lru_cache(maxsize=1024)
 def _splitter_block(theta, sector, low, high):
     """Unitary on the photon-number sector n_first = low..high of total
     photon number ``sector``, from the exponential of the two-mode
@@ -134,7 +142,7 @@ def _splitter_block(theta, sector, low, high):
         val = theta * math.sqrt(n_first * (sector - n_first + 1))
         gen[i, i + 1] = val
         gen[i + 1, i] = -val
-    return expm(gen)
+    return _expm_antihermitian(gen)
 
 
 def beam_splitter(vec, eta, check_tail=True, tail_tol=1e-9):
@@ -226,7 +234,7 @@ def _displacement(zeta, size):
     would overflow the working precision at large truncations.
     """
     ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)  # annihilation
-    return expm(zeta * ladder.conj().T - np.conj(zeta) * ladder)
+    return _expm_antihermitian(zeta * ladder.conj().T - np.conj(zeta) * ladder)
 
 
 def operator_trace_charfunc(vec, point, check_tail=True, tail_tol=1e-9):

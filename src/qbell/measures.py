@@ -6,7 +6,6 @@ fraction, and the lower bound it implies on the entanglement of formation.
 """
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "MaximizerError",
@@ -15,7 +14,6 @@ __all__ = [
     "eof_wootters",
     "eof_lower_bound",
     "fully_entangled_fraction",
-    "fef_magic_basis",
     "validate_density",
 ]
 
@@ -47,9 +45,10 @@ _EIG_FLOOR = -1e-12
 
 
 class MaximizerError(RuntimeError):
-    """Raised when the entangled-fraction maximizer fails to converge.
+    """Raised when a numerical maximization disagrees with the closed form
+    it checks.
 
-    Carries the best overlap value found so far in ``best_value``.
+    Carries the value the numerical search reached in ``best_value``.
     """
 
     def __init__(self, message, best_value):
@@ -125,54 +124,15 @@ def eof_lower_bound(fraction):
     return binary_entropy(0.5 + np.sqrt(f * (1.0 - f)))
 
 
-def _max_entangled(u):
-    """Maximally entangled state (I x U)|Phi+> for U = exp(-i u.sigma)."""
-    theta = np.linalg.norm(u)
-    if theta < 1e-300:
-        mat = np.eye(2, dtype=complex)
-    else:
-        n = u / theta
-        mat = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * np.array(
-            [[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]]
-        )
-    # (I x U)|Phi+> in the |00>,|01>,|10>,|11> ordering
-    return np.array([mat[0, 0], mat[1, 0], mat[0, 1], mat[1, 1]]) / np.sqrt(2.0)
-
-
-def fully_entangled_fraction(rho, starts=8, seed=7, tol=1e-12):
+def fully_entangled_fraction(rho):
     """Maximum overlap of a two-qubit density matrix with any maximally
     entangled state.
 
-    Maximally entangled states are parameterized as (I x U)|Phi+> with U
-    in SU(2); the overlap is maximized by multi-start local optimization
-    over the three SU(2) parameters with a fixed seed, so repeated calls
-    give identical results.
+    The maximally entangled states are exactly the real unit
+    combinations of the magic basis, so the maximum is the largest
+    eigenvalue of the real part of the density matrix in that basis.
     """
     rho = validate_density(rho)
-
-    def negative_overlap(u):
-        e = _max_entangled(u)
-        return -float(np.real(np.conj(e) @ rho @ e))
-
-    rng = np.random.default_rng(seed)
-    x0s = [np.zeros(3)] + [rng.uniform(-np.pi / 2, np.pi / 2, 3) for _ in range(starts - 1)]
-    best = -np.inf
-    converged = False
-    for x0 in x0s:
-        res = minimize(negative_overlap, x0, method="L-BFGS-B",
-                       options={"ftol": tol, "gtol": 1e-11, "maxiter": 500})
-        if np.isfinite(res.fun):
-            best = max(best, -res.fun)
-            converged = converged or res.success
-    if not converged:
-        raise MaximizerError("entangled-fraction maximizer did not converge", best)
-    return min(1.0, best)
-
-
-def fef_magic_basis(rho):
-    """Fully entangled fraction from the real part of the density matrix
-    in the magic basis (largest eigenvalue).  Closed-form alternative to
-    the numerical maximizer, used to cross-check it."""
-    rho = validate_density(rho)
     m = _MAGIC.conj().T @ rho @ _MAGIC
-    return float(np.linalg.eigvalsh(m.real.astype(float))[-1])
+    # a fraction by construction; cap the rounding excursion above 1
+    return min(1.0, float(np.linalg.eigvalsh(m.real)[-1]))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import binary_entropy
+
 INDICES = (1, 2, 3, 4)
 
 __all__ = [
@@ -100,14 +102,15 @@ def reduced_spectrum(state):
     """Eigenvalues of either reduced density operator, sorted descending.
 
     Indices 2 and 4 give {1/2, 1/2} for every overlap; indices 1 and 3
-    give {(1 +/- kappa)^2 / (2 (1 + kappa^2))}.
+    give {(1 +/- kappa)^2 / (2 (1 + kappa^2))}.  The larger eigenvalue is
+    taken as 1 minus the smaller, so the pair sums to 1 and never leaves
+    [0, 1] by rounding.
     """
     kappa = state.kappa
     if state.index in (2, 4):
         return np.array([0.5, 0.5])
-    denom = 2.0 * (1.0 + kappa**2)
-    lam = np.array([(1.0 + kappa) ** 2 / denom, (1.0 - kappa) ** 2 / denom])
-    return np.sort(lam)[::-1]
+    small = (1.0 - kappa) ** 2 / (2.0 * (1.0 + kappa**2))
+    return np.array([1.0 - small, small])
 
 
 def entropy_of_entanglement(state):
@@ -117,15 +120,7 @@ def entropy_of_entanglement(state):
     fall below 1 as soon as kappa > 0.
     """
     lam = reduced_spectrum(state)
-    return _binary_entropy(lam[0])
-
-
-def _binary_entropy(x):
-    # local copy so this module stays dependency-free; the public version
-    # with domain checks lives in measures.py
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    return binary_entropy(lam[0])
 
 
 def embed_qubit(state):

@@ -175,3 +175,42 @@ def test_verify_tolerance_floor(capsys):
     assert info.value.code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "max deviation" in out
+
+
+def test_decohere_failed_sweep_is_json_error(capsys):
+    # at these amplitudes the loss overlap overflows and the runtime
+    # re-search disagrees with the closed form at every point past 10
+    from qbell.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["decohere", "--alpha-min", "10", "--alpha-max", "14",
+              "--steps", "5", "--etas", "0.5"])
+    assert info.value.code == 2
+    assert "sweep point(s) failed" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_charfunc_non_finite_is_json_error(capsys):
+    from qbell.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["charfunc", "--alpha", "1e-9", "--index", "2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in json.loads(captured.err)["error"]
+
+
+def test_runtime_imports_no_scipy():
+    probe = (
+        "import runpy, sys\n"
+        "import qbell\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'import'\n"
+        "sys.argv = ['qbell', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('qbell.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'cli'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

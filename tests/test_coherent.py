@@ -42,6 +42,12 @@ def test_mean_photon_numbers():
     assert n_a == pytest.approx(9.0, abs=1e-6)
 
 
+def test_mean_photon_tiny_amplitude():
+    # 1 - kappa^2 rounds to 0 here; the limit of indices 2 and 4 is 1/2
+    n_a, n_b = coherent.mean_photon_numbers(coherent.CoherentQuasiBell(2, 3e-9))
+    assert abs(n_a - 0.5) < 1e-12 and n_a == n_b
+
+
 def test_mean_photon_matches_oracle():
     for alpha in (0.5, 1.0, 2.0):
         for index in (1, 2, 3, 4):

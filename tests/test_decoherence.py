@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -206,3 +207,44 @@ def test_diagnostic_fef_reported_separately():
     general = decoherence.diagnostic_fef(state)
     assert 0.0 <= general <= 1.0 + 1e-9
     assert 0.0 <= family <= 1.0
+
+
+def _mp_loss_reference(alpha, eta, beta):
+    """Decohered density matrix and family overlap at 60 digits, from the
+    literal differences of coherent overlaps."""
+    with mpmath.workdps(60):
+        a, e, b = mpmath.mpf(alpha), mpmath.mpf(eta), mpmath.mpf(beta)
+        s = mpmath.sqrt(e)
+        ka, kb = mpmath.exp(-2 * a**2), mpmath.exp(-2 * e * a**2)
+        coherence = mpmath.exp(-2 * (1 - e) * a**2)
+        h2sq = 1 / (2 * (1 - ka**2))
+
+        def comps(sign, k):
+            return [mpmath.sqrt((1 + k) / 2), sign * mpmath.sqrt((1 - k) / 2)]
+
+        x = [p * q for p in comps(+1, ka) for q in comps(-1, kb)]
+        y = [p * q for p in comps(-1, ka) for q in comps(+1, kb)]
+        rho = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                rho[i, j] = h2sq * (
+                    x[i] * x[j] + y[i] * y[j] - coherence * (y[i] * x[j] + x[i] * y[j])
+                )
+
+        def g(d):
+            return mpmath.exp(-d**2 / 2)
+
+        diff = g(b - a) * g(s * a - b) - g(b + a) * g(b + s * a)
+        k0 = mpmath.exp(-2 * b**2)
+        f = (1 + coherence) * diff**2 / (2 * (1 - ka**2) * (1 - k0**2))
+        return np.array(rho.tolist(), dtype=float), float(f)
+
+
+def test_tiny_amplitude_matches_mpmath():
+    channel = LossChannel(0.5)
+    for alpha in (1e-9, 1e-5):
+        beta_star, f_star = decoherence.optimal_beta(alpha, channel)
+        rho_ref, f_ref = _mp_loss_reference(alpha, channel.eta, beta_star)
+        assert f_star == pytest.approx(f_ref, rel=1e-12)
+        state = decoherence.apply_loss(alpha, channel)
+        assert np.allclose(state.matrix, rho_ref, rtol=0, atol=1e-12)

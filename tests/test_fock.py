@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbell import coherent, fock
+from qbell import coherent, fock, verify
 
 
 def test_adequate_truncation_rule():
@@ -158,3 +158,12 @@ def test_densities_are_physical():
         lam = np.linalg.eigvalsh(rho)
         assert lam.min() > -1e-10
         assert 1.0 - 1e-10 <= np.trace(rho).real <= 1.0 + 1e-12
+
+
+def test_splitter_cache_is_bounded():
+    info = fock._splitter_block.cache_info
+    assert info().maxsize is not None
+    verify.run_all()
+    for eta in np.linspace(0.05, 0.95, 60):
+        verify.family_overlap_curve(3.0, float(eta), [2.0])
+    assert info().currsize <= info().maxsize

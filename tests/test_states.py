@@ -75,6 +75,16 @@ def test_spectrum_normalized_entropy_bounded():
             assert -1e-12 <= ent <= 1.0 + 1e-12
 
 
+def test_spectrum_near_unit_overlap():
+    for kappa in 1.0 - np.logspace(-16, -1, 61):
+        for index in (1, 2, 3, 4):
+            state = states.QuasiBell(index, kappa)
+            lam = states.reduced_spectrum(state)
+            assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
+            assert lam.sum() == 1.0
+            states.entropy_of_entanglement(state)
+
+
 def test_entropy_values():
     assert states.entropy_of_entanglement(states.QuasiBell(4, 0.99)) == 1.0
     assert states.entropy_of_entanglement(states.QuasiBell(3, 0.0)) == 1.0
