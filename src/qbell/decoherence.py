@@ -13,6 +13,7 @@ is maximized exactly at beta = alpha (1 + sqrt(eta)) / 2, halfway
 between the original and attenuated amplitudes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +112,16 @@ def fraction_over_family(state, beta):
         (1 + L) (k1 k2 - k3 k4)^2 / (2 (1 - ka^2) (1 - k0^2))
 
     with k0 = exp(-2 beta^2) and k1..k4 the pairwise coherent overlaps
-    of +/-beta with +/-alpha and +/-sqrt(eta) alpha.  Evaluated through
-    the identities (k1 k2 - k3 k4)^2 = 4 exp(-(a^2+s^2) - 2 b^2)
-    sinh((a+s) b)^2, 1 - k0^2 = -expm1(-4 b^2) and 1 - ka^2 =
-    -expm1(-4 a^2), which stay exact where the literal differences of
-    exponentials cancel (alpha -> 0 or beta -> 0).
+    of +/-beta with +/-alpha and s = sqrt(eta) alpha.  Evaluated as
+
+        (1 + L) exp(-(a-b)^2 - (s-b)^2) expm1(-2 (a+s) b)^2
+            / (2 expm1(-4 a^2) expm1(-4 b^2))
+
+    through the identity (k1 k2 - k3 k4)^2 = exp(-(a-b)^2 - (s-b)^2)
+    expm1(-2 (a+s) b)^2.  Every factor is bounded, so nothing overflows
+    at large amplitude, and the expm1 terms stay exact where the literal
+    differences of exponentials cancel (alpha -> 0 or beta -> 0).  A
+    non-finite result raises a ValueError.
     """
     beta = float(beta)
     if beta == 0.0:
@@ -124,13 +130,17 @@ def fraction_over_family(state, beta):
     root = np.sqrt(eta) * alpha
     num = (
         (1.0 + state.coherence)
-        * 4.0
-        * np.exp(-(alpha**2 + root**2) - 2.0 * beta**2)
-        * np.sinh((alpha + root) * beta) ** 2
+        * np.exp(-((alpha - beta) ** 2) - (root - beta) ** 2)
+        * np.expm1(-2.0 * (alpha + root) * beta) ** 2
     )
-    denom = 2.0 * (-np.expm1(-4.0 * alpha**2)) * (-np.expm1(-4.0 * beta**2))
+    denom = 2.0 * np.expm1(-4.0 * alpha**2) * np.expm1(-4.0 * beta**2)
+    value = float(num / denom)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"family overlap is not finite at alpha={alpha}, eta={eta}, beta={beta}"
+        )
     # the overlap is a fraction by construction; cap the rounding excursion
-    return float(min(1.0, num / denom))
+    return min(1.0, value)
 
 
 def optimal_beta(alpha, channel, verify=True):
@@ -153,7 +163,8 @@ def optimal_beta(alpha, channel, verify=True):
     f_star = fraction_over_family(state, beta_star)
     if verify:
         beta_num, f_num = search_optimal_beta(state)
-        if abs(f_num - f_star) > 1e-9 * max(f_star, 1e-300):
+        # written so that a NaN on either side fails the comparison
+        if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
             raise measures.MaximizerError(
                 f"search maximum f({beta_num}) = {f_num} disagrees with "
                 f"closed form f({beta_star}) = {f_star} "

@@ -226,15 +226,34 @@ def von_neumann_entropy(rho, floor=1e-14):
     return float(-np.sum(lam * np.log2(lam)))
 
 
+# keyed on the truncation size only; a default battery uses two sizes
+@lru_cache(maxsize=8)
+def _displacement_eigensystem(size):
+    """Eigensystem (w, V) of the Hermitian i (a+ - a) on ``size`` levels,
+    read-only because it is shared by every displacement of that size."""
+    ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)  # annihilation
+    w, v = np.linalg.eigh(1j * (ladder.T - ladder))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
 def _displacement(zeta, size):
     """Truncated displacement operator exp(zeta a+ - zeta* a).
 
     Equals exp(zeta a+) exp(-zeta* a) exp(-|zeta|^2 / 2); the unitary
     form keeps intermediate entries bounded where the triangular factors
     would overflow the working precision at large truncations.
+
+    With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator is
+    R r (a+ - a) R+, exactly so on the truncated space as well, so
+    exp(...) = R V diag(e^{-i r w}) V+ R+ from the one cached
+    eigensystem i (a+ - a) = V diag(w) V+ per size.
     """
-    ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)  # annihilation
-    return _expm_antihermitian(zeta * ladder.conj().T - np.conj(zeta) * ladder)
+    w, v = _displacement_eigensystem(size)
+    r, phi = abs(zeta), np.angle(zeta)
+    rotated = np.exp(1j * phi * np.arange(size))[:, None] * v
+    return (rotated * np.exp(-1j * r * w)) @ rotated.conj().T
 
 
 def operator_trace_charfunc(vec, point, check_tail=True, tail_tol=1e-9):

@@ -44,9 +44,7 @@ def lossy_pair_fock(alpha, eta, truncation=None):
     minus = fock.coherent_vector(-alpha, truncation)
     be_of_minus = fock.beam_splitter(np.outer(minus, vac), eta)
     be_of_plus = fock.beam_splitter(np.outer(plus, vac), eta)
-    psi = np.einsum("a,be->abe", plus, be_of_minus) - np.einsum(
-        "a,be->abe", minus, be_of_plus
-    )
+    psi = plus[:, None, None] * be_of_minus - minus[:, None, None] * be_of_plus
     return psi / np.linalg.norm(psi)
 
 
@@ -64,10 +62,11 @@ def family_overlap_curve(alpha, eta, betas, truncation=None):
     if truncation is None:
         truncation = fock.default_truncation(max(alpha, betas.max()))
     psi = lossy_pair_fock(alpha, eta, truncation)
+    psi_ab_e = psi.reshape(-1, psi.shape[-1])  # (A, B) flattened against E
     values = np.empty(betas.shape)
     for i, beta in enumerate(betas):
         probe = fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), truncation)
-        weights = np.einsum("ab,abe->e", probe.conj(), psi)
+        weights = probe.conj().ravel() @ psi_ab_e
         values[i] = np.sum(np.abs(weights) ** 2)
     return values
 
@@ -244,7 +243,8 @@ def check_loss_purity(alpha_max, truncation):
     n = truncation or fock.default_truncation(alpha)
     psi = lossy_pair_fock(alpha, eta, n)
     rho_fock = fock.partial_trace(psi, keep=(0, 1))
-    numeric = float(np.real(np.trace(rho_fock @ rho_fock)))
+    # rho is Hermitian, so Tr rho^2 is the Frobenius sum of |rho_ij|^2
+    numeric = float(np.vdot(rho_fock, rho_fock).real)
     closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
     closed = float(np.real(np.trace(closed_rho @ closed_rho)))
     return CheckResult("loss_purity", abs(numeric - closed), 1e-9)

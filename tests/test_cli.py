@@ -177,11 +177,15 @@ def test_verify_tolerance_floor(capsys):
     assert "FAIL" in out and "max deviation" in out
 
 
-def test_decohere_failed_sweep_is_json_error(capsys):
-    # at these amplitudes the loss overlap overflows and the runtime
-    # re-search disagrees with the closed form at every point past 10
+def test_decohere_failed_sweep_is_json_error(capsys, monkeypatch):
+    # a maximizer failure at every point makes the sweep fail
+    from qbell import decoherence, measures
     from qbell.cli import main
 
+    def failing(alpha, channel, verify=True):
+        raise measures.MaximizerError("forced failure", 0.0)
+
+    monkeypatch.setattr(decoherence, "optimal_beta", failing)
     with pytest.raises(SystemExit) as info:
         main(["decohere", "--alpha-min", "10", "--alpha-max", "14",
               "--steps", "5", "--etas", "0.5"])

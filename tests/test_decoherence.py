@@ -248,3 +248,27 @@ def test_tiny_amplitude_matches_mpmath():
         assert f_star == pytest.approx(f_ref, rel=1e-12)
         state = decoherence.apply_loss(alpha, channel)
         assert np.allclose(state.matrix, rho_ref, rtol=0, atol=1e-12)
+
+
+def test_large_amplitude_matches_mpmath():
+    # the bounded-factor form neither overflows nor loses relative
+    # precision where exp(-...) sinh(...)^2 gave inf * 0
+    for alpha in (12.0, 18.0, 30.0):
+        for eta in (0.9, 0.1):
+            beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta))
+            _, f_ref = _mp_loss_reference(alpha, eta, beta_star)
+            assert f_star == pytest.approx(f_ref, rel=1e-12)
+
+
+def test_non_finite_overlap_raises():
+    state = decoherence.apply_loss(1.0, LossChannel(0.5))
+    with pytest.raises(ValueError, match="not finite"):
+        decoherence.fraction_over_family(state, -400.0)
+
+
+def test_nan_search_fails_comparison(monkeypatch):
+    monkeypatch.setattr(
+        decoherence, "search_optimal_beta", lambda state: (1.0, float("nan"))
+    )
+    with pytest.raises(measures.MaximizerError):
+        decoherence.optimal_beta(1.0, LossChannel(0.5))

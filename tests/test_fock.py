@@ -1,7 +1,11 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qbell import coherent, fock, verify
+from qbell import coherent, decoherence, fock, verify
 
 
 def test_adequate_truncation_rule():
@@ -167,3 +171,65 @@ def test_splitter_cache_is_bounded():
     for eta in np.linspace(0.05, 0.95, 60):
         verify.family_overlap_curve(3.0, float(eta), [2.0])
     assert info().currsize <= info().maxsize
+
+
+def test_displacement_matches_direct_exponential():
+    for size in (21, 37):
+        ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)
+        for zeta in (0.0, 0.7, -1.2, 0.9j, 1.1 - 0.4j):
+            direct = fock._expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
+            rotated = fock._displacement(zeta, size)
+            assert np.max(np.abs(rotated - direct)) < 1e-13
+            unit = rotated.conj().T @ rotated
+            assert np.max(np.abs(unit - np.eye(size))) < 1e-13
+
+
+def test_displacement_cache_is_bounded():
+    info = fock._displacement_eigensystem.cache_info
+    assert info().maxsize is not None
+    for size in range(2, 2 + 2 * info().maxsize):
+        fock._displacement(0.3 + 0.2j, size)
+    assert info().currsize <= info().maxsize
+
+
+def test_loss_purity_frobenius_equals_trace():
+    alpha, eta, n = 0.5, 0.5, fock.adequate_truncation(0.5)
+    rho = fock.partial_trace(verify.lossy_pair_fock(alpha, eta, n), keep=(0, 1))
+    by_trace = np.trace(rho @ rho).real
+    assert abs(np.vdot(rho, rho).real - by_trace) < 1e-13
+    closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
+    closed = np.trace(closed_rho @ closed_rho).real
+    deviation = verify.check_loss_purity(alpha, n).deviation
+    assert abs(deviation - abs(by_trace - closed)) < 1e-13
+
+
+def test_family_overlap_curve_matches_einsum():
+    alpha, eta = 1.0, 0.3
+    betas = np.linspace(0.25, 1.75, 7)
+    n = fock.default_truncation(betas.max())
+    psi = verify.lossy_pair_fock(alpha, eta, n)
+    reference = [
+        np.sum(np.abs(np.einsum(
+            "ab,abe->e",
+            fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), n).conj(),
+            psi,
+        )) ** 2)
+        for beta in betas
+    ]
+    curve = verify.family_overlap_curve(alpha, eta, betas, n)
+    assert np.max(np.abs(curve - reference)) < 1e-14
+
+
+def test_fock_imports_only_stdlib_and_numpy():
+    # the oracle's independence: nothing from the closed-form modules
+    tree = ast.parse(Path(fock.__file__).read_text())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in fock"
+            roots.add(node.module.split(".")[0])
+    assert roots, "no imports found"
+    assert "qbell" not in roots
+    assert roots <= set(sys.stdlib_module_names) | {"numpy"}, roots
