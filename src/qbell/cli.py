@@ -6,7 +6,8 @@ Subcommands: ``measures`` (single-state report), ``werner``
 (closed-form versus Fock-space cross-check battery).
 
 Reports are JSON objects with snake_case keys on stdout.  Domain errors,
-failed sweep points and non-finite results print a JSON error object on
+numpy floating-point faults (divide by zero, overflow, invalid), failed
+sweep points and non-finite results print a JSON error object on
 stderr and exit with code 2; an unwritable sweep output path exits with
 code 3.  Data files carry no timestamps and use fixed float formatting,
 so identical invocations produce identical bytes.
@@ -220,9 +221,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (ValueError, fock.TruncationError, measures.MaximizerError,
-            decoherence.SweepError) as exc:
+        # a numpy floating-point fault becomes a JSON error instead of a
+        # RuntimeWarning on stderr; underflow to zero stays silent
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            args.func(args)
+    except (ValueError, FloatingPointError, fock.TruncationError,
+            measures.MaximizerError, decoherence.SweepError) as exc:
         _fail(exc)
 
 

@@ -162,16 +162,24 @@ def optimal_beta(alpha, channel, verify=True):
     beta_star = alpha * (1.0 + np.sqrt(channel.eta)) / 2.0
     f_star = fraction_over_family(state, beta_star)
     if verify:
-        beta_num, f_num = search_optimal_beta(state)
-        # written so that a NaN on either side fails the comparison
-        if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
-            raise measures.MaximizerError(
-                f"search maximum f({beta_num}) = {f_num} disagrees with "
-                f"closed form f({beta_star}) = {f_star} "
-                f"(alpha={alpha}, eta={channel.eta})",
-                f_num,
-            )
+        _searched_maximum(state, beta_star, f_star)
     return beta_star, f_star
+
+
+def _searched_maximum(state, beta_star, f_star):
+    """Run search_optimal_beta on ``state`` and return its (beta, f),
+    raising a MaximizerError unless its overlap matches the closed-form
+    f_star to 1e-9 relative."""
+    beta_num, f_num = search_optimal_beta(state)
+    # written so that a NaN on either side fails the comparison
+    if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
+        raise measures.MaximizerError(
+            f"search maximum f({beta_num}) = {f_num} disagrees with "
+            f"closed form f({beta_star}) = {f_star} "
+            f"(alpha={state.alpha}, eta={state.eta})",
+            f_num,
+        )
+    return beta_num, f_num
 
 
 def search_optimal_beta(state, grid_points=200, tol=1e-10):

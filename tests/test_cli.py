@@ -201,7 +201,15 @@ def test_charfunc_non_finite_is_json_error(capsys):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not JSON compliant" in json.loads(captured.err)["error"]
+    assert "divide by zero" in json.loads(captured.err)["error"]
+
+
+def test_floating_point_fault_is_pure_json_error():
+    proc = run_cli("decohere", "--alpha-min", "1e-160", "--alpha-max", "1e-150",
+                   "--steps", "2", "--etas", "0.5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid value" in json.loads(proc.stderr)["error"]
 
 
 def test_runtime_imports_no_scipy():
