@@ -6,10 +6,10 @@ Subcommands: ``measures`` (single-state report), ``werner``
 (closed-form versus Fock-space cross-check battery).
 
 Reports are JSON objects with snake_case keys on stdout.  Domain errors,
-numpy floating-point faults (divide by zero, overflow, invalid), failed
-sweep points and non-finite results print a JSON error object on
-stderr and exit with code 2; an unwritable sweep output path exits with
-code 3.  Data files carry no timestamps and use fixed float formatting,
+arithmetic faults (Python float overflow; numpy divide by zero,
+overflow, invalid), failed sweep points and non-finite results print a
+JSON error object on stderr and exit with code 2; an unwritable sweep
+output path exits with code 3.  Data files carry no timestamps and use fixed float formatting,
 so identical invocations produce identical bytes.
 """
 
@@ -225,7 +225,7 @@ def main(argv=None):
         # RuntimeWarning on stderr; underflow to zero stays silent
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             args.func(args)
-    except (ValueError, FloatingPointError, fock.TruncationError,
+    except (ValueError, ArithmeticError, fock.TruncationError,
             measures.MaximizerError, decoherence.SweepError) as exc:
         _fail(exc)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import QuasiBell, check_index, reduced_spectrum
+from .states import FORMS, QuasiBell, check_index, reduced_spectrum
 
 __all__ = [
     "CoherentQuasiBell",
@@ -119,19 +119,10 @@ def _coherent_elem(gamma, delta, zeta):
 
 def _dyad_terms(state):
     """Signed coherent-product components (c, gamma_a, gamma_b) of the state."""
-    a, b = state.alpha, state.beta
-    kk = state.kappa_a * state.kappa_b
-    if state.index == 1:
-        h = 1.0 / np.sqrt(2.0 * (1.0 + kk))
-        return [(h, a, -b), (h, -a, b)]
-    if state.index == 2:
-        h = 1.0 / np.sqrt(2.0 * (1.0 - kk))
-        return [(h, a, -b), (-h, -a, b)]
-    if state.index == 3:
-        h = 1.0 / np.sqrt(2.0 * (1.0 + kk))
-        return [(h, a, b), (h, -a, -b)]
-    h = 1.0 / np.sqrt(2.0 * (1.0 - kk))
-    return [(h, a, b), (-h, -a, -b)]
+    sign, swapped = FORMS[state.index]
+    a, b = state.alpha, -state.beta if swapped else state.beta
+    h = 1.0 / np.sqrt(2.0 * (1.0 + sign * state.kappa_a * state.kappa_b))
+    return [(h, a, b), (sign * h, -a, -b)]
 
 
 def characteristic_function(state, point):
@@ -158,14 +149,14 @@ def characteristic_function(state, point):
     return complex(total * np.exp(-0.5 * (abs(za) ** 2 + abs(zb) ** 2)))
 
 
-def witness_points(sample_count=128, extent=2.0):
-    """Deterministic phase-space sample: half the points on the real
-    axes of both modes, half on the imaginary axes, straddling the
-    interference fringes of cat-like states."""
+def witness_points(sample_count=128):
+    """Deterministic phase-space sample over [-2, 2] per coordinate: half
+    the points on the real axes of both modes, half on the imaginary
+    axes, straddling the interference fringes of cat-like states."""
     if sample_count < 8:
         raise ValueError("need at least 8 sample points")
     side = max(2, int(round(np.sqrt(sample_count / 2))))
-    axis = np.linspace(-extent, extent, side)
+    axis = np.linspace(-2.0, 2.0, side)
     pts = []
     for x in axis:
         for y in axis:
@@ -176,15 +167,15 @@ def witness_points(sample_count=128, extent=2.0):
     return pts
 
 
-def quadratic_log_fit_residual(char_fn, points, cutoff=1e-10):
+def quadratic_log_fit_residual(char_fn, points):
     """Max deviation of log C from the best-fit quadratic form.
 
     The linear phase (displacement) is measured at the origin by central
     differences and divided out first, so that a Gaussian C never winds
     the principal branch of the logarithm; the remaining log values are
     then fit, with complex coefficients, to a quadratic polynomial in the
-    four real phase-space coordinates.  Points with |C| below ``cutoff``
-    are excluded from the fit.  Gaussian states give residuals at
+    four real phase-space coordinates.  Points with |C| <= 1e-10 are
+    excluded from the fit.  Gaussian states give residuals at
     rounding level; cat-like superpositions give order-one residuals.
     """
     eps = 1e-3
@@ -199,7 +190,7 @@ def quadratic_log_fit_residual(char_fn, points, cutoff=1e-10):
     coords, logs = [], []
     for p in points:
         value = char_fn(p)
-        if abs(value) <= cutoff:
+        if abs(value) <= 1e-10:
             continue
         v = np.array([p.zeta_a.real, p.zeta_a.imag, p.zeta_b.real, p.zeta_b.imag])
         coords.append(v)

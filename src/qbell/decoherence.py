@@ -182,24 +182,24 @@ def _searched_maximum(state, beta_star, f_star):
     return beta_num, f_num
 
 
-def search_optimal_beta(state, grid_points=200, tol=1e-10):
-    """Independent 1-D maximization of the family overlap: coarse grid
-    over (0, 2 alpha], then golden-section refinement on the bracketing
-    interval.  The true maximum lies strictly inside the bracket because
-    the overlap decays once beta passes alpha."""
+def search_optimal_beta(state):
+    """Independent 1-D maximization of the family overlap: 200-point grid
+    over (0, 2 alpha], then golden-section refinement of the bracketing
+    interval to a 1e-10 width.  The true maximum lies strictly inside the
+    bracket because the overlap decays once beta passes alpha."""
     lo, hi = 1e-6 * state.alpha, 2.0 * state.alpha
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 200)
     values = [fraction_over_family(state, b) for b in grid]
     k = int(np.argmax(values))
     a = grid[max(0, k - 1)]
-    b = grid[min(grid_points - 1, k + 1)]
+    b = grid[min(len(grid) - 1, k + 1)]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = fraction_over_family(state, c)
     fd = fraction_over_family(state, d)
-    while abs(b - a) > tol:
+    while abs(b - a) > 1e-10:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -240,8 +240,9 @@ def figure1_sweep(alphas, etas):
     """Optimal overlap across an (alpha, eta) grid.
 
     Points are ordered by (eta descending, alpha ascending).  Per-point
-    maximizer failures do not abort the sweep; they are collected and
-    raised at the end as a SweepError holding the completed points.
+    maximizer failures and arithmetic faults do not abort the sweep; they
+    are collected and raised at the end as a SweepError holding the
+    completed points.
     """
     points, failures = [], []
     for eta in sorted(set(float(e) for e in etas), reverse=True):
@@ -250,7 +251,7 @@ def figure1_sweep(alphas, etas):
             try:
                 beta_star, f_star = optimal_beta(alpha, channel)
                 points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
-            except measures.MaximizerError as exc:
+            except (measures.MaximizerError, ArithmeticError) as exc:
                 failures.append((alpha, eta, str(exc)))
     if failures:
         raise SweepError(failures, points)

@@ -12,7 +12,6 @@ square 2-D arrays over the flattened kept modes.
 """
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 __all__ = [
     "TruncationError",
     "adequate_truncation",
-    "default_truncation",
     "coherent_vector",
     "quasi_bell_fock",
     "beam_splitter",
@@ -29,9 +27,6 @@ __all__ = [
     "operator_trace_charfunc",
     "mean_photon",
 ]
-
-TRUNCATION_ENV = "QBELL_TRUNCATION"
-
 
 class TruncationError(ValueError):
     """Raised when a truncation cannot represent the requested state."""
@@ -48,15 +43,6 @@ def adequate_truncation(alpha):
     return int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0) + 20.0))
 
 
-def default_truncation(alpha):
-    """Truncation to use when none is given: the adequacy rule, unless
-    the QBELL_TRUNCATION environment variable overrides it."""
-    env = os.environ.get(TRUNCATION_ENV)
-    if env is not None:
-        return int(env)
-    return adequate_truncation(alpha)
-
-
 def _check_truncation(alpha, truncation, allow_small):
     needed = adequate_truncation(alpha)
     if truncation < needed and not allow_small:
@@ -71,7 +57,7 @@ def coherent_vector(alpha, truncation=None, allow_small=False):
     basis: amplitudes proportional to alpha^n / sqrt(n!)."""
     alpha = float(alpha)
     if truncation is None:
-        truncation = default_truncation(alpha)
+        truncation = adequate_truncation(alpha)
     _check_truncation(alpha, truncation, allow_small)
     n = np.arange(truncation + 1)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))]))
@@ -87,7 +73,8 @@ def coherent_vector(alpha, truncation=None, allow_small=False):
 
 
 _SIGN_PATTERNS = {
-    # (relative sign, mode-B amplitudes flipped?) for the two product terms
+    # (relative sign, mode-B amplitudes flipped?) as in states.FORMS,
+    # kept apart because this oracle never imports the closed-form modules
     1: (+1.0, True),
     2: (-1.0, True),
     3: (+1.0, False),
@@ -104,7 +91,7 @@ def quasi_bell_fock(state, truncation=None):
     """
     alpha, beta = state.alpha, state.beta
     if truncation is None:
-        truncation = default_truncation(max(abs(alpha), abs(beta)))
+        truncation = adequate_truncation(max(abs(alpha), abs(beta)))
     sign, flip_b = _SIGN_PATTERNS[state.index]
     b_first, b_second = (-beta, beta) if flip_b else (beta, -beta)
     term1 = np.outer(coherent_vector(alpha, truncation), coherent_vector(b_first, truncation))
@@ -145,14 +132,14 @@ def _splitter_block(theta, sector, low, high):
     return _expm_antihermitian(gen)
 
 
-def beam_splitter(vec, eta, check_tail=True, tail_tol=1e-9):
+def beam_splitter(vec, eta, check_tail=True):
     """Transmissivity-eta beam splitter acting on a two-mode vector.
 
     Maps |g>|0> to |sqrt(eta) g>|sqrt(1-eta) g> for coherent g.  The
     generator conserves total photon number, so the exponential is
     evaluated sector by sector; sectors carrying no amplitude are passed
-    through untouched.  With ``check_tail``, amplitude accumulating on
-    the truncation boundary above ``tail_tol`` raises a TruncationError.
+    through untouched.  With ``check_tail``, probability accumulating on
+    the truncation boundary above 1e-9 raises a TruncationError.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2 or vec.shape[0] != vec.shape[1]:
@@ -173,41 +160,26 @@ def beam_splitter(vec, eta, check_tail=True, tail_tol=1e-9):
         block = _splitter_block(theta, sector, low, high)
         out[idx_first, idx_second] = block @ component
     if check_tail:
-        boundary = np.sum(np.abs(out[-1, :]) ** 2) + np.sum(np.abs(out[:, -1]) ** 2)
-        if boundary > tail_tol:
-            raise TruncationError(
-                f"beam splitter output holds {boundary:.3e} probability on the "
-                "truncation boundary; increase the truncation"
-            )
+        _check_tail(out, "beam splitter output")
     return out
 
 
-def partial_trace(state, keep, modes=None):
-    """Reduced density matrix over the kept modes.
+def _check_tail(vec, what):
+    """Raise a TruncationError if the two-mode ``vec`` holds more than
+    1e-9 probability on the truncation boundary."""
+    boundary = np.sum(np.abs(vec[-1, :]) ** 2) + np.sum(np.abs(vec[:, -1]) ** 2)
+    if boundary > 1e-9:
+        raise TruncationError(
+            f"{what} holds {boundary:.3e} probability on the "
+            "truncation boundary; increase the truncation"
+        )
 
-    With ``modes`` omitted, ``state`` is a pure-state ndarray with one
-    axis per mode.  Passing ``modes`` selects the density interpretation
-    instead: a square matrix over that many equal-dimension modes.
-    ``keep`` is a sequence of mode indices.
-    """
+
+def partial_trace(psi, keep):
+    """Reduced density matrix, over the kept modes (a sequence of mode
+    indices), of the pure state ``psi`` with one axis per mode."""
     keep = tuple(int(k) for k in keep)
-    state = np.asarray(state, dtype=complex)
-    if modes is None:
-        return _partial_trace_pure(state, keep)
-    if state.ndim != 2 or state.shape[0] != state.shape[1]:
-        raise ValueError("density input must be a square matrix")
-    dim = round(state.shape[0] ** (1.0 / modes))
-    if dim**modes != state.shape[0]:
-        raise ValueError("matrix size is not a power of a per-mode dimension")
-    tensor = state.reshape((dim,) * (2 * modes))
-    traced = [m for m in range(modes) if m not in keep]
-    for m in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=m, axis2=m + tensor.ndim // 2)
-    d_keep = dim ** len(keep)
-    return tensor.reshape(d_keep, d_keep)
-
-
-def _partial_trace_pure(psi, keep):
+    psi = np.asarray(psi, dtype=complex)
     modes = psi.ndim
     if any(k < 0 or k >= modes for k in keep):
         raise ValueError(f"keep={keep} out of range for {modes} modes")
@@ -218,11 +190,11 @@ def _partial_trace_pure(psi, keep):
     return mat @ mat.conj().T
 
 
-def von_neumann_entropy(rho, floor=1e-14):
-    """Base-2 von Neumann entropy; eigenvalues below ``floor`` are
-    treated as exactly zero."""
+def von_neumann_entropy(rho):
+    """Base-2 von Neumann entropy; eigenvalues up to 1e-14 are treated
+    as exactly zero."""
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    lam = lam[lam > floor]
+    lam = lam[lam > 1e-14]
     return float(-np.sum(lam * np.log2(lam)))
 
 
@@ -256,14 +228,15 @@ def _displacement(zeta, size):
     return (rotated * np.exp(-1j * r * w)) @ rotated.conj().T
 
 
-def operator_trace_charfunc(vec, point, check_tail=True, tail_tol=1e-9):
+def operator_trace_charfunc(vec, point):
     """Characteristic function of a two-mode pure state by explicit
     operator trace:
 
         Tr[rho exp(za a+) exp(-za* a) exp(zb b+) exp(-zb* b)]
             * exp(-(|za|^2 + |zb|^2)/2)
 
-    evaluated through the truncated displacement matrices of each mode.
+    evaluated through the truncated displacement matrices of each mode,
+    with the same boundary rule as beam_splitter.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2:
@@ -271,12 +244,7 @@ def operator_trace_charfunc(vec, point, check_tail=True, tail_tol=1e-9):
     za = complex(point.zeta_a)
     zb = complex(point.zeta_b)
     moved = _displacement(za, vec.shape[0]) @ vec @ _displacement(zb, vec.shape[1]).T
-    if check_tail:
-        boundary = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
-        if boundary > tail_tol:
-            raise TruncationError(
-                "displaced state spills past the truncation; increase it"
-            )
+    _check_tail(moved, "displaced state")
     return complex(np.vdot(vec, moved))
 
 

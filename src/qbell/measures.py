@@ -79,15 +79,15 @@ def concurrence_pure(coeffs):
     return min(1.0, float(abs(np.conj(c) @ _SPIN_FLIP @ np.conj(c))))
 
 
-def validate_density(rho, herm_tol=_HERM_TOL):
+def validate_density(rho):
     """Check a 4x4 density matrix and return it with tiny negative
     eigenvalues clipped to zero."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > herm_tol:
+    if abs(np.trace(rho).real - 1.0) > _HERM_TOL:
         raise ValueError(f"density matrix trace is {np.trace(rho).real}, not 1")
     w, v = np.linalg.eigh(rho)
     if w.min() < _EIG_FLOOR - _HERM_TOL:

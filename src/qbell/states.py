@@ -21,8 +21,18 @@ from .measures import binary_entropy
 
 INDICES = (1, 2, 3, 4)
 
+# (sign, swapped) per index: |B_i> = h_i (|u>|w> + sign |v>|w'>) with
+# (w, w') = (v, u) when swapped and (u, v) otherwise
+FORMS = {
+    1: (+1.0, True),
+    2: (-1.0, True),
+    3: (+1.0, False),
+    4: (-1.0, False),
+}
+
 __all__ = [
     "INDICES",
+    "FORMS",
     "QuasiBell",
     "check_kappa",
     "normalization_constant",
@@ -73,11 +83,9 @@ class QuasiBell:
 
 def normalization_constant(index, kappa):
     """Normalization h_i of the quasi-Bell state with the given overlap."""
-    index = check_index(index)
+    sign, _ = FORMS[check_index(index)]
     kappa = check_kappa(kappa)
-    if index in (1, 3):
-        return 1.0 / np.sqrt(2.0 * (1.0 + kappa**2))
-    return 1.0 / np.sqrt(2.0 * (1.0 - kappa**2))
+    return 1.0 / np.sqrt(2.0 * (1.0 + sign * kappa**2))
 
 
 def gram_off_diagonal(kappa):
@@ -137,15 +145,9 @@ def embed_qubit(state):
     u = np.array([a, b])
     v = np.array([a, -b])
     h = normalization_constant(state.index, kappa)
-    if state.index == 1:
-        c = h * (np.kron(u, v) + np.kron(v, u))
-    elif state.index == 2:
-        c = h * (np.kron(u, v) - np.kron(v, u))
-    elif state.index == 3:
-        c = h * (np.kron(u, u) + np.kron(v, v))
-    else:
-        c = h * (np.kron(u, u) - np.kron(v, v))
-    c = c.astype(complex)
+    sign, swapped = FORMS[state.index]
+    w, w_prime = (v, u) if swapped else (u, v)
+    c = (h * (np.kron(u, w) + sign * np.kron(v, w_prime))).astype(complex)
     lead = c[np.flatnonzero(np.abs(c) > 1e-14)[0]]
     c *= np.conj(lead) / np.abs(lead)
     return c + 0.0  # normalize signed zeros

@@ -16,7 +16,6 @@ __all__ = [
     "CheckResult",
     "run_all",
     "lossy_pair_fock",
-    "oracle_family_overlap",
     "family_overlap_curve",
 ]
 
@@ -41,7 +40,7 @@ def lossy_pair_fock(alpha, eta, truncation=None):
     state with mode B passed through the loss channel, built from fock
     primitives only."""
     if truncation is None:
-        truncation = fock.default_truncation(alpha)
+        truncation = fock.adequate_truncation(alpha)
     vac = np.zeros(truncation + 1, dtype=complex)
     vac[0] = 1.0
     plus = fock.coherent_vector(alpha, truncation)
@@ -52,19 +51,14 @@ def lossy_pair_fock(alpha, eta, truncation=None):
     return psi / np.linalg.norm(psi)
 
 
-def oracle_family_overlap(alpha, eta, beta, truncation=None):
-    """<B2(beta)| rho_AB |B2(beta)> computed entirely in the number
-    basis: build the tripartite state, project mode A and B onto the
-    comparison state, and sum the environment weights."""
-    return float(family_overlap_curve(alpha, eta, [beta], truncation)[0])
-
-
 def family_overlap_curve(alpha, eta, betas, truncation=None):
-    """Oracle family overlaps at several comparison amplitudes, reusing
-    one tripartite state per (alpha, eta)."""
+    """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
+    computed entirely in the number basis: build the tripartite state
+    once per (alpha, eta), project modes A and B onto each comparison
+    state, and sum the environment weights."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if truncation is None:
-        truncation = fock.default_truncation(max(alpha, betas.max()))
+        truncation = fock.adequate_truncation(max(alpha, betas.max()))
     psi = lossy_pair_fock(alpha, eta, truncation)
     psi_ab_e = psi.reshape(-1, psi.shape[-1])  # (A, B) flattened against E
     values = np.empty(betas.shape)
@@ -158,8 +152,8 @@ def check_asymmetric_spectra(alpha_max, truncation):
     return CheckResult("asymmetric_spectra", dev, 1e-10)
 
 
-def check_char_function(alpha_max, truncation, n_points=20, seed=11):
-    rng = np.random.default_rng(seed)
+def check_char_function(alpha_max, truncation):
+    rng = np.random.default_rng(11)
     dev = 0.0
     for alpha in (0.5, 1.0):
         if alpha > alpha_max + 1e-12:
@@ -167,7 +161,7 @@ def check_char_function(alpha_max, truncation, n_points=20, seed=11):
         for index in (1, 2, 3, 4):
             state = coherent.CoherentQuasiBell(index, alpha)
             vec = fock.quasi_bell_fock(state, truncation)
-            for _ in range(n_points):
+            for _ in range(20):
                 za, zb = (rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2))
                 point = coherent.CharFuncPoint(za, zb)
                 closed = coherent.characteristic_function(state, point)
@@ -180,7 +174,7 @@ def check_beam_splitter_rule(alpha_max, truncation):
     dev = 0.0
     for alpha in _alpha_grid(alpha_max):
         for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            size = (truncation or fock.default_truncation(alpha)) + 1
+            size = (truncation or fock.adequate_truncation(alpha)) + 1
             vac = np.zeros(size, dtype=complex)
             vac[0] = 1.0
             sent = fock.beam_splitter(
@@ -195,8 +189,8 @@ def check_beam_splitter_rule(alpha_max, truncation):
     return CheckResult("beam_splitter_rule", dev, 1e-9)
 
 
-def check_beam_splitter_unitary(seed=3):
-    rng = np.random.default_rng(seed)
+def check_beam_splitter_unitary():
+    rng = np.random.default_rng(3)
     vec = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
     vec /= np.linalg.norm(vec)
     dev = 0.0
@@ -208,12 +202,9 @@ def check_beam_splitter_unitary(seed=3):
 
 def _orthonormal_pair(alpha, truncation):
     """Fock vectors of the orthonormal basis built from span{|a>, |-a>}."""
-    plus = fock.coherent_vector(alpha, truncation) + fock.coherent_vector(
-        -alpha, truncation
-    )
-    minus = fock.coherent_vector(alpha, truncation) - fock.coherent_vector(
-        -alpha, truncation
-    )
+    up = fock.coherent_vector(alpha, truncation)
+    down = fock.coherent_vector(-alpha, truncation)
+    plus, minus = up + down, up - down
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
 
 
@@ -238,11 +229,11 @@ def _projected_loss_density(alpha, eta, n):
     return fock.partial_trace(phi, keep=(0,))
 
 
-def check_loss_density(alpha_max, truncation, etas=(0.3, 0.7)):
+def check_loss_density(alpha_max, truncation):
     alpha = min(1.0, alpha_max)
-    n = truncation or fock.default_truncation(alpha)
+    n = truncation or fock.adequate_truncation(alpha)
     dev = 0.0
-    for eta in etas:
+    for eta in (0.3, 0.7):
         projected = _projected_loss_density(alpha, eta, n)
         closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         dev = max(dev, float(np.max(np.abs(projected - closed))))
@@ -251,17 +242,20 @@ def check_loss_density(alpha_max, truncation, etas=(0.3, 0.7)):
 
 def check_loss_purity(alpha_max, truncation):
     alpha = min(1.0, alpha_max)
-    eta = 0.5
-    n = truncation or fock.default_truncation(alpha)
-    psi = lossy_pair_fock(alpha, eta, n)
-    # psi is pure, so rho_AB and rho_E share their nonzero spectrum
-    # (Schmidt decomposition) and Tr rho_AB^2 = Tr rho_E^2; rho_E is
-    # Hermitian, so that is the Frobenius sum of |rho_E_ij|^2
-    rho_env = fock.partial_trace(psi, keep=(2,))
-    numeric = float(np.vdot(rho_env, rho_env).real)
-    closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
-    closed = float(np.real(np.trace(closed_rho @ closed_rho)))
-    return CheckResult("loss_purity", abs(numeric - closed), 1e-9)
+    n = truncation or fock.adequate_truncation(alpha)
+    dev = 0.0
+    # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
+    for eta in (0.3, 0.5):
+        psi = lossy_pair_fock(alpha, eta, n)
+        # psi is pure, so rho_AB and rho_E share their nonzero spectrum
+        # (Schmidt decomposition) and Tr rho_AB^2 = Tr rho_E^2; rho_E is
+        # Hermitian, so that is the Frobenius sum of |rho_E_ij|^2
+        rho_env = fock.partial_trace(psi, keep=(2,))
+        numeric = float(np.vdot(rho_env, rho_env).real)
+        closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
+        closed = float(np.real(np.trace(closed_rho @ closed_rho)))
+        dev = max(dev, abs(numeric - closed))
+    return CheckResult("loss_purity", dev, 1e-9)
 
 
 def check_family_overlap(alpha_max, truncation):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import QuasiBell, check_kappa, embed_qubit, gram_off_diagonal
-from .measures import binary_entropy
+from .measures import eof_lower_bound
 
 __all__ = [
     "QuasiWerner",
@@ -75,7 +75,7 @@ def quasi_werner_fraction(spec):
 
 def standard_werner_eof(fidelity):
     """Entanglement of formation of the standard (kappa = 0) Werner
-    state, H(1/2 + sqrt(F (1-F))).
+    state, H(1/2 + sqrt(F (1-F))), which is eof_lower_bound(F).
 
     Only valid for F >= 1/2; below that the state is separable and the
     formula no longer applies, so the domain is enforced.
@@ -83,4 +83,4 @@ def standard_werner_eof(fidelity):
     f = float(fidelity)
     if f < 0.5 or f > 1.0:
         raise ValueError(f"formula holds for F in [1/2, 1], got {f}")
-    return binary_entropy(0.5 + np.sqrt(f * (1.0 - f)))
+    return eof_lower_bound(f)

@@ -186,7 +186,7 @@ def test_criterion_9_characteristic_functions():
         )
     assert worst <= 1e-8
 
-    n = fock.default_truncation(0.7)
+    n = fock.adequate_truncation(0.7)
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
     control_res = coherent.quadratic_log_fit_residual(
         lambda p: fock.operator_trace_charfunc(control, p),

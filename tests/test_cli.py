@@ -1,19 +1,39 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qbell.cli import fmt_float
+from qbell.cli import fmt_float, main
 
 
-def run_cli(*args):
+def run_cli_process(*args):
     return subprocess.run(
         [sys.executable, "-m", "qbell.cli", *args],
         capture_output=True,
         text=True,
     )
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``cli.main`` in this process, with the exit code, stdout and
+    stderr of a ``python -m qbell.cli`` run."""
+
+    def run(*args):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=captured.out, stderr=captured.err)
+
+    return run
 
 
 def test_fmt_float():
@@ -24,7 +44,7 @@ def test_fmt_float():
     assert "e-13" in fmt_float(1e-13)
 
 
-def test_measures_bell_limit():
+def test_measures_bell_limit(run_cli):
     proc = run_cli("measures", "--kappa", "0", "--index", "2")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -33,7 +53,7 @@ def test_measures_bell_limit():
     assert "mean_photon_a" not in report
 
 
-def test_measures_with_amplitude():
+def test_measures_with_amplitude(run_cli):
     proc = run_cli("measures", "--alpha", "1", "--index", "1")
     report = json.loads(proc.stdout)
     assert report["entropy"] == pytest.approx(0.9484184662366613, abs=1e-12)
@@ -41,21 +61,21 @@ def test_measures_with_amplitude():
     assert report["mean_photon_a"] == pytest.approx(0.9640275800758168, abs=1e-12)
 
 
-def test_measures_invalid_overlap():
+def test_measures_invalid_overlap(run_cli):
     proc = run_cli("measures", "--kappa", "1", "--index", "2")
     assert proc.returncode == 2
     err = json.loads(proc.stderr)
     assert "overlap must be < 1" in err["error"]
 
 
-def test_measures_requires_exactly_one_input():
+def test_measures_requires_exactly_one_input(run_cli):
     proc = run_cli("measures", "--index", "2")
     assert proc.returncode == 2
     proc = run_cli("measures", "--kappa", "0.2", "--alpha", "1", "--index", "2")
     assert proc.returncode == 2
 
 
-def test_werner_reports():
+def test_werner_reports(run_cli):
     proc = run_cli("werner", "--fidelity", "1", "--kappa", "0.3")
     report = json.loads(proc.stdout)
     assert report["eigenvalues"] == [1.0, 0.0, 0.0, 0.0]
@@ -77,7 +97,7 @@ def test_werner_reports():
     assert proc.returncode == 2
 
 
-def test_decohere_deterministic_bytes(tmp_path):
+def test_decohere_deterministic_bytes(tmp_path, run_cli):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("decohere", "--steps", "12", "--etas", "0.9", "0.5")
     assert run_cli(*args, "--output", str(out1)).returncode == 0
@@ -92,7 +112,7 @@ def test_decohere_deterministic_bytes(tmp_path):
     assert etas == sorted(etas, reverse=True)
 
 
-def test_decohere_eta_one_row():
+def test_decohere_eta_one_row(run_cli):
     proc = run_cli(
         "decohere", "--steps", "2", "--alpha-min", "1", "--alpha-max", "2",
         "--etas", "1.0",
@@ -102,7 +122,7 @@ def test_decohere_eta_one_row():
         assert row.split(",")[2] == "1.00000000000"
 
 
-def test_decohere_small_amplitude_beats_biphoton():
+def test_decohere_small_amplitude_beats_biphoton(run_cli):
     proc = run_cli(
         "decohere", "--steps", "2", "--alpha-min", "0.1", "--alpha-max", "0.2",
         "--etas", "0.5",
@@ -111,7 +131,7 @@ def test_decohere_small_amplitude_beats_biphoton():
     assert float(first[2]) > 0.5
 
 
-def test_decohere_json_format():
+def test_decohere_json_format(run_cli):
     proc = run_cli(
         "decohere", "--steps", "3", "--etas", "0.5", "--format", "json",
     )
@@ -122,7 +142,7 @@ def test_decohere_json_format():
     }
 
 
-def test_decohere_unwritable_path():
+def test_decohere_unwritable_path(run_cli):
     proc = run_cli(
         "decohere", "--steps", "2", "--etas", "0.5",
         "--output", "/nonexistent-dir/out.csv",
@@ -131,7 +151,7 @@ def test_decohere_unwritable_path():
     assert "error" in json.loads(proc.stderr)
 
 
-def test_decohere_rejects_bad_grid():
+def test_decohere_rejects_bad_grid(run_cli):
     proc = run_cli("decohere", "--alpha-min", "0", "--steps", "3", "--etas", "0.5")
     assert proc.returncode == 2
     proc = run_cli("decohere", "--steps", "1", "--etas", "0.5")
@@ -140,7 +160,7 @@ def test_decohere_rejects_bad_grid():
     assert proc.returncode == 2
 
 
-def test_charfunc_report():
+def test_charfunc_report(run_cli):
     proc = run_cli(
         "charfunc", "--alpha", "1", "--index", "2", "--zeta-a-im", "0.3",
     )
@@ -151,7 +171,8 @@ def test_charfunc_report():
     assert json.loads(proc.stdout)["real"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_help_everywhere():
+def test_help_everywhere(run_cli):
+    assert run_cli_process("--help").returncode == 0
     assert run_cli("--help").returncode == 0
     for sub in ("measures", "werner", "decohere", "charfunc", "verify"):
         proc = run_cli(sub, "--help")
@@ -159,57 +180,66 @@ def test_help_everywhere():
         assert "--" in proc.stdout
 
 
-def test_verify_truncation_rule_violation():
+def test_verify_truncation_rule_violation(run_cli):
     proc = run_cli("verify", "--truncation", "5", "--alpha-max", "3")
     assert proc.returncode == 2
     assert "adequacy" in json.loads(proc.stderr)["error"]
 
 
-def test_verify_tolerance_floor(capsys):
+def test_verify_tolerance_floor(run_cli):
     # sub-machine tolerance documents the numerical floor: checks fail,
     # deviations are still reported per line
-    from qbell.cli import main
-
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--tolerance", "1e-15", "--alpha-max", "1"])
-    assert info.value.code == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "max deviation" in out
+    proc = run_cli("verify", "--tolerance", "1e-15", "--alpha-max", "1")
+    assert proc.returncode == 1
+    assert "FAIL" in proc.stdout and "max deviation" in proc.stdout
 
 
-def test_decohere_failed_sweep_is_json_error(capsys, monkeypatch):
+def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
     # a maximizer failure at every point makes the sweep fail
     from qbell import decoherence, measures
-    from qbell.cli import main
 
     def failing(alpha, channel, verify=True):
         raise measures.MaximizerError("forced failure", 0.0)
 
     monkeypatch.setattr(decoherence, "optimal_beta", failing)
-    with pytest.raises(SystemExit) as info:
-        main(["decohere", "--alpha-min", "10", "--alpha-max", "14",
-              "--steps", "5", "--etas", "0.5"])
-    assert info.value.code == 2
-    assert "sweep point(s) failed" in json.loads(capsys.readouterr().err)["error"]
+    proc = run_cli("decohere", "--alpha-min", "10", "--alpha-max", "14",
+                   "--steps", "5", "--etas", "0.5")
+    assert proc.returncode == 2
+    assert "sweep point(s) failed" in json.loads(proc.stderr)["error"]
 
 
-def test_charfunc_non_finite_is_json_error(capsys):
-    from qbell.cli import main
+def test_charfunc_non_finite_is_json_error(run_cli):
+    proc = run_cli("charfunc", "--alpha", "1e-9", "--index", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "divide by zero" in json.loads(proc.stderr)["error"]
 
-    with pytest.raises(SystemExit) as info:
-        main(["charfunc", "--alpha", "1e-9", "--index", "2"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "divide by zero" in json.loads(captured.err)["error"]
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("measures", "--alpha", "1e200", "--index", "2"),
+        ("decohere", "--alpha-min", "1e160", "--alpha-max", "1e161",
+         "--steps", "2", "--etas", "0.5"),
+    ],
+)
+def test_huge_amplitude_is_json_error(run_cli, args):
+    # alpha**2 of a Python float raises OverflowError, not a numpy fault
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]
 
 
 def test_floating_point_fault_is_pure_json_error():
-    proc = run_cli("decohere", "--alpha-min", "1e-160", "--alpha-max", "1e-150",
-                   "--steps", "2", "--etas", "0.5")
+    proc = run_cli_process("decohere", "--alpha-min", "1e-160", "--alpha-max", "1e-150",
+                           "--steps", "2", "--etas", "0.5")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "invalid value" in json.loads(proc.stderr)["error"]
+    error = json.loads(proc.stderr)["error"]
+    assert "invalid value" in error
+    # the sweep names the failing point
+    assert "alpha=1e-160, eta=0.5" in error
 
 
 def test_runtime_imports_no_scipy():
@@ -226,3 +256,18 @@ def test_runtime_imports_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_reads_no_environment():
+    # a run's output depends only on its arguments
+    for path in sorted((Path(__file__).parents[1] / "src" / "qbell").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            else:
+                continue
+            assert name not in ("environ", "getenv"), (
+                f"{path.name}:{node.lineno} reads the environment"
+            )

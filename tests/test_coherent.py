@@ -124,7 +124,7 @@ def test_witness_cat_states_not_gaussian():
 
 def test_witness_gaussian_control():
     # a coherent product state evaluated by the oracle trace is Gaussian
-    n = fock.default_truncation(0.7)
+    n = fock.adequate_truncation(0.7)
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
     residual = coherent.quadratic_log_fit_residual(
         lambda p: fock.operator_trace_charfunc(control, p),

@@ -64,9 +64,9 @@ def test_apply_loss_matches_oracle_density():
     from qbell import fock
 
     rho_fock = fock.partial_trace(psi, keep=(0, 1))
-    plus_a, minus_a = verify._orthonormal_pair(1.0, fock.default_truncation(1.0))
+    plus_a, minus_a = verify._orthonormal_pair(1.0, fock.adequate_truncation(1.0))
     plus_b, minus_b = verify._orthonormal_pair(
-        np.sqrt(0.5), fock.default_truncation(1.0)
+        np.sqrt(0.5), fock.adequate_truncation(1.0)
     )
     basis = np.stack(
         [
@@ -91,7 +91,7 @@ def test_fraction_over_family_examples():
     beta = (1.0 + np.sqrt(0.5)) / 2.0
     value = decoherence.fraction_over_family(state, beta)
     assert value == pytest.approx(0.6312414988091545, abs=1e-12)
-    oracle = verify.oracle_family_overlap(1.0, 0.5, beta)
+    oracle = verify.family_overlap_curve(1.0, 0.5, [beta])[0]
     assert abs(value - oracle) < 1e-9
     assert decoherence.fraction_over_family(state, 5.0) < 1e-12
     with pytest.raises(ValueError):
@@ -197,6 +197,17 @@ def test_sweep_collects_failures(monkeypatch):
     assert len(info.value.failures) == 1
     assert len(info.value.points) == 1
     assert info.value.points[0].alpha == 0.2
+
+
+def test_sweep_collects_arithmetic_faults():
+    # a Python-float overflow, and a numpy fault where the caller made
+    # those raise, each fail only their own point
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with pytest.raises(decoherence.SweepError) as info:
+            decoherence.figure1_sweep([1e-160, 1.0, 1e160], [0.5])
+    assert [(a, e) for a, e, _ in info.value.failures] == [(1e-160, 0.5), (1e160, 0.5)]
+    assert [p.alpha for p in info.value.points] == [1.0]
+    assert "alpha=1e-160, eta=0.5" in str(info.value)
 
 
 def test_diagnostic_fef_reported_separately():
