@@ -52,40 +52,3 @@ from .decoherence import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "QuasiBell",
-    "normalization_constant",
-    "gram_matrix",
-    "gram_off_diagonal",
-    "reduced_spectrum",
-    "entropy_of_entanglement",
-    "embed_qubit",
-    "MaximizerError",
-    "binary_entropy",
-    "concurrence_pure",
-    "eof_wootters",
-    "eof_lower_bound",
-    "fully_entangled_fraction",
-    "QuasiWerner",
-    "build_quasi_werner",
-    "quasi_werner_gram",
-    "quasi_werner_spectrum",
-    "quasi_werner_fraction",
-    "standard_werner_eof",
-    "CoherentQuasiBell",
-    "CharFuncPoint",
-    "overlap_of_amplitude",
-    "mean_photon_numbers",
-    "characteristic_function",
-    "gaussianity_witness",
-    "asymmetric_spectrum",
-    "LossChannel",
-    "DecoheredState",
-    "FractionCurvePoint",
-    "apply_loss",
-    "fraction_over_family",
-    "optimal_beta",
-    "biphoton_fraction",
-    "figure1_sweep",
-]

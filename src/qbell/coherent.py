@@ -5,14 +5,18 @@ every overlap-level result applies with that substitution.  This module
 adds the quantities that depend on the bosonic carrier itself: mean
 photon numbers, two-mode characteristic functions, a non-Gaussianity
 witness, and the reduced spectra when the two modes carry different
-amplitudes.  Amplitudes are real throughout.
+amplitudes.  Amplitudes are real throughout.  The closed forms work in
+each mode's even/odd basis |+/-> ~ |alpha> +/- |-alpha>, where a
+quasi-Bell state has two nonzero coefficients.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FORMS, QuasiBell, check_index, reduced_spectrum
+from .states import _even_odd_terms, check_index
 
 __all__ = [
     "CoherentQuasiBell",
@@ -38,17 +42,31 @@ def _check_amplitude(alpha):
     if np.iscomplexobj(alpha):
         raise ValueError("amplitudes are real in this model")
     alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError("amplitude must be finite")
+    if not math.isfinite(alpha * alpha):
+        raise ValueError(f"amplitude {alpha} is out of range: alpha^2 is not finite")
     return alpha
+
+
+def _cat_components(alpha):
+    """(<+|alpha>, <-|alpha>) = (sqrt((1 + kappa)/2), sqrt((1 - kappa)/2)),
+    with 1 - kappa = -expm1(-2 alpha^2) and, below the smallest normal
+    alpha^2, <-|alpha> = |alpha|, so it stays exact as alpha -> 0."""
+    a2 = alpha * alpha
+    if a2 < sys.float_info.min:
+        return 1.0, abs(alpha)
+    return (
+        math.sqrt((1.0 + math.exp(-2.0 * a2)) / 2.0),
+        math.sqrt(-math.expm1(-2.0 * a2) / 2.0),
+    )
 
 
 @dataclass(frozen=True)
 class CoherentQuasiBell:
     """Quasi-Bell state on modes carrying amplitudes +/-alpha, +/-beta.
 
-    beta defaults to alpha (the symmetric case).  Zero amplitude is
-    rejected for indices 2 and 4, where the superposition degenerates.
+    beta defaults to alpha (the symmetric case).  Indices 2 and 4 reject
+    amplitudes below the smallest normal float, zero included, where the
+    superposition degenerates to rounding.
     """
 
     index: int
@@ -60,19 +78,9 @@ class CoherentQuasiBell:
         object.__setattr__(self, "alpha", _check_amplitude(self.alpha))
         beta = self.alpha if self.beta is None else _check_amplitude(self.beta)
         object.__setattr__(self, "beta", beta)
-        if self.index in (2, 4) and (self.alpha == 0.0 or self.beta == 0.0):
-            raise ValueError(
-                f"state {self.index} is undefined at zero amplitude "
-                "(the two product terms coincide)"
-            )
-
-    @property
-    def kappa_a(self):
-        return overlap_of_amplitude(self.alpha)
-
-    @property
-    def kappa_b(self):
-        return overlap_of_amplitude(self.beta)
+        small = min(abs(self.alpha), abs(self.beta))
+        if self.index in (2, 4) and small < sys.float_info.min:
+            raise ValueError(f"state {self.index} is undefined at amplitude {small}")
 
     @property
     def symmetric(self):
@@ -93,9 +101,9 @@ def mean_photon_numbers(state):
     their limit 1/2 as alpha -> 0.
     """
     _require_symmetric(state)
-    a2 = state.alpha**2
-    plus = 1.0 + state.kappa_a**2
-    minus = -float(np.expm1(-4.0 * a2))
+    a2 = state.alpha * state.alpha
+    plus = 1.0 + math.exp(-4.0 * a2)
+    minus = -math.expm1(-4.0 * a2)
     if state.index in (1, 3):
         n = minus / plus * a2
     else:
@@ -111,42 +119,56 @@ class CharFuncPoint:
     zeta_b: complex = 0.0
 
 
-def _coherent_elem(gamma, delta, zeta):
-    """<gamma| exp(zeta a+) exp(-zeta* a) |delta> for real amplitudes."""
-    overlap = np.exp(-0.5 * (gamma - delta) ** 2)
-    return overlap * np.exp(zeta * gamma - np.conj(zeta) * delta)
+def _displacement_elements(alpha, mode, zeta):
+    """((ee, eo), (oe, oo)): <s|exp(zeta a+) exp(-zeta* a)|s'> G over the
+    even/odd basis of amplitude alpha, mode = _cat_components(alpha),
+    zeta = x + iy, G = exp(-|zeta|^2/2), kappa = exp(-2 alpha^2):
 
+        ee = (G cos 2y alpha + kappa G cosh 2x alpha) / (1 + kappa)
+        oo = G - 2 (G sin^2 y alpha + kappa G sinh^2 x alpha) / (1 - kappa)
+        eo, oe = (i G sin 2y alpha -/+ kappa G sinh 2x alpha) / sqrt(1 - kappa^2)
 
-def _dyad_terms(state):
-    """Signed coherent-product components (c, gamma_a, gamma_b) of the state."""
-    sign, swapped = FORMS[state.index]
-    a, b = state.alpha, -state.beta if swapped else state.beta
-    h = 1.0 / np.sqrt(2.0 * (1.0 + sign * state.kappa_a * state.kappa_b))
-    return [(h, a, b), (sign * h, -a, -b)]
+    kappa exp(2|x alpha|) G = exp(-((|x| - 2|alpha|)^2 + y^2)/2) <= 1
+    carries the kappa terms, through t = expm1(-2|x alpha|); sin y alpha
+    and t are divided by <-|alpha> ~ |alpha| before squaring, so nothing
+    overflows, cancels or underflows.  At alpha = 0 the odd entries,
+    which no state weights, are 0.
+    """
+    plus, minus = mode
+    x, y = zeta.real, zeta.imag
+    gauss = math.exp(-0.5 * (x * x + y * y))
+    shift = abs(x) - 2.0 * abs(alpha)
+    bounded = math.exp(-0.5 * (shift * shift + y * y))
+    t = math.expm1(-2.0 * abs(x * alpha))
+    cosh = 0.5 * bounded * (1.0 + (1.0 + t) ** 2)
+    even = (gauss * math.cos(2.0 * y * alpha) + cosh) / (2.0 * plus * plus)
+    if minus == 0.0:
+        return (even, 0.0), (0.0, 0.0)
+    sin_ratio, t_ratio = math.sin(y * alpha) / minus, 0.5 * t / minus
+    odd = gauss - gauss * sin_ratio * sin_ratio - bounded * t_ratio * t_ratio
+    sinh = math.copysign(-0.5 * bounded * t * (2.0 + t), x * alpha)
+    sin = gauss * math.sin(2.0 * y * alpha)
+    cross = 2.0 * plus * minus
+    return (even, complex(-sinh, sin) / cross), (complex(sinh, sin) / cross, odd)
 
 
 def characteristic_function(state, point):
     """Two-mode characteristic function of the state at the given point.
 
     Evaluates Tr[rho exp(za a+) exp(-za* a) exp(zb b+) exp(-zb* b)]
-    times exp(-(|za|^2 + |zb|^2)/2) term by term over the four
-    coherent-dyad contributions, keeping the coherent-overlap factors on
-    the interference terms.  C(0, 0) = 1.
+    times exp(-(|za|^2 + |zb|^2)/2) as sum_{j,k} c_j c_k Ea[s_j][s_k]
+    Eb[t_j][t_k] over the state's two even/odd coefficients c_j on
+    |s_j t_j>.  C(0, 0) = 1.
     """
     _require_symmetric(state)
-    za = complex(point.zeta_a)
-    zb = complex(point.zeta_b)
-    terms = _dyad_terms(state)
-    total = 0.0 + 0.0j
-    for cj, gaj, gbj in terms:
-        for ck, gak, gbk in terms:
-            total += (
-                cj
-                * ck
-                * _coherent_elem(gaj, gak, za)
-                * _coherent_elem(gbj, gbk, zb)
-            )
-    return complex(total * np.exp(-0.5 * (abs(za) ** 2 + abs(zb) ** 2)))
+    mode = _cat_components(state.alpha)
+    terms = _even_odd_terms(state.index, mode, mode)
+    ea = _displacement_elements(state.alpha, mode, complex(point.zeta_a))
+    eb = _displacement_elements(state.alpha, mode, complex(point.zeta_b))
+    return complex(sum(
+        cj * ck * ea[j >> 1][k >> 1] * eb[j & 1][k & 1]
+        for j, cj in terms for k, ck in terms
+    ))
 
 
 def witness_points(sample_count=128):
@@ -217,6 +239,16 @@ def gaussianity_witness(state, sample_count=128):
     )
 
 
+def _spectrum(terms):
+    """Squares of the two coefficients, larger first: the smaller as
+    r^2/(1 + r^2), r their ratio, so equal ones give exactly 1/2, and
+    the larger as 1 minus the smaller."""
+    low, high = sorted(abs(c) for _, c in terms)
+    ratio = low / high
+    small = ratio * ratio / (1.0 + ratio * ratio)
+    return np.array([1.0 - small, small])
+
+
 def asymmetric_spectrum(alpha, beta, index):
     """Reduced-state eigenvalues when the modes carry amplitudes alpha
     and beta, for the antisymmetric-type states (indices 2, 4):
@@ -224,24 +256,21 @@ def asymmetric_spectrum(alpha, beta, index):
         lam1 = (1 + ka)(1 - kb) / (2 (1 - ka kb))
         lam2 = (1 - ka)(1 + kb) / (2 (1 - ka kb))
 
-    with ka = exp(-2 alpha^2), kb = exp(-2 beta^2).  The entropy reaches
-    1 exactly when the amplitudes coincide.
+    with ka = exp(-2 alpha^2), kb = exp(-2 beta^2): the squares of the
+    state's two even/odd coefficients, sorted descending.  The entropy
+    reaches 1 exactly when the amplitudes coincide.
     """
     index = check_index(index)
     if index not in (2, 4):
         raise ValueError("asymmetric spectrum applies to indices 2 and 4")
-    ka = overlap_of_amplitude(alpha)
-    kb = overlap_of_amplitude(beta)
-    if ka * kb >= 1.0:
-        raise ValueError("both amplitudes zero: state undefined")
-    denom = 2.0 * (1.0 - ka * kb)
-    lam = np.array([(1.0 + ka) * (1.0 - kb) / denom, (1.0 - ka) * (1.0 + kb) / denom])
-    return np.sort(lam)[::-1]
+    mode_a = _cat_components(_check_amplitude(alpha))
+    mode_b = _cat_components(_check_amplitude(beta))
+    return _spectrum(_even_odd_terms(index, mode_a, mode_b))
 
 
 def coherent_spectrum(state):
-    """Reduced spectrum of a symmetric coherent quasi-Bell state, via the
-    overlap-level closed form."""
+    """Reduced spectrum of a symmetric coherent quasi-Bell state: the
+    squares of its two even/odd coefficients, sorted descending."""
     _require_symmetric(state)
-    return reduced_spectrum(QuasiBell(state.index, state.kappa_a))
-
+    mode = _cat_components(state.alpha)
+    return _spectrum(_even_odd_terms(state.index, mode, mode))

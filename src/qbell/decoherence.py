@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
+from .coherent import _cat_components
 
 __all__ = [
     "LossChannel",
@@ -64,16 +65,6 @@ class DecoheredState:
     matrix: np.ndarray
 
 
-def _qubit_components(c2):
-    """(<+|c>, <-|c>) in the orthonormal basis built from span{|c>, |-c>},
-    c2 = c^2; |-c> has components (<+|c>, -<-|c>).  The overlap
-    <c|-c> = exp(-2 c2) enters as 1 - <c|-c> = -expm1(-2 c2), which keeps
-    the minus component exact as c -> 0."""
-    plus = np.sqrt((1.0 + np.exp(-2.0 * c2)) / 2.0)
-    minus = np.sqrt(-np.expm1(-2.0 * c2) / 2.0)
-    return plus, minus
-
-
 def apply_loss(alpha, channel):
     """Propagate |B2(alpha)> through the loss channel and trace out the
     environment.
@@ -85,7 +76,8 @@ def apply_loss(alpha, channel):
 
     with u = (x - y)/2, v = (x + y)/2, 1 - L = -expm1(-2 (1-eta) alpha^2)
     and 1 - ka^2 = -expm1(-4 alpha^2).  The components of u and v are
-    products, not differences, so every entry stays exact as alpha -> 0.
+    products of the two modes' even/odd components, not differences, so
+    every entry stays exact as alpha -> 0.
     At eta = 1 it is the pure |B2(alpha)> projector.
     """
     alpha = float(alpha)
@@ -96,8 +88,8 @@ def apply_loss(alpha, channel):
     coherence = np.exp(-2.0 * (1.0 - eta) * a2)
     one_minus_coherence = -np.expm1(-2.0 * (1.0 - eta) * a2)
 
-    plus_a, minus_a = _qubit_components(a2)
-    plus_b, minus_b = _qubit_components(eta * a2)
+    plus_a, minus_a = _cat_components(alpha)
+    plus_b, minus_b = _cat_components(math.sqrt(eta) * alpha)
     u = np.array([0.0, -plus_a * minus_b, minus_a * plus_b, 0.0])
     v = np.array([plus_a * plus_b, 0.0, 0.0, -minus_a * minus_b])
     rho = (

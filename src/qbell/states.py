@@ -13,6 +13,8 @@ function of kappa alone; the physical dimension of the carrier space
 never enters.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,23 +133,36 @@ def entropy_of_entanglement(state):
     return binary_entropy(lam[0])
 
 
+def _even_odd_terms(index, mode_a, mode_b):
+    """The state's two nonzero coefficients, as ((position, c), (position,
+    c)) over |++>, |+->, |-+>, |--> with the first c >= 0.  mode_a and
+    mode_b are each mode's (<+|u>, <-|u>) in its basis |+/-> ~ |u> +/- |v>,
+    where |v> has components (<+|u>, -<-|u>).  Sign +1 sits on |++>, |-->,
+    sign -1 on |+->, |-+>; the swapped forms carry a relative minus sign.
+    Both coefficients are products, so nothing cancels as kappa -> 1.
+    """
+    sign, swapped = FORMS[index]
+    (plus_a, minus_a), (plus_b, minus_b) = mode_a, mode_b
+    if sign > 0:
+        (j, x), (k, y) = (0, plus_a * plus_b), (3, minus_a * minus_b)
+    else:
+        (j, x), (k, y) = (1, plus_a * minus_b), (2, minus_a * plus_b)
+    norm = math.hypot(x, y)
+    if norm < sys.float_info.min:
+        raise ValueError(f"state {index} is undefined: its product terms coincide")
+    return (j, x / norm), (k, (-y if swapped else y) / norm)
+
+
 def embed_qubit(state):
     """Coefficients of the state in the orthonormal product basis.
 
     The basis qubit states are |+> = (|u> + |v>)/sqrt(2 + 2 kappa) and
     |-> = (|u> - |v>)/sqrt(2 - 2 kappa); coefficients are returned in the
-    order |++>, |+->, |-+>, |-->.  The global phase is fixed by making
-    the first nonzero coefficient real and positive.
+    order |++>, |+->, |-+>, |-->, the first nonzero one positive.
     """
     kappa = state.kappa
-    a = np.sqrt((1.0 + kappa) / 2.0)  # <+|u> = <+|v>
-    b = np.sqrt((1.0 - kappa) / 2.0)  # <-|u> = -<-|v>
-    u = np.array([a, b])
-    v = np.array([a, -b])
-    h = normalization_constant(state.index, kappa)
-    sign, swapped = FORMS[state.index]
-    w, w_prime = (v, u) if swapped else (u, v)
-    c = (h * (np.kron(u, w) + sign * np.kron(v, w_prime))).astype(complex)
-    lead = c[np.flatnonzero(np.abs(c) > 1e-14)[0]]
-    c *= np.conj(lead) / np.abs(lead)
-    return c + 0.0  # normalize signed zeros
+    mode = (math.sqrt((1.0 + kappa) / 2.0), math.sqrt((1.0 - kappa) / 2.0))
+    c = np.zeros(4, dtype=complex)
+    for k, ck in _even_odd_terms(state.index, mode, mode):
+        c[k] = ck
+    return c

@@ -208,11 +208,13 @@ def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
     assert "sweep point(s) failed" in json.loads(proc.stderr)["error"]
 
 
-def test_charfunc_non_finite_is_json_error(run_cli):
-    proc = run_cli("charfunc", "--alpha", "1e-9", "--index", "2")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "divide by zero" in json.loads(proc.stderr)["error"]
+def test_charfunc_tiny_amplitude_value(run_cli):
+    # 1 - kappa^2 rounds to 0 at this amplitude; the value still exists
+    proc = run_cli("charfunc", "--alpha", "1e-9", "--index", "2", "--zeta-a-im", "0.3")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["real"] == pytest.approx(0.91297759515061, abs=1e-13)  # mpmath
+    assert report["imag"] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -221,14 +223,16 @@ def test_charfunc_non_finite_is_json_error(run_cli):
         ("measures", "--alpha", "1e200", "--index", "2"),
         ("decohere", "--alpha-min", "1e160", "--alpha-max", "1e161",
          "--steps", "2", "--etas", "0.5"),
+        ("charfunc", "--alpha", "1e200", "--index", "1"),
     ],
 )
 def test_huge_amplitude_is_json_error(run_cli, args):
-    # alpha**2 of a Python float raises OverflowError, not a numpy fault
+    # alpha^2 overflows a Python float
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert json.loads(proc.stderr)["error"]
+    # the error names the amplitude
+    assert repr(float(args[2])) in json.loads(proc.stderr)["error"]
 
 
 def test_floating_point_fault_is_pure_json_error():
@@ -271,3 +275,24 @@ def test_package_reads_no_environment():
             assert name not in ("environ", "getenv"), (
                 f"{path.name}:{node.lineno} reads the environment"
             )
+
+
+def test_package_exports():
+    # the names ``qbell`` re-exports from its submodules
+    import qbell
+
+    names = """
+        QuasiBell normalization_constant gram_matrix gram_off_diagonal
+        reduced_spectrum entropy_of_entanglement embed_qubit
+        MaximizerError binary_entropy concurrence_pure eof_wootters
+        eof_lower_bound fully_entangled_fraction
+        QuasiWerner build_quasi_werner quasi_werner_gram quasi_werner_spectrum
+        quasi_werner_fraction standard_werner_eof
+        CoherentQuasiBell CharFuncPoint overlap_of_amplitude mean_photon_numbers
+        characteristic_function gaussianity_witness asymmetric_spectrum
+        LossChannel DecoheredState FractionCurvePoint apply_loss
+        fraction_over_family optimal_beta biphoton_fraction figure1_sweep
+    """.split()
+    assert len(names) == 34
+    missing = [name for name in names if not hasattr(qbell, name)]
+    assert not missing
