@@ -49,28 +49,26 @@ def _fail(message, code=2):
 def cmd_measures(args):
     if (args.kappa is None) == (args.alpha is None):
         _fail("provide exactly one of --kappa or --alpha")
-    if args.alpha is not None:
-        kappa = coherent.overlap_of_amplitude(args.alpha)
+    if args.alpha is None:
+        state = states.QuasiBell(args.index, args.kappa)
+        kappa = state.kappa
     else:
-        kappa = args.kappa
-    state = states.QuasiBell(args.index, kappa)
-    coeffs = states.embed_qubit(state)
+        state = coherent.CoherentQuasiBell(args.index, args.alpha)
+        kappa = coherent.overlap_of_amplitude(args.alpha)
     report = {
         "index": args.index,
         "kappa": kappa,
-        "normalization": states.normalization_constant(args.index, kappa),
+        "normalization": state.normalization,
         "gram_off_diagonal": states.gram_off_diagonal(kappa),
         "spectrum": list(states.reduced_spectrum(state)),
         "entropy": states.entropy_of_entanglement(state),
-        "concurrence": measures.concurrence_pure(coeffs),
+        "concurrence": measures.concurrence_pure(states.embed_qubit(state)),
     }
     if args.alpha is not None:
         report["alpha"] = args.alpha
-        n_a, n_b = coherent.mean_photon_numbers(
-            coherent.CoherentQuasiBell(args.index, args.alpha)
+        report["mean_photon_a"], report["mean_photon_b"] = (
+            coherent.mean_photon_numbers(state)
         )
-        report["mean_photon_a"] = n_a
-        report["mean_photon_b"] = n_b
     _emit(report)
 
 
@@ -142,9 +140,7 @@ def cmd_charfunc(args):
         "abs": abs(value),
     }
     if args.witness:
-        report["gaussianity_residual"] = coherent.gaussianity_witness(
-            state, args.samples
-        )
+        report["gaussianity_residual"] = coherent.gaussianity_witness(state)
     _emit(report)
 
 
@@ -177,7 +173,7 @@ def build_parser():
     p = sub.add_parser("measures", help="report on a single quasi-Bell state")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--kappa", type=float, help="basis-state overlap in [0, 1)")
-    group.add_argument("--alpha", type=float, help="coherent amplitude (sets kappa)")
+    group.add_argument("--alpha", type=float, help="coherent amplitude")
     p.add_argument("--index", type=int, required=True, choices=(1, 2, 3, 4))
     p.set_defaults(func=cmd_measures)
 
@@ -204,7 +200,6 @@ def build_parser():
     p.add_argument("--zeta-b-im", type=float, default=0.0)
     p.add_argument("--witness", action="store_true",
                    help="include the non-Gaussianity fit residual")
-    p.add_argument("--samples", type=int, default=128)
     p.set_defaults(func=cmd_charfunc)
 
     p = sub.add_parser("verify", help="run the Fock-space cross-check battery")

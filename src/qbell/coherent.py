@@ -1,13 +1,13 @@
 """Quasi-Bell states carried by bosonic coherent states |alpha>, |-alpha>.
 
-The basis-state overlap is kappa = <alpha|-alpha> = exp(-2 alpha^2), so
-every overlap-level result applies with that substitution.  This module
-adds the quantities that depend on the bosonic carrier itself: mean
-photon numbers, two-mode characteristic functions, a non-Gaussianity
-witness, and the reduced spectra when the two modes carry different
-amplitudes.  Amplitudes are real throughout.  The closed forms work in
-each mode's even/odd basis |+/-> ~ |alpha> +/- |-alpha>, where a
-quasi-Bell state has two nonzero coefficients.
+The basis-state overlap is kappa = <alpha|-alpha> = exp(-2 alpha^2).  A
+CoherentQuasiBell holds its even/odd coefficients (see states) from the
+amplitudes themselves, so the state-level functions of states take it
+directly and stay exact where kappa rounds to 1.  This module adds the
+quantities that depend on the bosonic carrier itself: mean photon
+numbers, two-mode characteristic functions, a non-Gaussianity witness,
+and the reduced spectra when the two modes carry different amplitudes.
+Amplitudes are real throughout.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _even_odd_terms, check_index
+from .states import _EvenOdd, reduced_spectrum
 
 __all__ = [
     "CoherentQuasiBell",
@@ -61,10 +61,11 @@ def _cat_components(alpha):
 
 
 @dataclass(frozen=True)
-class CoherentQuasiBell:
+class CoherentQuasiBell(_EvenOdd):
     """Quasi-Bell state on modes carrying amplitudes +/-alpha, +/-beta.
 
-    beta defaults to alpha (the symmetric case).  Indices 2 and 4 reject
+    beta defaults to alpha (the symmetric case).  Each mode's components
+    are _cat_components of its amplitude.  Indices 2 and 4 reject
     amplitudes below the smallest normal float, zero included, where the
     superposition degenerates to rounding.
     """
@@ -74,13 +75,13 @@ class CoherentQuasiBell:
     beta: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "index", check_index(self.index))
         object.__setattr__(self, "alpha", _check_amplitude(self.alpha))
         beta = self.alpha if self.beta is None else _check_amplitude(self.beta)
         object.__setattr__(self, "beta", beta)
         small = min(abs(self.alpha), abs(self.beta))
         if self.index in (2, 4) and small < sys.float_info.min:
             raise ValueError(f"state {self.index} is undefined at amplitude {small}")
+        self._hold(_cat_components(self.alpha), _cat_components(self.beta))
 
     @property
     def symmetric(self):
@@ -93,21 +94,18 @@ def _require_symmetric(state):
 
 
 def mean_photon_numbers(state):
-    """Mean photon number of each reduced mode, as a pair.
-
-    Equal on both modes by symmetry; (1 - kappa^2)/(1 + kappa^2) alpha^2
-    for indices 1 and 3, (1 + kappa^2)/(1 - kappa^2) alpha^2 for 2 and 4,
-    with 1 - kappa^2 = -expm1(-4 alpha^2) so that indices 2 and 4 keep
-    their limit 1/2 as alpha -> 0.
+    """Mean photon number of each reduced mode, as a pair, equal on both
+    modes by symmetry: sum_j c_j^2 <s_j|n|s_j> over the state's two
+    even/odd coefficients c_j on |s_j t_j>, with <+|n|+> = (alpha m/p)^2
+    and <-|n|-> = (alpha p/m)^2 for the mode's components (p, m).  At
+    alpha = 0 the odd level, which no state weights there, is taken as 1.
     """
     _require_symmetric(state)
-    a2 = state.alpha * state.alpha
-    plus = 1.0 + math.exp(-4.0 * a2)
-    minus = -math.expm1(-4.0 * a2)
-    if state.index in (1, 3):
-        n = minus / plus * a2
-    else:
-        n = plus / minus * a2
+    alpha = state.alpha
+    plus, minus = _cat_components(alpha)
+    even = (alpha * minus / plus) ** 2
+    odd = (plus * (alpha / minus)) ** 2 if minus else 1.0
+    n = sum(c * c * (odd if j >> 1 else even) for j, c in state.terms)
     return n, n
 
 
@@ -162,31 +160,22 @@ def characteristic_function(state, point):
     """
     _require_symmetric(state)
     mode = _cat_components(state.alpha)
-    terms = _even_odd_terms(state.index, mode, mode)
     ea = _displacement_elements(state.alpha, mode, complex(point.zeta_a))
     eb = _displacement_elements(state.alpha, mode, complex(point.zeta_b))
     return complex(sum(
         cj * ck * ea[j >> 1][k >> 1] * eb[j & 1][k & 1]
-        for j, cj in terms for k, ck in terms
+        for j, cj in state.terms for k, ck in state.terms
     ))
 
 
-def witness_points(sample_count=128):
-    """Deterministic phase-space sample over [-2, 2] per coordinate: half
-    the points on the real axes of both modes, half on the imaginary
-    axes, straddling the interference fringes of cat-like states."""
-    if sample_count < 8:
-        raise ValueError("need at least 8 sample points")
-    side = max(2, int(round(np.sqrt(sample_count / 2))))
-    axis = np.linspace(-2.0, 2.0, side)
-    pts = []
-    for x in axis:
-        for y in axis:
-            pts.append(CharFuncPoint(complex(x, 0.0), complex(y, 0.0)))
-    for x in axis:
-        for y in axis:
-            pts.append(CharFuncPoint(complex(0.0, x), complex(0.0, y)))
-    return pts
+def witness_points():
+    """Deterministic 128-point phase-space sample, an 8 x 8 grid over
+    [-2, 2] per coordinate on the real axes of both modes and another on
+    the imaginary axes, straddling the fringes of cat-like states."""
+    axis = np.linspace(-2.0, 2.0, 8)
+    real = [CharFuncPoint(complex(x, 0.0), complex(y, 0.0)) for x in axis for y in axis]
+    imag = [CharFuncPoint(complex(0.0, x), complex(0.0, y)) for x in axis for y in axis]
+    return real + imag
 
 
 def quadratic_log_fit_residual(char_fn, points):
@@ -228,25 +217,15 @@ def quadratic_log_fit_residual(char_fn, points):
     return float(np.max(np.abs(logs - design @ fit)))
 
 
-def gaussianity_witness(state, sample_count=128):
+def gaussianity_witness(state):
     """Non-Gaussianity witness: residual of the quadratic fit to the log
     characteristic function over the standard sample.  Strictly positive
     for every quasi-Bell state with nonzero amplitude."""
     if state.alpha <= 0.0:
         raise ValueError("witness requires a positive amplitude")
     return quadratic_log_fit_residual(
-        lambda p: characteristic_function(state, p), witness_points(sample_count)
+        lambda p: characteristic_function(state, p), witness_points()
     )
-
-
-def _spectrum(terms):
-    """Squares of the two coefficients, larger first: the smaller as
-    r^2/(1 + r^2), r their ratio, so equal ones give exactly 1/2, and
-    the larger as 1 minus the smaller."""
-    low, high = sorted(abs(c) for _, c in terms)
-    ratio = low / high
-    small = ratio * ratio / (1.0 + ratio * ratio)
-    return np.array([1.0 - small, small])
 
 
 def asymmetric_spectrum(alpha, beta, index):
@@ -260,17 +239,12 @@ def asymmetric_spectrum(alpha, beta, index):
     state's two even/odd coefficients, sorted descending.  The entropy
     reaches 1 exactly when the amplitudes coincide.
     """
-    index = check_index(index)
     if index not in (2, 4):
         raise ValueError("asymmetric spectrum applies to indices 2 and 4")
-    mode_a = _cat_components(_check_amplitude(alpha))
-    mode_b = _cat_components(_check_amplitude(beta))
-    return _spectrum(_even_odd_terms(index, mode_a, mode_b))
+    return reduced_spectrum(CoherentQuasiBell(index, alpha, beta))
 
 
 def coherent_spectrum(state):
-    """Reduced spectrum of a symmetric coherent quasi-Bell state: the
-    squares of its two even/odd coefficients, sorted descending."""
+    """states.reduced_spectrum of a symmetric coherent quasi-Bell state."""
     _require_symmetric(state)
-    mode = _cat_components(state.alpha)
-    return _spectrum(_even_odd_terms(state.index, mode, mode))
+    return reduced_spectrum(state)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import measures
 from .coherent import _cat_components
+from .states import _coefficients, _even_odd_terms
 
 __all__ = [
     "LossChannel",
@@ -75,10 +76,11 @@ def apply_loss(alpha, channel):
         ((1 + L) u u+ + (1 - L) v v+) / (1 - ka^2)
 
     with u = (x - y)/2, v = (x + y)/2, 1 - L = -expm1(-2 (1-eta) alpha^2)
-    and 1 - ka^2 = -expm1(-4 alpha^2).  The components of u and v are
-    products of the two modes' even/odd components, not differences, so
-    every entry stays exact as alpha -> 0.
-    At eta = 1 it is the pure |B2(alpha)> projector.
+    and 1 - ka^2 = -expm1(-4 alpha^2).  Up to sign, u and v are the
+    even/odd terms of states 2 and 1 on the amplitudes (alpha, sqrt(eta)
+    alpha): products of components, not differences, so every entry
+    stays exact as alpha -> 0.  At eta = 1 it is the pure |B2(alpha)>
+    projector.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -88,14 +90,13 @@ def apply_loss(alpha, channel):
     coherence = np.exp(-2.0 * (1.0 - eta) * a2)
     one_minus_coherence = -np.expm1(-2.0 * (1.0 - eta) * a2)
 
-    plus_a, minus_a = _cat_components(alpha)
-    plus_b, minus_b = _cat_components(math.sqrt(eta) * alpha)
-    u = np.array([0.0, -plus_a * minus_b, minus_a * plus_b, 0.0])
-    v = np.array([plus_a * plus_b, 0.0, 0.0, -minus_a * minus_b])
+    modes = _cat_components(alpha), _cat_components(math.sqrt(eta) * alpha)
+    u = _coefficients(_even_odd_terms(2, *modes))
+    v = _coefficients(_even_odd_terms(1, *modes))
     rho = (
         (1.0 + coherence) * np.outer(u, u) + one_minus_coherence * np.outer(v, v)
     ) / -np.expm1(-4.0 * a2)
-    return DecoheredState(alpha, eta, float(coherence), rho.astype(complex))
+    return DecoheredState(alpha, eta, float(coherence), rho)
 
 
 def fraction_over_family(state, beta):
@@ -138,7 +139,11 @@ def fraction_over_family(state, beta):
 def optimal_beta(alpha, channel, verify=True):
     """Best comparison amplitude and the overlap it achieves.
 
-    Returns (beta_star, f_star) with beta_star = alpha (1 + sqrt(eta))/2.
+    Returns (beta_star, f_star) with beta_star = c/2, c = alpha (1 +
+    sqrt(eta)), the unique maximum over beta > 0.  Proof: f(beta) =
+    cosh((1-eta) alpha^2) sinh^2(c beta) / (sinh(2 alpha^2) sinh(2 beta^2)),
+    so d log f / d beta = (2/beta) (g(c beta) - g(2 beta^2)) with the
+    strictly increasing g(x) = x coth x: its sign is that of c - 2 beta.
     With ``verify`` (the default), a bracketed grid-plus-golden-section
     search over (0, 2 alpha] must achieve the same overlap to 1e-9
     relative, otherwise a MaximizerError carrying the search result is
@@ -178,7 +183,8 @@ def search_optimal_beta(state):
     """Independent 1-D maximization of the family overlap: 200-point grid
     over (0, 2 alpha], then golden-section refinement of the bracketing
     interval to a 1e-10 width.  The true maximum lies strictly inside the
-    bracket because the overlap decays once beta passes alpha."""
+    bracket because f rises below beta* and falls above it, beta* <= alpha
+    (see optimal_beta)."""
     lo, hi = 1e-6 * state.alpha, 2.0 * state.alpha
     grid = np.linspace(lo, hi, 200)
     values = [fraction_over_family(state, b) for b in grid]

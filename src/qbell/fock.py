@@ -43,22 +43,18 @@ def adequate_truncation(alpha):
     return int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0) + 20.0))
 
 
-def _check_truncation(alpha, truncation, allow_small):
-    needed = adequate_truncation(alpha)
-    if truncation < needed and not allow_small:
-        raise TruncationError(
-            f"truncation {truncation} is below the adequacy rule "
-            f"({needed} for amplitude {alpha}); raise it or override explicitly"
-        )
-
-
-def coherent_vector(alpha, truncation=None, allow_small=False):
+def coherent_vector(alpha, truncation=None):
     """Normalized coherent state |alpha> (alpha real) in the number
     basis: amplitudes proportional to alpha^n / sqrt(n!)."""
     alpha = float(alpha)
+    needed = adequate_truncation(alpha)
     if truncation is None:
-        truncation = adequate_truncation(alpha)
-    _check_truncation(alpha, truncation, allow_small)
+        truncation = needed
+    if truncation < needed:
+        raise TruncationError(
+            f"truncation {truncation} is below the adequacy rule "
+            f"({needed} for amplitude {alpha}); raise it"
+        )
     n = np.arange(truncation + 1)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))]))
     if alpha != 0.0:

@@ -5,6 +5,8 @@ entanglement of formation (spin-flip construction), the fully entangled
 fraction, and the lower bound it implies on the entanglement of formation.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -57,13 +59,16 @@ class MaximizerError(RuntimeError):
 
 
 def binary_entropy(x):
-    """Base-2 binary entropy H(x), with H(0) = H(1) = 0 by continuity."""
+    """Base-2 binary entropy H(x), with H(0) = H(1) = 0 by continuity,
+    taken at s = min(x, 1 - x) with log2(1 - s) = log1p(-s)/ln 2, so it
+    keeps full relative accuracy as s -> 0."""
     x = float(x)
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
+    s = min(x, 1.0 - x)
+    if s == 0.0:
         return 0.0
-    return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    return -(s * math.log2(s) + (1.0 - s) * math.log1p(-s) / math.log(2.0))
 
 
 def concurrence_pure(coeffs):

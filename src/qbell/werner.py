@@ -60,10 +60,11 @@ def quasi_werner_gram(spec):
 
 def quasi_werner_spectrum(spec):
     """Closed-form eigenvalues {F, (1-F)/3, (1 +/- D)(1-F)/3}, sorted
-    descending."""
-    w = (1.0 - spec.fidelity) / 3.0
-    d = gram_off_diagonal(spec.kappa)
-    lam = np.array([spec.fidelity, w, w * (1.0 + d), w * (1.0 - d)])
+    descending, with 1 - D = (1 - kappa)^2 / (1 + kappa^2), which does not
+    cancel as kappa -> 1."""
+    w, kappa = (1.0 - spec.fidelity) / 3.0, spec.kappa
+    d = gram_off_diagonal(kappa)
+    lam = np.array([spec.fidelity, w, w * (1.0 + d), w * (1.0 - kappa) ** 2 / (1.0 + kappa**2)])
     return np.sort(lam)[::-1]
 
 

@@ -190,7 +190,7 @@ def test_criterion_9_characteristic_functions():
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
     control_res = coherent.quadratic_log_fit_residual(
         lambda p: fock.operator_trace_charfunc(control, p),
-        coherent.witness_points(128),
+        coherent.witness_points(),
     )
     assert control_res <= 1e-9
     cat_res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))

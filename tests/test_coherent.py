@@ -128,7 +128,7 @@ def test_witness_gaussian_control():
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
     residual = coherent.quadratic_log_fit_residual(
         lambda p: fock.operator_trace_charfunc(control, p),
-        coherent.witness_points(128),
+        coherent.witness_points(),
     )
     assert residual <= 1e-9
 

@@ -144,6 +144,30 @@ def test_optimal_beta_against_search_grid():
             assert max(fine) <= f_star + 1e-12
 
 
+def test_unique_maximum_proof():
+    # optimal_beta's proof: f(beta) = cosh((1-eta) a^2) sinh^2(c beta) /
+    # (sinh(2 a^2) sinh(2 beta^2)), c = (1 + sqrt(eta)) a, and the sign of
+    # d log f / d beta is the sign of c - 2 beta
+    for alpha in (0.1, 0.5, 1.0, 2.0, 3.5, 5.0):
+        for eta in (0.0, 0.3, 0.7, 1.0):
+            state = decoherence.apply_loss(alpha, LossChannel(eta))
+            c = (1.0 + np.sqrt(eta)) * alpha
+            for beta in np.linspace(0.04, 2.0, 15) * alpha:
+                got = decoherence.fraction_over_family(state, beta)
+                want = (
+                    np.cosh((1.0 - eta) * alpha**2) * np.sinh(c * beta) ** 2
+                    / (np.sinh(2.0 * alpha**2) * np.sinh(2.0 * beta**2))
+                )
+                assert got == pytest.approx(want, rel=1e-12)
+                with mpmath.workdps(30):
+                    a, b, k = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(c)
+                    slope = mpmath.diff(
+                        lambda x: 2 * mpmath.log(mpmath.sinh(k * x))
+                        - mpmath.log(mpmath.sinh(2 * x * x)), b
+                    )
+                assert mpmath.sign(slope) == mpmath.sign(k - 2 * b)
+
+
 def test_biphoton_fraction():
     assert decoherence.biphoton_fraction(LossChannel(0.7)) == 0.7
     assert decoherence.biphoton_fraction(LossChannel(1.0)) == 1.0

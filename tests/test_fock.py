@@ -1,4 +1,5 @@
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -13,9 +14,6 @@ def test_adequate_truncation_rule():
     assert fock.adequate_truncation(3.0) == 61
     with pytest.raises(fock.TruncationError):
         fock.coherent_vector(1.0, 5)
-    # explicit override path
-    small = fock.coherent_vector(1.0, 5, allow_small=True)
-    assert small.shape == (6,)
 
 
 def test_coherent_vector():
@@ -74,7 +72,10 @@ def test_beam_splitter_tail_error():
     n = 12
     vac = np.zeros(n + 1, dtype=complex)
     vac[0] = 1.0
-    state = np.outer(fock.coherent_vector(3.0, n, allow_small=True), vac)
+    # |3> cut to 13 levels, below the adequacy rule: alpha^n / sqrt(n!)
+    levels = np.arange(n + 1)
+    amps = 3.0**levels / np.sqrt([math.factorial(k) for k in levels])
+    state = np.outer(amps / np.linalg.norm(amps), vac)
     with pytest.raises(fock.TruncationError):
         fock.beam_splitter(state, 0.5)
 
