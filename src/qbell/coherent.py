@@ -117,10 +117,18 @@ class CharFuncPoint:
     zeta_b: complex = 0.0
 
 
+def _exp(a):
+    """exp of a float array, rounded to nearest like math.exp: numpy's
+    vectorized float64 exp is one ulp off for about 4 % of arguments on
+    AVX-512 hosts, so this goes through the long-double libm call."""
+    return np.exp(a.astype(np.longdouble)).astype(float)
+
+
 def _displacement_elements(alpha, mode, zeta):
-    """((ee, eo), (oe, oo)): <s|exp(zeta a+) exp(-zeta* a)|s'> G over the
-    even/odd basis of amplitude alpha, mode = _cat_components(alpha),
-    zeta = x + iy, G = exp(-|zeta|^2/2), kappa = exp(-2 alpha^2):
+    """(2, 2, n) array E[s][s'] = <s|exp(zeta a+) exp(-zeta* a)|s'> G over
+    the even/odd basis of amplitude alpha, at each of the n points of the
+    complex array zeta = x + iy, with mode = _cat_components(alpha),
+    G = exp(-|zeta|^2/2) and kappa = exp(-2 alpha^2):
 
         ee = (G cos 2y alpha + kappa G cosh 2x alpha) / (1 + kappa)
         oo = G - 2 (G sin^2 y alpha + kappa G sinh^2 x alpha) / (1 - kappa)
@@ -129,25 +137,50 @@ def _displacement_elements(alpha, mode, zeta):
     kappa exp(2|x alpha|) G = exp(-((|x| - 2|alpha|)^2 + y^2)/2) <= 1
     carries the kappa terms, through t = expm1(-2|x alpha|); sin y alpha
     and t are divided by <-|alpha> ~ |alpha| before squaring, so nothing
-    overflows, cancels or underflows.  At alpha = 0 the odd entries,
-    which no state weights, are 0.
+    cancels or underflows.  A square or product that overflows is inf, as
+    in float arithmetic, and only ever meets exp(-inf) = 0, expm1(-inf) =
+    -1 or a zero envelope; |y| is capped at 40, beyond which both
+    envelopes are exactly 0, so y alpha stays finite.  At alpha = 0 the
+    odd entries, which no state weights, are 0.
     """
     plus, minus = mode
-    x, y = zeta.real, zeta.imag
-    gauss = math.exp(-0.5 * (x * x + y * y))
-    shift = abs(x) - 2.0 * abs(alpha)
-    bounded = math.exp(-0.5 * (shift * shift + y * y))
-    t = math.expm1(-2.0 * abs(x * alpha))
-    cosh = 0.5 * bounded * (1.0 + (1.0 + t) ** 2)
-    even = (gauss * math.cos(2.0 * y * alpha) + cosh) / (2.0 * plus * plus)
-    if minus == 0.0:
-        return (even, 0.0), (0.0, 0.0)
-    sin_ratio, t_ratio = math.sin(y * alpha) / minus, 0.5 * t / minus
-    odd = gauss - gauss * sin_ratio * sin_ratio - bounded * t_ratio * t_ratio
-    sinh = math.copysign(-0.5 * bounded * t * (2.0 + t), x * alpha)
-    sin = gauss * math.sin(2.0 * y * alpha)
-    cross = 2.0 * plus * minus
-    return (even, complex(-sinh, sin) / cross), (complex(sinh, sin) / cross, odd)
+    x, y = zeta.real, np.clip(zeta.imag, -40.0, 40.0)
+    e = np.zeros((2, 2) + zeta.shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        xa, ya, y2 = x * alpha, y * alpha, y * y
+        shift = np.abs(x) - 2.0 * abs(alpha)
+        gauss = _exp(-0.5 * (x * x + y2))
+        bounded = _exp(-0.5 * (shift * shift + y2))
+        t = np.expm1(-2.0 * np.abs(xa))
+        cosh = 0.5 * bounded * (1.0 + (1.0 + t) ** 2)
+        e[0, 0] = (gauss * np.cos(2.0 * ya) + cosh) / (2.0 * plus * plus)
+        if minus == 0.0:
+            return e
+        sin_ratio, t_ratio = np.sin(ya) / minus, 0.5 * t / minus
+        e[1, 1] = gauss - gauss * sin_ratio * sin_ratio - bounded * t_ratio * t_ratio
+        cross = 2.0 * plus * minus
+        sinh = np.copysign(-0.5 * bounded * t * (2.0 + t), xa) / cross
+        e[0, 1].imag = e[1, 0].imag = gauss * np.sin(2.0 * ya) / cross
+    e[0, 1].real, e[1, 0].real = -sinh, sinh
+    return e
+
+
+def _char_values(state, zeta_a, zeta_b):
+    """Characteristic function of a symmetric state at the points
+    (zeta_a[i], zeta_b[i]) of two equal-length complex arrays: one
+    _displacement_elements call over both modes' arguments, summed as
+    sum_{j,k} c_j c_k Ea[s_j][s_k] Eb[t_j][t_k] over the state's two
+    even/odd coefficients c_j on |s_j t_j>."""
+    _require_symmetric(state)
+    n = len(zeta_a)
+    e = _displacement_elements(
+        state.alpha, _cat_components(state.alpha), np.concatenate((zeta_a, zeta_b))
+    )
+    ea, eb = e[..., :n], e[..., n:]
+    return sum(
+        cj * ck * ea[j >> 1, k >> 1] * eb[j & 1, k & 1]
+        for j, cj in state.terms for k, ck in state.terms
+    )
 
 
 def characteristic_function(state, point):
@@ -158,24 +191,57 @@ def characteristic_function(state, point):
     Eb[t_j][t_k] over the state's two even/odd coefficients c_j on
     |s_j t_j>.  C(0, 0) = 1.
     """
-    _require_symmetric(state)
-    mode = _cat_components(state.alpha)
-    ea = _displacement_elements(state.alpha, mode, complex(point.zeta_a))
-    eb = _displacement_elements(state.alpha, mode, complex(point.zeta_b))
-    return complex(sum(
-        cj * ck * ea[j >> 1][k >> 1] * eb[j & 1][k & 1]
-        for j, cj in state.terms for k, ck in state.terms
-    ))
+    value = _char_values(
+        state, np.array([complex(point.zeta_a)]), np.array([complex(point.zeta_b)])
+    )
+    return complex(value[0])
+
+
+# the witness sample as coordinates (Re za, Im za, Re zb, Im zb): an
+# 8 x 8 grid over [-2, 2] per coordinate on the real axes of both modes,
+# then another on the imaginary axes
+_AXIS = np.linspace(-2.0, 2.0, 8)
+_WITNESS_COORDS = np.array(
+    [(x, 0.0, y, 0.0) for x in _AXIS for y in _AXIS]
+    + [(0.0, x, 0.0, y) for x in _AXIS for y in _AXIS]
+)
+
+# central differences at the origin along each coordinate: +eps, -eps
+_EPS = 1e-3
+_STENCIL = _EPS * np.kron(np.eye(4), [[1.0], [-1.0]])
+# the quadratic columns c_i c_j, i <= j, of the fit's design matrix
+_PAIRS = np.triu_indices(4)
 
 
 def witness_points():
     """Deterministic 128-point phase-space sample, an 8 x 8 grid over
     [-2, 2] per coordinate on the real axes of both modes and another on
     the imaginary axes, straddling the fringes of cat-like states."""
-    axis = np.linspace(-2.0, 2.0, 8)
-    real = [CharFuncPoint(complex(x, 0.0), complex(y, 0.0)) for x in axis for y in axis]
-    imag = [CharFuncPoint(complex(0.0, x), complex(0.0, y)) for x in axis for y in axis]
-    return real + imag
+    return [CharFuncPoint(complex(a, b), complex(c, d)) for a, b, c, d in _WITNESS_COORDS]
+
+
+def _log_fit_residual(coords, values):
+    """Max deviation of log C from its best-fit quadratic form.
+
+    coords (n, 4) holds (Re za, Im za, Re zb, Im zb) and values the
+    characteristic function there; the first 8 rows are _STENCIL, the
+    rest the sample.  The linear phase is the stencil's central
+    difference of arg C, divided out before the logarithm; the log
+    values with |C| > 1e-10 are fit by one real least-squares solve, the
+    real and imaginary parts as two right-hand sides of the real design
+    matrix 1, c_i, c_i c_j (i <= j).
+    """
+    slope = np.angle(values[0:8:2] / values[1:8:2]) / (2.0 * _EPS)
+    coords, values = coords[8:], values[8:]
+    keep = np.abs(values) > 1e-10
+    coords, values = coords[keep], values[keep]
+    logs = np.log(values * np.exp(-1j * (coords @ slope)))
+    i, j = _PAIRS
+    design = np.column_stack((np.ones(len(coords)), coords, coords[:, i] * coords[:, j]))
+    rhs = np.column_stack((logs.real, logs.imag))
+    fit, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    misfit = rhs - design @ fit
+    return float(np.max(np.hypot(misfit[:, 0], misfit[:, 1])))
 
 
 def quadratic_log_fit_residual(char_fn, points):
@@ -189,43 +255,32 @@ def quadratic_log_fit_residual(char_fn, points):
     excluded from the fit.  Gaussian states give residuals at
     rounding level; cat-like superpositions give order-one residuals.
     """
-    eps = 1e-3
-    slope = np.zeros(4)
-    for j, (da, db) in enumerate(
-        [(eps, 0.0), (eps * 1j, 0.0), (0.0, eps), (0.0, eps * 1j)]
-    ):
-        up = char_fn(CharFuncPoint(da, db))
-        dn = char_fn(CharFuncPoint(-da, -db))
-        slope[j] = np.angle(up / dn) / (2.0 * eps)
-
-    coords, logs = [], []
-    for p in points:
-        value = char_fn(p)
-        if abs(value) <= 1e-10:
-            continue
-        v = np.array([p.zeta_a.real, p.zeta_a.imag, p.zeta_b.real, p.zeta_b.imag])
-        coords.append(v)
-        logs.append(np.log(value * np.exp(-1j * slope @ v)))
-    coords = np.array(coords)
-    logs = np.array(logs)
-
-    columns = [np.ones(len(coords))]
-    columns += [coords[:, i] for i in range(4)]
-    columns += [coords[:, i] * coords[:, j] for i in range(4) for j in range(i, 4)]
-    design = np.stack(columns, axis=1).astype(complex)
-    fit, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    return float(np.max(np.abs(logs - design @ fit)))
+    stencil = [CharFuncPoint(complex(a, b), complex(c, d)) for a, b, c, d in _STENCIL]
+    points = stencil + list(points)
+    coords = np.array(
+        [(p.zeta_a.real, p.zeta_a.imag, p.zeta_b.real, p.zeta_b.imag) for p in points]
+    )
+    return _log_fit_residual(coords, np.array([char_fn(p) for p in points]))
 
 
 def gaussianity_witness(state):
     """Non-Gaussianity witness: residual of the quadratic fit to the log
-    characteristic function over the standard sample.  Strictly positive
-    for every quasi-Bell state with nonzero amplitude."""
+    characteristic function over the standard sample, the stencil and the
+    sample taken in one kernel evaluation.
+
+    Order one for cat-like states, but not bounded away from zero:
+    indices 1 and 3 tend to the vacuum as alpha -> 0 and their residual
+    falls as about 10.9 alpha^4 (1.1e-7 at alpha = 1e-2, 1.1e-11 at
+    1e-3) to the rounding level of a Gaussian state, passing 1e-9 near
+    alpha = 3e-3.  Indices 2 and 4 stay near 2.01 at every amplitude.
+    """
     if state.alpha <= 0.0:
         raise ValueError("witness requires a positive amplitude")
-    return quadratic_log_fit_residual(
-        lambda p: characteristic_function(state, p), witness_points()
+    coords = np.concatenate((_STENCIL, _WITNESS_COORDS))
+    values = _char_values(
+        state, coords[:, 0] + 1j * coords[:, 1], coords[:, 2] + 1j * coords[:, 3]
     )
+    return _log_fit_residual(coords, values)
 
 
 def asymmetric_spectrum(alpha, beta, index):

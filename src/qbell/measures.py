@@ -84,9 +84,9 @@ def concurrence_pure(coeffs):
     return min(1.0, float(abs(np.conj(c) @ _SPIN_FLIP @ np.conj(c))))
 
 
-def validate_density(rho):
-    """Check a 4x4 density matrix and return it with tiny negative
-    eigenvalues clipped to zero."""
+def _density_eigh(rho):
+    """Check a 4x4 density matrix and return its eigensystem (w, v),
+    with tiny negative eigenvalues clipped to zero."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -97,7 +97,13 @@ def validate_density(rho):
     w, v = np.linalg.eigh(rho)
     if w.min() < _EIG_FLOOR - _HERM_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {w.min()}")
-    w = np.clip(w, 0.0, None)
+    return np.clip(w, 0.0, None), v
+
+
+def validate_density(rho):
+    """Check a 4x4 density matrix and return it with tiny negative
+    eigenvalues clipped to zero."""
+    w, v = _density_eigh(rho)
     return (v * w) @ v.conj().T
 
 
@@ -108,11 +114,11 @@ def eof_wootters(rho):
     The spin-flip spectrum {sqrt of eig(rho rho~)} is evaluated as the
     singular values of A^T S A with A = sqrt(rho), which is the same set
     but without the square-root noise amplification of the direct
-    non-Hermitian eigensolve.
+    non-Hermitian eigensolve.  A comes from the one eigendecomposition
+    that checks rho.
     """
-    rho = validate_density(rho)
-    w, v = np.linalg.eigh(rho)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
+    w, v = _density_eigh(rho)
+    root = v * np.sqrt(w)
     lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
     concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     return binary_entropy(0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - concurrence**2))))

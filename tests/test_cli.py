@@ -218,6 +218,33 @@ def test_charfunc_tiny_amplitude_value(run_cli):
 
 
 @pytest.mark.parametrize(
+    "args, field, value",
+    [
+        # the Gaussian envelope vanishes far from the origin
+        (("--alpha", "1", "--index", "1", "--zeta-a-im", "1e300"), "real", 0.0),
+        (("--alpha", "1", "--index", "2", "--zeta-a-re", "1e200"), "real", 0.0),
+        (("--alpha", "1e10", "--index", "1", "--zeta-a-im", "1e300"), "real", 0.0),
+        # kappa = exp(-1800) underflows to 0
+        (("--alpha", "30", "--index", "2", "--witness"), "gaussianity_residual",
+         3.074378936552943),
+    ],
+)
+def test_charfunc_extreme_inputs(run_cli, args, field, value):
+    proc = run_cli("charfunc", *args)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)[field] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_charfunc_witness_tiny_amplitude(run_cli):
+    # state 1 is the vacuum to rounding here, so the residual is rounding
+    proc = run_cli("charfunc", "--alpha", "1e-300", "--index", "1", "--witness")
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["real"] == 1.0
+    assert 0.0 <= report["gaussianity_residual"] < 1e-13
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("measures", "--alpha", "1e200", "--index", "2"),

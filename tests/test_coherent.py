@@ -122,6 +122,45 @@ def test_witness_cat_states_not_gaussian():
     assert res4 == pytest.approx(2.0696597623943713, rel=1e-6)
 
 
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_witness_matches_generic_fit(index):
+    # the batched witness against the point-by-point generic fit
+    for alpha in (0.2, 0.5, 1.0, 2.0, 3.0):
+        state = coherent.CoherentQuasiBell(index, alpha)
+        generic = coherent.quadratic_log_fit_residual(
+            lambda p: coherent.characteristic_function(state, p),
+            coherent.witness_points(),
+        )
+        assert coherent.gaussianity_witness(state) == pytest.approx(generic, rel=1e-12)
+
+
+def test_witness_is_one_kernel_evaluation(monkeypatch):
+    calls = []
+    kernel = coherent._displacement_elements
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(coherent, "_displacement_elements", counted)
+    coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
+    # both modes' arguments at the 8 stencil and 128 sample points
+    assert calls == [2 * (8 + 128)]
+
+
+def test_witness_floor():
+    # indices 1 and 3 tend to the vacuum: the residual falls as ~10.9 alpha^4
+    for index in (1, 3):
+        for alpha in (5e-3, 1e-2, 3e-2):
+            res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(index, alpha))
+            assert 10.0 <= res / alpha**4 <= 12.0
+    # indices 2 and 4 stay near 2.01 at every amplitude
+    for index in (2, 4):
+        for alpha in (1e-150, 1e-4, 1e-2):
+            res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(index, alpha))
+            assert res >= 2.0
+
+
 def test_witness_gaussian_control():
     # a coherent product state evaluated by the oracle trace is Gaussian
     n = fock.adequate_truncation(0.7)
