@@ -28,8 +28,6 @@ from .werner import (
     build_quasi_werner,
     quasi_werner_gram,
     quasi_werner_spectrum,
-    quasi_werner_fraction,
-    standard_werner_eof,
 )
 from .coherent import (
     CoherentQuasiBell,

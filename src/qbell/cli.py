@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import coherent, decoherence, fock, measures, states, verify, werner
+from . import coherent, decoherence, measures, states, verify, werner
 
 DEFAULT_ETAS = (0.9, 0.7, 0.5, 0.3, 0.1)
 
@@ -79,7 +79,7 @@ def cmd_werner(args):
         "fidelity": spec.fidelity,
         "kappa": spec.kappa,
         "eigenvalues": list(werner.quasi_werner_spectrum(spec)),
-        "entangled_fraction": werner.quasi_werner_fraction(spec),
+        "entangled_fraction": spec.fidelity,
         "eof_lower_bound": measures.eof_lower_bound(spec.fidelity),
         "eof_wootters": measures.eof_wootters(rho),
     }
@@ -145,11 +145,7 @@ def cmd_charfunc(args):
 
 
 def cmd_verify(args):
-    results = verify.run_all(
-        alpha_max=args.alpha_max,
-        truncation=args.truncation,
-        tolerance=args.tolerance,
-    )
+    results = verify.run_all(truncation=args.truncation)
     failed = [r for r in results if not r.passed]
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
@@ -205,9 +201,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run the Fock-space cross-check battery")
     p.add_argument("--truncation", type=int, default=None,
                    help="override the truncation rule")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="replace every check tolerance")
-    p.add_argument("--alpha-max", type=float, default=3.0)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -220,8 +213,8 @@ def main(argv=None):
         # RuntimeWarning on stderr; underflow to zero stays silent
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             args.func(args)
-    except (ValueError, ArithmeticError, fock.TruncationError,
-            measures.MaximizerError, decoherence.SweepError) as exc:
+    except (ValueError, ArithmeticError, measures.MaximizerError,
+            decoherence.SweepError) as exc:
         _fail(exc)
 
 

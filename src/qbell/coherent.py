@@ -10,6 +10,7 @@ and the reduced spectra when the two modes carry different amplitudes.
 Amplitudes are real throughout.
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -111,10 +112,15 @@ def mean_photon_numbers(state):
 
 @dataclass(frozen=True)
 class CharFuncPoint:
-    """Phase-space arguments (one complex number per mode)."""
+    """Phase-space arguments (one finite complex number per mode)."""
 
     zeta_a: complex
     zeta_b: complex = 0.0
+
+    def __post_init__(self):
+        for name in ("zeta_a", "zeta_b"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _exp(a):

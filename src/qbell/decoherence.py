@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .coherent import _cat_components
+from .coherent import _cat_components, _check_amplitude
 from .states import _coefficients, _even_odd_terms
 
 __all__ = [
@@ -82,9 +82,9 @@ def apply_loss(alpha, channel):
     stays exact as alpha -> 0.  At eta = 1 it is the pure |B2(alpha)>
     projector.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("state is undefined at zero amplitude")
+    alpha = _check_amplitude(alpha)
+    if not alpha > 0.0:
+        raise ValueError(f"amplitude must be positive, got {alpha}")
     eta = channel.eta
     a2 = alpha**2
     coherence = np.exp(-2.0 * (1.0 - eta) * a2)
@@ -100,34 +100,35 @@ def apply_loss(alpha, channel):
 
 
 def fraction_over_family(state, beta):
-    """Overlap of the decohered state with |B2(beta)>:
+    """Overlap of the decohered state with |B2(beta)>, beta > 0:
 
         (1 + L) (k1 k2 - k3 k4)^2 / (2 (1 - ka^2) (1 - k0^2))
 
     with k0 = exp(-2 beta^2) and k1..k4 the pairwise coherent overlaps
     of +/-beta with +/-alpha and s = sqrt(eta) alpha.  Evaluated as
 
-        (1 + L) exp(-(a-b)^2 - (s-b)^2) expm1(-2 (a+s) b)^2
-            / (2 expm1(-4 a^2) expm1(-4 b^2))
+        (1 + L)/2 exp(-(a-b)^2 - (s-b)^2)
+            (c / expm1(-4 a^2)) (c / expm1(-4 b^2)),  c = expm1(-2 (a+s) b)
 
-    through the identity (k1 k2 - k3 k4)^2 = exp(-(a-b)^2 - (s-b)^2)
-    expm1(-2 (a+s) b)^2.  Every factor is bounded, so nothing overflows
-    at large amplitude, and the expm1 terms stay exact where the literal
-    differences of exponentials cancel (alpha -> 0 or beta -> 0).  A
+    through the identity (k1 k2 - k3 k4)^2 = exp(-(a-b)^2 - (s-b)^2) c^2.
+    Every factor is bounded, so nothing overflows at large amplitude; the
+    expm1 terms stay exact where the literal differences of exponentials
+    cancel (alpha -> 0 or beta -> 0), and neither ratio underflows where
+    the product of the two denominators, about 16 a^2 b^2, would.  A
     non-finite result raises a ValueError.
     """
     beta = float(beta)
-    if beta == 0.0:
-        raise ValueError("comparison state is undefined at beta = 0")
+    if not beta > 0.0:
+        raise ValueError(f"comparison amplitude beta must be positive, got {beta}")
     alpha, eta = state.alpha, state.eta
     root = np.sqrt(eta) * alpha
-    num = (
-        (1.0 + state.coherence)
+    c = np.expm1(-2.0 * (alpha + root) * beta)
+    value = float(
+        0.5 * (1.0 + state.coherence)
         * np.exp(-((alpha - beta) ** 2) - (root - beta) ** 2)
-        * np.expm1(-2.0 * (alpha + root) * beta) ** 2
+        * (c / np.expm1(-4.0 * alpha**2))
+        * (c / np.expm1(-4.0 * beta**2))
     )
-    denom = 2.0 * np.expm1(-4.0 * alpha**2) * np.expm1(-4.0 * beta**2)
-    value = float(num / denom)
     if not math.isfinite(value):
         raise ValueError(
             f"family overlap is not finite at alpha={alpha}, eta={eta}, beta={beta}"
@@ -152,11 +153,8 @@ def optimal_beta(alpha, channel, verify=True):
     c = alpha (1 + sqrt(eta)), so at small amplitude the position is not
     conditioned past the rounding plateau while the value still is.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("amplitude must be positive")
     state = apply_loss(alpha, channel)
-    beta_star = alpha * (1.0 + np.sqrt(channel.eta)) / 2.0
+    beta_star = state.alpha * (1.0 + np.sqrt(channel.eta)) / 2.0
     f_star = fraction_over_family(state, beta_star)
     if verify:
         _searched_maximum(state, beta_star, f_star)
@@ -238,9 +236,9 @@ def figure1_sweep(alphas, etas):
     """Optimal overlap across an (alpha, eta) grid.
 
     Points are ordered by (eta descending, alpha ascending).  Per-point
-    maximizer failures and arithmetic faults do not abort the sweep; they
-    are collected and raised at the end as a SweepError holding the
-    completed points.
+    maximizer failures, domain errors and arithmetic faults do not abort
+    the sweep; they are collected and raised at the end as a SweepError
+    holding the completed points.
     """
     points, failures = [], []
     for eta in sorted(set(float(e) for e in etas), reverse=True):
@@ -249,7 +247,7 @@ def figure1_sweep(alphas, etas):
             try:
                 beta_star, f_star = optimal_beta(alpha, channel)
                 points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
-            except (measures.MaximizerError, ArithmeticError) as exc:
+            except (measures.MaximizerError, ValueError, ArithmeticError) as exc:
                 failures.append((alpha, eta, str(exc)))
     if failures:
         raise SweepError(failures, points)

@@ -128,7 +128,7 @@ def eof_lower_bound(fraction):
     """Lower bound on the entanglement of formation implied by an
     entangled fraction f: H(1/2 + sqrt(f (1-f))) for f >= 1/2, else 0."""
     f = float(fraction)
-    if f < 0.0 or f > 1.0:
+    if not 0.0 <= f <= 1.0:
         raise ValueError(f"entangled fraction must lie in [0, 1], got {f}")
     if f < 0.5:
         return 0.0

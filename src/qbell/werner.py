@@ -11,28 +11,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import QuasiBell, check_kappa, embed_qubit, gram_off_diagonal
-from .measures import eof_lower_bound
 
 __all__ = [
     "QuasiWerner",
     "build_quasi_werner",
     "quasi_werner_gram",
     "quasi_werner_spectrum",
-    "quasi_werner_fraction",
-    "standard_werner_eof",
 ]
 
 
 @dataclass(frozen=True)
 class QuasiWerner:
-    """Mixture weights: F on state 2, (1-F)/3 on each of 1, 3, 4."""
+    """Mixture weights: F on state 2, (1-F)/3 on each of 1, 3, 4.
+
+    F is also the mixture's overlap with |B2>, its entangled fraction:
+    |B2> is orthogonal to the other three mixture components."""
 
     fidelity: float
     kappa: float
 
     def __post_init__(self):
         f = float(self.fidelity)
-        if f < 0.0 or f > 1.0:
+        if not 0.0 <= f <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {f}")
         object.__setattr__(self, "fidelity", f)
         object.__setattr__(self, "kappa", check_kappa(self.kappa))
@@ -66,22 +66,3 @@ def quasi_werner_spectrum(spec):
     d = gram_off_diagonal(kappa)
     lam = np.array([spec.fidelity, w, w * (1.0 + d), w * (1.0 - kappa) ** 2 / (1.0 + kappa**2)])
     return np.sort(lam)[::-1]
-
-
-def quasi_werner_fraction(spec):
-    """Overlap of the mixture with |B2>, which equals the weight F:
-    |B2> is orthogonal to the other three mixture components."""
-    return spec.fidelity
-
-
-def standard_werner_eof(fidelity):
-    """Entanglement of formation of the standard (kappa = 0) Werner
-    state, H(1/2 + sqrt(F (1-F))), which is eof_lower_bound(F).
-
-    Only valid for F >= 1/2; below that the state is separable and the
-    formula no longer applies, so the domain is enforced.
-    """
-    f = float(fidelity)
-    if f < 0.5 or f > 1.0:
-        raise ValueError(f"formula holds for F in [1/2, 1], got {f}")
-    return eof_lower_bound(f)

@@ -75,7 +75,7 @@ def test_criterion_4_bound_consistency():
         eof = measures.eof_wootters(
             werner.build_quasi_werner(werner.QuasiWerner(fid, 0.0))
         )
-        worst_eq = max(worst_eq, abs(eof - werner.standard_werner_eof(fid)))
+        worst_eq = max(worst_eq, abs(eof - measures.eof_lower_bound(fid)))
     assert worst_eq <= 1e-9
     _report(
         "criterion 4 (formation bound)",

@@ -1,14 +1,15 @@
+import argparse
 import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qbell.cli import fmt_float, main
+from qbell.cli import build_parser, fmt_float, main
 
 
 def run_cli_process(*args):
@@ -181,17 +182,24 @@ def test_help_everywhere(run_cli):
 
 
 def test_verify_truncation_rule_violation(run_cli):
-    proc = run_cli("verify", "--truncation", "5", "--alpha-max", "3")
+    proc = run_cli("verify", "--truncation", "5")
     assert proc.returncode == 2
     assert "adequacy" in json.loads(proc.stderr)["error"]
 
 
-def test_verify_tolerance_floor(run_cli):
-    # sub-machine tolerance documents the numerical floor: checks fail,
-    # deviations are still reported per line
-    proc = run_cli("verify", "--tolerance", "1e-15", "--alpha-max", "1")
+def test_verify_failure_exit(run_cli, monkeypatch):
+    # one failing check makes verify exit 1; every line keeps its deviation
+    from qbell import verify
+
+    results = [verify.CheckResult("good", 1e-16, 1e-12), verify.CheckResult("bad", 2e-3, 1e-9)]
+    monkeypatch.setattr(verify, "run_all", lambda truncation=None: results)
+    proc = run_cli("verify")
     assert proc.returncode == 1
-    assert "FAIL" in proc.stdout and "max deviation" in proc.stdout
+    assert proc.stdout.splitlines() == [
+        "good: max deviation = 1.000e-16 (tolerance 1.0e-12) -> PASS",
+        "bad: max deviation = 2.000e-03 (tolerance 1.0e-09) -> FAIL",
+    ]
+    assert proc.stderr == "FAILED: bad\n"
 
 
 def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
@@ -268,7 +276,8 @@ def test_floating_point_fault_is_pure_json_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
-    assert "invalid value" in error
+    # 1e-160^2 underflows to 0 in apply_loss; 1e-150 succeeds
+    assert "overflow encountered in divide" in error
     # the sweep names the failing point
     assert "alpha=1e-160, eta=0.5" in error
 
@@ -314,12 +323,50 @@ def test_package_exports():
         MaximizerError binary_entropy concurrence_pure eof_wootters
         eof_lower_bound fully_entangled_fraction
         QuasiWerner build_quasi_werner quasi_werner_gram quasi_werner_spectrum
-        quasi_werner_fraction standard_werner_eof
         CoherentQuasiBell CharFuncPoint overlap_of_amplitude mean_photon_numbers
         characteristic_function gaussianity_witness asymmetric_spectrum
         LossChannel DecoheredState FractionCurvePoint apply_loss
         fraction_over_family optimal_beta biphoton_fraction figure1_sweep
     """.split()
-    assert len(names) == 34
-    missing = [name for name in names if not hasattr(qbell, name)]
-    assert not missing
+    assert len(names) == 32
+    exported = {
+        name for name, value in vars(qbell).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == set(names)
+
+
+def test_cli_options():
+    # every subcommand's option strings: a new knob is a deliberate edit here
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: sorted(s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == {
+        "measures": ["--alpha", "--index", "--kappa"],
+        "werner": ["--fidelity", "--kappa", "-F"],
+        "decohere": ["--alpha-max", "--alpha-min", "--etas", "--format", "--output",
+                     "--steps", "-o"],
+        "charfunc": ["--alpha", "--index", "--witness", "--zeta-a-im", "--zeta-a-re",
+                     "--zeta-b-im", "--zeta-b-re"],
+        "verify": ["--truncation"],
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("werner", "-F", "nan", "--kappa", "0.1"), "mixture weight must lie in [0, 1], got nan"),
+        (("charfunc", "--alpha", "1", "--index", "1", "--zeta-a-im", "nan"),
+         "zeta_a must be finite"),
+        (("charfunc", "--alpha", "1", "--index", "1", "--zeta-b-re", "inf"),
+         "zeta_b must be finite"),
+    ],
+)
+def test_non_finite_input_names_itself(run_cli, args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in json.loads(proc.stderr)["error"]

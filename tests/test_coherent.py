@@ -113,6 +113,23 @@ def test_charfunc_hermiticity():
         assert abs(minus - np.conj(plus)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "za, zb, name",
+    [
+        (complex(0.0, float("nan")), 0.0, "zeta_a"),
+        (complex(float("inf"), 0.0), 0.0, "zeta_a"),
+        (0.3j, complex(float("nan"), 1.0), "zeta_b"),
+        (0.3j, complex(0.0, -float("inf")), "zeta_b"),
+    ],
+)
+def test_non_finite_argument_is_domain_error(za, zb, name):
+    # a NaN argument used to give a NaN value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        coherent.characteristic_function(
+            coherent.CoherentQuasiBell(1, 1.0), coherent.CharFuncPoint(za, zb)
+        )
+
+
 def test_witness_cat_states_not_gaussian():
     res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
     assert res > 0.01

@@ -1,6 +1,9 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbell import decoherence, measures, verify
 from qbell.decoherence import LossChannel
@@ -55,8 +58,10 @@ def test_apply_loss_trace_one_rank_two():
             lam = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
             assert np.all(lam > -1e-12)
             assert np.all(np.abs(lam[2:]) < 1e-10)
-    with pytest.raises(ValueError):
-        decoherence.apply_loss(0.0, LossChannel(0.5))
+    # NaN and inf too, which gave a NaN and a finite matrix
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="amplitude"):
+            decoherence.apply_loss(alpha, LossChannel(0.5))
 
 
 def test_apply_loss_matches_oracle_density():
@@ -94,8 +99,10 @@ def test_fraction_over_family_examples():
     oracle = verify.family_overlap_curve(1.0, 0.5, [beta])[0]
     assert abs(value - oracle) < 1e-9
     assert decoherence.fraction_over_family(state, 5.0) < 1e-12
-    with pytest.raises(ValueError):
-        decoherence.fraction_over_family(state, 0.0)
+    # rejected before any numpy call, so without a RuntimeWarning
+    for beta in (0.0, -400.0, float("nan")):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            decoherence.fraction_over_family(state, beta)
 
 
 def test_fraction_matches_oracle_grid():
@@ -297,11 +304,41 @@ def test_large_amplitude_matches_mpmath():
 
 def test_non_finite_overlap_raises():
     state = decoherence.apply_loss(1.0, LossChannel(0.5))
-    # expm1 overflows at beta = -400, and the 0 * inf that follows is NaN
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(ValueError, match="not finite"):
-                decoherence.fraction_over_family(state, -400.0)
+    # beta^2 underflows to 0, so expm1(-4 beta^2) is 0 and the ratio inf
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        with pytest.raises(ValueError, match="not finite"):
+            decoherence.fraction_over_family(state, 1e-170)
+
+
+def _mp_optimal_overlap(alpha, eta, beta):
+    """The family overlap from the literal differences of coherent
+    overlaps, at 700 digits: at alpha = 1e-150 the differences cancel
+    down to about 1e-300."""
+    with mpmath.workdps(700):
+        a, e, b = mpmath.mpf(alpha), mpmath.mpf(eta), mpmath.mpf(beta)
+        s = mpmath.sqrt(e) * a
+
+        def g(d):
+            return mpmath.exp(-d**2 / 2)
+
+        diff = g(b - a) * g(s - b) - g(b + a) * g(b + s)
+        coherence = mpmath.exp(-2 * (1 - e) * a**2)
+        denom = 2 * (1 - mpmath.exp(-4 * a**2)) * (1 - mpmath.exp(-4 * b**2))
+        return (1 + coherence) * diff**2 / denom
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    alpha=st.floats(-150.0, math.log10(30.0)).map(lambda e: 10.0**e),
+    eta=st.floats(0.0, 1.0),
+)
+@example(alpha=1e-150, eta=0.0)
+@example(alpha=1e-80, eta=0.5)
+@example(alpha=30.0, eta=1.0)
+def test_optimal_overlap_matches_mpmath(alpha, eta):
+    beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta), verify=False)
+    reference = _mp_optimal_overlap(alpha, eta, beta_star)
+    assert f_star == pytest.approx(float(reference), rel=1e-13, abs=0.0)
 
 
 def test_nan_search_fails_comparison(monkeypatch):

@@ -189,13 +189,14 @@ def test_displacement_cache_is_bounded():
 
 
 def test_loss_purity_frobenius_equals_trace():
-    alpha, eta, n = 0.5, 0.5, fock.adequate_truncation(0.5)
+    # the battery's loss amplitude
+    alpha, eta, n = 1.0, 0.5, fock.adequate_truncation(1.0)
     rho = fock.partial_trace(verify.lossy_pair_fock(alpha, eta, n), keep=(0, 1))
     by_trace = np.trace(rho @ rho).real
     assert abs(np.vdot(rho, rho).real - by_trace) < 1e-13
     closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
     closed = np.trace(closed_rho @ closed_rho).real
-    deviation = verify.check_loss_purity(alpha, n).deviation
+    deviation = verify.check_loss_purity(n).deviation
     assert abs(deviation - abs(by_trace - closed)) < 1e-13
 
 

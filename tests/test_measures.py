@@ -142,6 +142,9 @@ def test_eof_lower_bound():
     assert measures.eof_lower_bound(0.2) == 0.0
     with pytest.raises(ValueError):
         measures.eof_lower_bound(1.2)
+    # the fraction's own check names NaN, not binary_entropy's
+    with pytest.raises(ValueError, match="entangled fraction"):
+        measures.eof_lower_bound(float("nan"))
 
 
 def test_fef_examples():

@@ -13,7 +13,8 @@ def _basis_pair(amplitude, n):
 
 
 def test_loss_density_projection_matches_full_density():
-    alpha, n = 0.5, fock.adequate_truncation(0.5)
+    # the battery's loss amplitude
+    alpha, n = 1.0, fock.adequate_truncation(1.0)
     worst = 0.0
     for eta in (0.3, 0.7):
         plus_a, minus_a = _basis_pair(alpha, n)
@@ -28,7 +29,7 @@ def test_loss_density_projection_matches_full_density():
         assert np.max(np.abs(projected - reference)) < 1e-13
         closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         worst = max(worst, np.max(np.abs(reference - closed)))
-    assert abs(verify.check_loss_density(alpha, n).deviation - worst) < 1e-13
+    assert abs(verify.check_loss_density(n).deviation - worst) < 1e-13
 
 
 def test_environment_purity_equals_trace():
@@ -43,18 +44,18 @@ def test_environment_purity_equals_trace():
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = np.trace(closed_rho @ closed_rho).real
         expected = max(expected, abs(by_trace - closed))
-    deviation = verify.check_loss_purity(alpha, n).deviation
+    deviation = verify.check_loss_purity(n).deviation
     assert abs(deviation - expected) < 1e-13
 
 
 def test_loss_checks_never_form_the_joint_density():
     # one (61^2)-square complex rho_AB alone would take 61^4 * 16 B = 222 MB
-    verify.check_loss_density(3.0, 60)  # fill the splitter and displacement caches
-    verify.check_loss_purity(3.0, 60)
+    verify.check_loss_density(60)  # fill the splitter and displacement caches
+    verify.check_loss_purity(60)
     for check in (verify.check_loss_purity, verify.check_loss_density):
         tracemalloc.start()
         try:
-            check(3.0, 60)
+            check(60)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -75,19 +76,19 @@ def _counting_search(monkeypatch, transform=lambda beta, f: (beta, f)):
 
 def test_optimal_beta_check_searches_once_per_point(monkeypatch):
     calls = _counting_search(monkeypatch)
-    assert verify.check_optimal_beta(3.0).passed
+    assert verify.check_optimal_beta().passed
     assert len(calls) == 90
 
 
 def test_optimal_beta_check_keeps_the_overlap_rule(monkeypatch):
     _counting_search(monkeypatch, lambda beta, f: (beta, f * (1.0 + 1e-6)))
     with pytest.raises(measures.MaximizerError):
-        verify.check_optimal_beta(3.0)
+        verify.check_optimal_beta()
 
 
 def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
     _counting_search(monkeypatch, lambda beta, f: (beta * (1.0 + 1e-5), f))
-    result = verify.check_optimal_beta(3.0)
+    result = verify.check_optimal_beta()
     assert not result.passed
     assert result.deviation > 1e-6
 

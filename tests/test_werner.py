@@ -11,6 +11,9 @@ def test_spec_validation():
         werner.QuasiWerner(1.2, 0.0)
     with pytest.raises(ValueError):
         werner.QuasiWerner(0.5, 1.0)
+    # NaN fails every comparison, so it must fail the [0, 1] check
+    with pytest.raises(ValueError, match="mixture weight"):
+        werner.QuasiWerner(float("nan"), 0.1)
 
 
 def test_build_pure_limit():
@@ -71,8 +74,12 @@ def test_spectrum_matches_diagonalization_on_grid():
 
 
 def test_fraction():
-    assert werner.quasi_werner_fraction(werner.QuasiWerner(0.9, 0.2)) == 0.9
-    assert werner.quasi_werner_fraction(werner.QuasiWerner(0.0, 0.2)) == 0.0
+    # <B2|rho|B2> = F: |B2> is orthogonal to the other three components
+    for fid in (0.0, 0.3, 0.9, 1.0):
+        for kappa in (0.0, 0.2, E2, 0.9):
+            rho = werner.build_quasi_werner(werner.QuasiWerner(fid, kappa))
+            b2 = states.embed_qubit(states.QuasiBell(2, kappa))
+            assert np.vdot(b2, rho @ b2).real == pytest.approx(fid, abs=1e-15)
     # the numerical fully entangled fraction can only match or beat the
     # overlap with the antisymmetric state; equality is not asserted
     spec = werner.QuasiWerner(0.7, 0.5)
@@ -92,6 +99,4 @@ def test_standard_werner_eof_at_zero_overlap():
     for fid in np.linspace(0.5, 1.0, 11):
         spec = werner.QuasiWerner(fid, 0.0)
         eof = measures.eof_wootters(werner.build_quasi_werner(spec))
-        assert abs(eof - werner.standard_werner_eof(fid)) < 1e-9
-    with pytest.raises(ValueError):
-        werner.standard_werner_eof(0.4)
+        assert abs(eof - measures.eof_lower_bound(fid)) < 1e-9
