@@ -26,7 +26,6 @@ from .measures import (
 from .werner import (
     QuasiWerner,
     build_quasi_werner,
-    quasi_werner_gram,
     quasi_werner_spectrum,
 )
 from .coherent import (

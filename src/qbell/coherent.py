@@ -1,13 +1,12 @@
 """Quasi-Bell states carried by bosonic coherent states |alpha>, |-alpha>.
 
 The basis-state overlap is kappa = <alpha|-alpha> = exp(-2 alpha^2).  A
-CoherentQuasiBell holds its even/odd coefficients (see states) from the
-amplitudes themselves, so the state-level functions of states take it
-directly and stay exact where kappa rounds to 1.  This module adds the
-quantities that depend on the bosonic carrier itself: mean photon
-numbers, two-mode characteristic functions, a non-Gaussianity witness,
-and the reduced spectra when the two modes carry different amplitudes.
-Amplitudes are real throughout.
+CoherentQuasiBell holds its even/odd coefficients (see states) from its
+two mode amplitudes, equal or not, so the state-level functions of
+states take it directly and stay exact where kappa rounds to 1.  This
+module adds the quantities that depend on the bosonic carrier itself:
+each mode's mean photon number, two-mode characteristic functions and a
+non-Gaussianity witness.  Amplitudes are real throughout.
 """
 
 import cmath
@@ -26,8 +25,6 @@ __all__ = [
     "mean_photon_numbers",
     "characteristic_function",
     "gaussianity_witness",
-    "quadratic_log_fit_residual",
-    "witness_points",
     "asymmetric_spectrum",
     "coherent_spectrum",
 ]
@@ -40,7 +37,8 @@ def overlap_of_amplitude(alpha):
 
 
 def _check_amplitude(alpha):
-    if np.iscomplexobj(alpha):
+    # a float is real; the numpy check costs ~2 us per state otherwise
+    if not isinstance(alpha, float) and np.iscomplexobj(alpha):
         raise ValueError("amplitudes are real in this model")
     alpha = float(alpha)
     if not math.isfinite(alpha * alpha):
@@ -65,10 +63,11 @@ def _cat_components(alpha):
 class CoherentQuasiBell(_EvenOdd):
     """Quasi-Bell state on modes carrying amplitudes +/-alpha, +/-beta.
 
-    beta defaults to alpha (the symmetric case).  Each mode's components
-    are _cat_components of its amplitude.  Indices 2 and 4 reject
-    amplitudes below the smallest normal float, zero included, where the
-    superposition degenerates to rounding.
+    beta defaults to alpha.  Each mode's components are _cat_components
+    of its amplitude, so every amplitude pair is one state; only a pair
+    whose even/odd terms both underflow, as for indices 2 and 4 when both
+    amplitudes are below the smallest normal float, is undefined.
+    B2(alpha, 0) and B4(alpha, 0) are the odd cat state times the vacuum.
     """
 
     index: int
@@ -79,35 +78,26 @@ class CoherentQuasiBell(_EvenOdd):
         object.__setattr__(self, "alpha", _check_amplitude(self.alpha))
         beta = self.alpha if self.beta is None else _check_amplitude(self.beta)
         object.__setattr__(self, "beta", beta)
-        small = min(abs(self.alpha), abs(self.beta))
-        if self.index in (2, 4) and small < sys.float_info.min:
-            raise ValueError(f"state {self.index} is undefined at amplitude {small}")
         self._hold(_cat_components(self.alpha), _cat_components(self.beta))
 
-    @property
-    def symmetric(self):
-        return self.alpha == self.beta
 
-
-def _require_symmetric(state):
-    if not state.symmetric:
-        raise ValueError("operation is defined for equal mode amplitudes only")
+def _photon_levels(alpha):
+    """(<+|n|+>, <-|n|->) = ((alpha m/p)^2, (alpha p/m)^2) for the
+    components (p, m) of amplitude alpha; at alpha = 0 the odd level,
+    which no state weights there, is taken as 1."""
+    plus, minus = _cat_components(alpha)
+    return (alpha * minus / plus) ** 2, (plus * (alpha / minus)) ** 2 if minus else 1.0
 
 
 def mean_photon_numbers(state):
-    """Mean photon number of each reduced mode, as a pair, equal on both
-    modes by symmetry: sum_j c_j^2 <s_j|n|s_j> over the state's two
-    even/odd coefficients c_j on |s_j t_j>, with <+|n|+> = (alpha m/p)^2
-    and <-|n|-> = (alpha p/m)^2 for the mode's components (p, m).  At
-    alpha = 0 the odd level, which no state weights there, is taken as 1.
-    """
-    _require_symmetric(state)
-    alpha = state.alpha
-    plus, minus = _cat_components(alpha)
-    even = (alpha * minus / plus) ** 2
-    odd = (plus * (alpha / minus)) ** 2 if minus else 1.0
-    n = sum(c * c * (odd if j >> 1 else even) for j, c in state.terms)
-    return n, n
+    """Mean photon number of each reduced mode, as a pair: sum_j c_j^2
+    <s_j|n|s_j> on mode A and sum_j c_j^2 <t_j|n|t_j> on mode B over the
+    state's two even/odd coefficients c_j on |s_j t_j>, with each mode's
+    _photon_levels."""
+    levels_a, levels_b = _photon_levels(state.alpha), _photon_levels(state.beta)
+    n_a = sum(c * c * levels_a[j >> 1] for j, c in state.terms)
+    n_b = sum(c * c * levels_b[j & 1] for j, c in state.terms)
+    return n_a, n_b
 
 
 @dataclass(frozen=True)
@@ -172,17 +162,15 @@ def _displacement_elements(alpha, mode, zeta):
 
 
 def _char_values(state, zeta_a, zeta_b):
-    """Characteristic function of a symmetric state at the points
-    (zeta_a[i], zeta_b[i]) of two equal-length complex arrays: one
-    _displacement_elements call over both modes' arguments, summed as
-    sum_{j,k} c_j c_k Ea[s_j][s_k] Eb[t_j][t_k] over the state's two
-    even/odd coefficients c_j on |s_j t_j>."""
-    _require_symmetric(state)
-    n = len(zeta_a)
-    e = _displacement_elements(
-        state.alpha, _cat_components(state.alpha), np.concatenate((zeta_a, zeta_b))
+    """Characteristic function of the state at the points (zeta_a[i],
+    zeta_b[i]) of two equal-length complex arrays: one
+    _displacement_elements call per mode, with that mode's amplitude,
+    summed as sum_{j,k} c_j c_k Ea[s_j][s_k] Eb[t_j][t_k] over the
+    state's two even/odd coefficients c_j on |s_j t_j>."""
+    ea, eb = (
+        _displacement_elements(amp, _cat_components(amp), zeta)
+        for amp, zeta in ((state.alpha, zeta_a), (state.beta, zeta_b))
     )
-    ea, eb = e[..., :n], e[..., n:]
     return sum(
         cj * ck * ea[j >> 1, k >> 1] * eb[j & 1, k & 1]
         for j, cj in state.terms for k, ck in state.terms
@@ -219,23 +207,18 @@ _STENCIL = _EPS * np.kron(np.eye(4), [[1.0], [-1.0]])
 _PAIRS = np.triu_indices(4)
 
 
-def witness_points():
-    """Deterministic 128-point phase-space sample, an 8 x 8 grid over
-    [-2, 2] per coordinate on the real axes of both modes and another on
-    the imaginary axes, straddling the fringes of cat-like states."""
-    return [CharFuncPoint(complex(a, b), complex(c, d)) for a, b, c, d in _WITNESS_COORDS]
-
-
 def _log_fit_residual(coords, values):
     """Max deviation of log C from its best-fit quadratic form.
 
     coords (n, 4) holds (Re za, Im za, Re zb, Im zb) and values the
     characteristic function there; the first 8 rows are _STENCIL, the
     rest the sample.  The linear phase is the stencil's central
-    difference of arg C, divided out before the logarithm; the log
-    values with |C| > 1e-10 are fit by one real least-squares solve, the
-    real and imaginary parts as two right-hand sides of the real design
-    matrix 1, c_i, c_i c_j (i <= j).
+    difference of arg C, divided out before the logarithm so that a
+    Gaussian C never winds its principal branch; the log values with
+    |C| > 1e-10 are fit by one real least-squares solve, the real and
+    imaginary parts as two right-hand sides of the real design matrix
+    1, c_i, c_i c_j (i <= j).  Gaussian states give residuals at rounding
+    level, cat-like superpositions order one.
     """
     slope = np.angle(values[0:8:2] / values[1:8:2]) / (2.0 * _EPS)
     coords, values = coords[8:], values[8:]
@@ -250,29 +233,10 @@ def _log_fit_residual(coords, values):
     return float(np.max(np.hypot(misfit[:, 0], misfit[:, 1])))
 
 
-def quadratic_log_fit_residual(char_fn, points):
-    """Max deviation of log C from the best-fit quadratic form.
-
-    The linear phase (displacement) is measured at the origin by central
-    differences and divided out first, so that a Gaussian C never winds
-    the principal branch of the logarithm; the remaining log values are
-    then fit, with complex coefficients, to a quadratic polynomial in the
-    four real phase-space coordinates.  Points with |C| <= 1e-10 are
-    excluded from the fit.  Gaussian states give residuals at
-    rounding level; cat-like superpositions give order-one residuals.
-    """
-    stencil = [CharFuncPoint(complex(a, b), complex(c, d)) for a, b, c, d in _STENCIL]
-    points = stencil + list(points)
-    coords = np.array(
-        [(p.zeta_a.real, p.zeta_a.imag, p.zeta_b.real, p.zeta_b.imag) for p in points]
-    )
-    return _log_fit_residual(coords, np.array([char_fn(p) for p in points]))
-
-
 def gaussianity_witness(state):
     """Non-Gaussianity witness: residual of the quadratic fit to the log
     characteristic function over the standard sample, the stencil and the
-    sample taken in one kernel evaluation.
+    sample taken in one kernel evaluation per mode.
 
     Order one for cat-like states, but not bounded away from zero:
     indices 1 and 3 tend to the vacuum as alpha -> 0 and their residual
@@ -306,6 +270,5 @@ def asymmetric_spectrum(alpha, beta, index):
 
 
 def coherent_spectrum(state):
-    """states.reduced_spectrum of a symmetric coherent quasi-Bell state."""
-    _require_symmetric(state)
+    """states.reduced_spectrum of a coherent quasi-Bell state."""
     return reduced_spectrum(state)

@@ -4,8 +4,9 @@ One party keeps mode A of |B2(alpha)>; mode B passes through a
 beam-splitter-type loss channel of transmissivity eta, which couples it
 to a vacuum environment mode and sends |g> to |sqrt(eta) g> while the
 environment picks up |sqrt(1-eta) g>.  Tracing out the environment
-leaves a rank-2 mixture whose cross terms are damped by the coherence
-factor L = exp(-2 (1-eta) alpha^2).
+leaves a rank-2 mixture of two entangled coherent states with mode
+amplitudes (alpha, sqrt(eta) alpha), whose cross terms in the original
+pair are damped by the coherence factor L = exp(-2 (1-eta) alpha^2).
 
 The surviving entanglement is measured by the overlap with the family
 |B2(beta)>, every member of which is maximally entangled.  The overlap
@@ -14,13 +15,14 @@ between the original and attenuated amplitudes.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
-from .coherent import _cat_components, _check_amplitude
-from .states import _coefficients, _even_odd_terms
+from .coherent import CoherentQuasiBell, _cat_components, _check_amplitude
+from .states import embed_qubit
 
 __all__ = [
     "LossChannel",
@@ -70,32 +72,29 @@ def apply_loss(alpha, channel):
     """Propagate |B2(alpha)> through the loss channel and trace out the
     environment.
 
-    With x = |alpha>|-sqrt(eta) alpha> and y = |-alpha>|sqrt(eta) alpha>
-    the result is h2^2 (x x+ + y y+ - L (x y+ + y x+)), written as
+    The environment ends in |-/+ sqrt(1-eta) alpha>, with even/odd
+    components (p_E, m_E), so the result is the mixture
 
-        ((1 + L) u u+ + (1 - L) v v+) / (1 - ka^2)
+        (p_E h2/h2')^2 |B2'><B2'| + (m_E h2/h1')^2 |B1'><B1'|
 
-    with u = (x - y)/2, v = (x + y)/2, 1 - L = -expm1(-2 (1-eta) alpha^2)
-    and 1 - ka^2 = -expm1(-4 alpha^2).  Up to sign, u and v are the
-    even/odd terms of states 2 and 1 on the amplitudes (alpha, sqrt(eta)
-    alpha): products of components, not differences, so every entry
-    stays exact as alpha -> 0.  At eta = 1 it is the pure |B2(alpha)>
-    projector.
+    of the states B' = CoherentQuasiBell(., alpha, sqrt(eta) alpha), with
+    h' their normalizations and h2 that of |B2(alpha)>.  Every factor is
+    a product of components, so every entry stays exact as alpha -> 0.
+    At eta = 1 it is the pure |B2(alpha)> projector, at eta = 0 the equal
+    mixture of |-+> and |++>.
     """
     alpha = _check_amplitude(alpha)
     if not alpha > 0.0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     eta = channel.eta
-    a2 = alpha**2
-    coherence = np.exp(-2.0 * (1.0 - eta) * a2)
-    one_minus_coherence = -np.expm1(-2.0 * (1.0 - eta) * a2)
-
-    modes = _cat_components(alpha), _cat_components(math.sqrt(eta) * alpha)
-    u = _coefficients(_even_odd_terms(2, *modes))
-    v = _coefficients(_even_odd_terms(1, *modes))
-    rho = (
-        (1.0 + coherence) * np.outer(u, u) + one_minus_coherence * np.outer(v, v)
-    ) / -np.expm1(-4.0 * a2)
+    h2 = CoherentQuasiBell(2, alpha).normalization
+    env = _cat_components(math.sqrt(1.0 - eta) * alpha)
+    rho = np.zeros((4, 4), dtype=complex)
+    for index, component in zip((2, 1), env):
+        mixed = CoherentQuasiBell(index, alpha, math.sqrt(eta) * alpha)
+        c = embed_qubit(mixed)
+        rho += (component * h2 / mixed.normalization) ** 2 * (c[:, None] * c.conj())
+    coherence = np.exp(-2.0 * (1.0 - eta) * alpha**2)
     return DecoheredState(alpha, eta, float(coherence), rho)
 
 
@@ -114,19 +113,26 @@ def fraction_over_family(state, beta):
     Every factor is bounded, so nothing overflows at large amplitude; the
     expm1 terms stay exact where the literal differences of exponentials
     cancel (alpha -> 0 or beta -> 0), and neither ratio underflows where
-    the product of the two denominators, about 16 a^2 b^2, would.  A
-    non-finite result raises a ValueError.
+    the product of the two denominators, about 16 a^2 b^2, would.  An
+    alpha^2 below the smallest normal float, where expm1(-4 a^2) loses
+    its relative precision, and a non-finite result raise a ValueError.
     """
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError(f"comparison amplitude beta must be positive, got {beta}")
     alpha, eta = state.alpha, state.eta
+    a2 = alpha**2
+    if a2 < sys.float_info.min:
+        raise ValueError(
+            f"family overlap is out of range at alpha={alpha}, eta={eta}: "
+            "alpha^2 is below the smallest normal float"
+        )
     root = np.sqrt(eta) * alpha
     c = np.expm1(-2.0 * (alpha + root) * beta)
     value = float(
         0.5 * (1.0 + state.coherence)
         * np.exp(-((alpha - beta) ** 2) - (root - beta) ** 2)
-        * (c / np.expm1(-4.0 * alpha**2))
+        * (c / np.expm1(-4.0 * a2))
         * (c / np.expm1(-4.0 * beta**2))
     )
     if not math.isfinite(value):

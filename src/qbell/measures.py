@@ -126,13 +126,15 @@ def eof_wootters(rho):
 
 def eof_lower_bound(fraction):
     """Lower bound on the entanglement of formation implied by an
-    entangled fraction f: H(1/2 + sqrt(f (1-f))) for f >= 1/2, else 0."""
+    entangled fraction f: H(1/2 + sqrt(f (1-f))) for f >= 1/2, else 0.
+    H is taken at 1/2 - sqrt(f (1-f)) = (f - 1/2)^2 / (1/2 + sqrt(f (1-f))),
+    which does not cancel as f -> 1/2."""
     f = float(fraction)
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"entangled fraction must lie in [0, 1], got {f}")
     if f < 0.5:
         return 0.0
-    return binary_entropy(0.5 + np.sqrt(f * (1.0 - f)))
+    return binary_entropy((f - 0.5) ** 2 / (0.5 + math.sqrt(f * (1.0 - f))))
 
 
 def fully_entangled_fraction(rho):

@@ -112,7 +112,7 @@ class _EvenOdd:
         (j, x), (k, y) = _even_odd_terms(self.index, mode_a, mode_b)
         norm = math.hypot(x, y)
         if norm < sys.float_info.min:
-            raise ValueError(f"state {self.index} is undefined: its product terms coincide")
+            raise ValueError(f"{self!r} is undefined: its product terms underflow")
         object.__setattr__(self, "terms", ((j, x / norm), (k, y / norm)))
         object.__setattr__(self, "normalization", 0.5 / norm)
 

@@ -125,13 +125,14 @@ def check_unit_entropy(truncation):
 
 def check_mean_photons(truncation):
     dev = 0.0
-    for alpha in _ALPHA_GRID:
+    pairs = [(a, a) for a in _ALPHA_GRID] + [(0.5, 1.5), (2.0, 0.6), (1.0, 0.0)]
+    for alpha, beta in pairs:
         for index in (1, 2):
-            state = coherent.CoherentQuasiBell(index, alpha)
-            closed = coherent.mean_photon_numbers(state)[0]
+            state = coherent.CoherentQuasiBell(index, alpha, beta)
             vec = fock.quasi_bell_fock(state, truncation)
-            numeric = fock.mean_photon(fock.partial_trace(vec, keep=(0,)))
-            dev = max(dev, abs(numeric - closed))
+            for mode, closed in enumerate(coherent.mean_photon_numbers(state)):
+                numeric = fock.mean_photon(fock.partial_trace(vec, keep=(mode,)))
+                dev = max(dev, abs(numeric - closed))
     return CheckResult("mean_photons", dev, 1e-9)
 
 
@@ -152,11 +153,11 @@ def check_asymmetric_spectra(truncation):
 def check_char_function(truncation):
     rng = np.random.default_rng(11)
     dev = 0.0
-    for alpha in (0.5, 1.0):
+    for alpha, beta in ((0.5, 0.5), (1.0, 0.6)):
         for index in (1, 2, 3, 4):
-            state = coherent.CoherentQuasiBell(index, alpha)
+            state = coherent.CoherentQuasiBell(index, alpha, beta)
             vec = fock.quasi_bell_fock(state, truncation)
-            # the state's 20 random points in one kernel call
+            # the state's 20 random points in one kernel call per mode
             za, zb = np.array([
                 rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2) for _ in range(20)
             ]).T

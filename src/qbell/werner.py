@@ -15,7 +15,6 @@ from .states import QuasiBell, check_kappa, embed_qubit, gram_off_diagonal
 __all__ = [
     "QuasiWerner",
     "build_quasi_werner",
-    "quasi_werner_gram",
     "quasi_werner_spectrum",
 ]
 
@@ -47,15 +46,6 @@ def build_quasi_werner(spec):
         c = embed_qubit(QuasiBell(index, spec.kappa))
         rho += w * np.outer(c, c.conj())
     return rho
-
-
-def quasi_werner_gram(spec):
-    """Weighted Gram matrix of the mixture: diagonal of mixture weights
-    with the (1,3) overlap entry (1-F) D / 3."""
-    w = (1.0 - spec.fidelity) / 3.0
-    g = np.diag([w, spec.fidelity, w, w])
-    g[0, 2] = g[2, 0] = w * gram_off_diagonal(spec.kappa)
-    return g
 
 
 def quasi_werner_spectrum(spec):

@@ -157,7 +157,7 @@ def test_criterion_8_figure_shape():
     )
 
 
-def test_criterion_9_characteristic_functions():
+def test_criterion_9_characteristic_functions(log_fit_residual):
     p0 = coherent.CharFuncPoint(0.0, 0.0)
     worst_norm = 0.0
     for alpha in (0.5, 1.0):
@@ -188,10 +188,7 @@ def test_criterion_9_characteristic_functions():
 
     n = fock.adequate_truncation(0.7)
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
-    control_res = coherent.quadratic_log_fit_residual(
-        lambda p: fock.operator_trace_charfunc(control, p),
-        coherent.witness_points(),
-    )
+    control_res = log_fit_residual(lambda p: fock.operator_trace_charfunc(control, p))
     assert control_res <= 1e-9
     cat_res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
     assert cat_res > 1e-3

@@ -276,10 +276,31 @@ def test_floating_point_fault_is_pure_json_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
-    # 1e-160^2 underflows to 0 in apply_loss; 1e-150 succeeds
-    assert "overflow encountered in divide" in error
+    # 1e-160^2 is subnormal, a domain error of the family overlap; 1e-150 succeeds
+    assert "alpha^2 is below the smallest normal float" in error
     # the sweep names the failing point
-    assert "alpha=1e-160, eta=0.5" in error
+    assert "(alpha=1e-160, eta=0.5)" in error
+
+
+def test_numpy_fault_is_json_error(run_cli, monkeypatch):
+    # no real input reaches a numpy fault any more; the CLI still makes
+    # one raise, and the sweep names its point
+    from qbell import decoherence
+
+    real = decoherence.fraction_over_family
+
+    def faulty(state, beta):
+        if state.alpha < 0.5:
+            return np.float64(1.0) / np.float64(0.0)
+        return real(state, beta)
+
+    monkeypatch.setattr(decoherence, "fraction_over_family", faulty)
+    proc = run_cli("decohere", "--alpha-min", "0.1", "--alpha-max", "1",
+                   "--steps", "2", "--etas", "0.5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert "1 sweep point(s) failed: (alpha=0.1, eta=0.5): divide by zero" in error
 
 
 def test_runtime_imports_no_scipy():
@@ -322,13 +343,13 @@ def test_package_exports():
         reduced_spectrum entropy_of_entanglement embed_qubit
         MaximizerError binary_entropy concurrence_pure eof_wootters
         eof_lower_bound fully_entangled_fraction
-        QuasiWerner build_quasi_werner quasi_werner_gram quasi_werner_spectrum
+        QuasiWerner build_quasi_werner quasi_werner_spectrum
         CoherentQuasiBell CharFuncPoint overlap_of_amplitude mean_photon_numbers
         characteristic_function gaussianity_witness asymmetric_spectrum
         LossChannel DecoheredState FractionCurvePoint apply_loss
         fraction_over_family optimal_beta biphoton_fraction figure1_sweep
     """.split()
-    assert len(names) == 32
+    assert len(names) == 31
     exported = {
         name for name, value in vars(qbell).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)

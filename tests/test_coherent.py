@@ -19,18 +19,20 @@ def test_overlap_of_amplitude():
 
 def test_state_construction():
     st = coherent.CoherentQuasiBell(2, 1.0)
-    assert st.beta == 1.0 and st.symmetric
-    asym = coherent.CoherentQuasiBell(2, 1.0, 2.0)
-    assert not asym.symmetric
-    with pytest.raises(ValueError):
+    assert st.beta == 1.0 and st == coherent.CoherentQuasiBell(2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="undefined"):
         coherent.CoherentQuasiBell(2, 0.0)
-    with pytest.raises(ValueError):
-        coherent.CoherentQuasiBell(4, 1.0, 0.0)
-    # symmetric-only operations reject unequal amplitudes
-    with pytest.raises(ValueError):
-        coherent.mean_photon_numbers(asym)
-    with pytest.raises(ValueError):
-        coherent.characteristic_function(asym, coherent.CharFuncPoint(0.0, 0.0))
+    # the odd cat state times the vacuum: |-+> in the even/odd basis
+    for index in (2, 4):
+        odd_cat = coherent.CoherentQuasiBell(index, 1.0, 0.0)
+        assert np.array_equal(np.abs(states.embed_qubit(odd_cat)), [0.0, 0.0, 1.0, 0.0])
+        assert coherent.mean_photon_numbers(odd_cat)[1] == 0.0
+    # unequal amplitudes reach every operation
+    asym = coherent.CoherentQuasiBell(2, 1.0, 2.0)
+    n_a, n_b = coherent.mean_photon_numbers(asym)
+    assert n_a != n_b
+    value = coherent.characteristic_function(asym, coherent.CharFuncPoint(0.0, 0.0))
+    assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mean_photon_numbers():
@@ -140,14 +142,11 @@ def test_witness_cat_states_not_gaussian():
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
-def test_witness_matches_generic_fit(index):
+def test_witness_matches_generic_fit(index, log_fit_residual):
     # the batched witness against the point-by-point generic fit
     for alpha in (0.2, 0.5, 1.0, 2.0, 3.0):
         state = coherent.CoherentQuasiBell(index, alpha)
-        generic = coherent.quadratic_log_fit_residual(
-            lambda p: coherent.characteristic_function(state, p),
-            coherent.witness_points(),
-        )
+        generic = log_fit_residual(lambda p: coherent.characteristic_function(state, p))
         assert coherent.gaussianity_witness(state) == pytest.approx(generic, rel=1e-12)
 
 
@@ -161,8 +160,8 @@ def test_witness_is_one_kernel_evaluation(monkeypatch):
 
     monkeypatch.setattr(coherent, "_displacement_elements", counted)
     coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
-    # both modes' arguments at the 8 stencil and 128 sample points
-    assert calls == [2 * (8 + 128)]
+    # one call per mode, each at the 8 stencil and 128 sample points
+    assert calls == [8 + 128, 8 + 128]
 
 
 def test_witness_floor():
@@ -178,14 +177,11 @@ def test_witness_floor():
             assert res >= 2.0
 
 
-def test_witness_gaussian_control():
+def test_witness_gaussian_control(log_fit_residual):
     # a coherent product state evaluated by the oracle trace is Gaussian
     n = fock.adequate_truncation(0.7)
     control = np.outer(fock.coherent_vector(0.7, n), fock.coherent_vector(0.3, n))
-    residual = coherent.quadratic_log_fit_residual(
-        lambda p: fock.operator_trace_charfunc(control, p),
-        coherent.witness_points(),
-    )
+    residual = log_fit_residual(lambda p: fock.operator_trace_charfunc(control, p))
     assert residual <= 1e-9
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -44,10 +45,11 @@ def fock_partial(psi):
 def test_apply_loss_full_loss_limit():
     state = decoherence.apply_loss(2.0, LossChannel(0.0))
     assert state.coherence == pytest.approx(np.exp(-8.0), abs=1e-18)
-    lam = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
-    # cross terms gone: an (almost) equal mixture of two product dyads
-    assert np.allclose(lam[:2], [0.5, 0.5], atol=1e-3)
-    assert np.all(np.abs(lam[2:]) < 1e-10)
+    # mode B is the vacuum: half |-+> (the odd cat state and the vacuum,
+    # B2(alpha, 0)) and half |++> (the even one, B1(alpha, 0))
+    for alpha in (0.3, 1.0, 2.0):
+        rho = decoherence.apply_loss(alpha, LossChannel(0.0)).matrix
+        assert np.max(np.abs(rho - np.diag([0.5, 0.0, 0.5, 0.0]))) <= 1e-15
 
 
 def test_apply_loss_trace_one_rank_two():
@@ -231,8 +233,9 @@ def test_sweep_collects_failures(monkeypatch):
 
 
 def test_sweep_collects_arithmetic_faults():
-    # a Python-float overflow, and a numpy fault where the caller made
-    # those raise, each fail only their own point
+    # a subnormal alpha^2, which the family overlap rejects before any
+    # numpy call, and an alpha^2 that overflows each fail only their own
+    # point, also where the caller makes numpy faults raise
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         with pytest.raises(decoherence.SweepError) as info:
             decoherence.figure1_sweep([1e-160, 1.0, 1e160], [0.5])
@@ -251,10 +254,10 @@ def test_diagnostic_fef_reported_separately():
     assert 0.0 <= family <= 1.0
 
 
-def _mp_loss_reference(alpha, eta, beta):
-    """Decohered density matrix and family overlap at 60 digits, from the
-    literal differences of coherent overlaps."""
-    with mpmath.workdps(60):
+def _mp_loss_reference(alpha, eta, beta, digits=60):
+    """Decohered density matrix and family overlap, from the literal
+    differences of coherent overlaps."""
+    with mpmath.workdps(digits):
         a, e, b = mpmath.mpf(alpha), mpmath.mpf(eta), mpmath.mpf(beta)
         s = mpmath.sqrt(e)
         ka, kb = mpmath.exp(-2 * a**2), mpmath.exp(-2 * e * a**2)
@@ -290,6 +293,30 @@ def test_tiny_amplitude_matches_mpmath():
         assert f_star == pytest.approx(f_ref, rel=1e-12)
         state = decoherence.apply_loss(alpha, channel)
         assert np.allclose(state.matrix, rho_ref, rtol=0, atol=1e-12)
+
+
+def test_subnormal_square_amplitude_matches_mpmath():
+    # alpha^2 is subnormal or 0 here, where the expm1 denominators of the
+    # hand-built form gave inf and NaN entries; 1 - exp(-4 alpha^2)
+    # cancels down to 4e-600, so the reference runs at 700 digits
+    for alpha in (1e-155, 1e-200, 1e-300):
+        for eta in (0.0, 0.5, 0.9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rho = decoherence.apply_loss(alpha, LossChannel(eta)).matrix
+            assert np.all(np.isfinite(rho))
+            assert abs(np.trace(rho).real - 1.0) <= 1e-15
+            rho_ref, _ = _mp_loss_reference(alpha, eta, alpha, digits=700)
+            assert np.max(np.abs(rho - rho_ref)) <= 1e-15
+
+
+def test_family_overlap_rejects_subnormal_square_amplitude():
+    state = decoherence.apply_loss(1e-160, LossChannel(0.5))
+    # named before any numpy call, so without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha=1e-160, eta=0.5: alpha\\^2 is below"):
+            decoherence.fraction_over_family(state, 1e-160)
 
 
 def test_large_amplitude_matches_mpmath():

@@ -95,10 +95,13 @@ def deviation(got, want):
 def test_even_odd_closed_forms_match_mpmath(index, alpha, beta, kappa, zeta):
     za, zb = complex(zeta[0], zeta[1]), complex(zeta[2], zeta[3])
     state = coherent.CoherentQuasiBell(index, alpha)
+    unequal = coherent.CoherentQuasiBell(index, alpha, beta)
     pair = 2 if index in (1, 2) else 4
     with mp.workdps(DIGITS):
-        got = coherent.characteristic_function(state, coherent.CharFuncPoint(za, zb))
-        assert deviation(got, [ref_charfunc(index, alpha, alpha, za, zb)]) <= 1e-14
+        got = coherent.characteristic_function(unequal, coherent.CharFuncPoint(za, zb))
+        assert deviation(got, [ref_charfunc(index, alpha, beta, za, zb)]) <= 1e-14
+        got = coherent.mean_photon_numbers(unequal)
+        assert within(got, ref_mean_photons(index, alpha, beta))
         got = coherent.coherent_spectrum(state)
         assert deviation(got, ref_spectrum(index, ref_kappa(alpha))) <= 1e-15
         got = coherent.asymmetric_spectrum(alpha, beta, pair)
@@ -156,10 +159,12 @@ def ref_werner(fidelity, kappa):
     return sorted([f, w, w * (1 + d), w * (1 - d)], reverse=True)
 
 
-def ref_mean_photon(index, alpha):
-    a2 = mp.mpf(alpha) ** 2
-    k2 = ref_kappa(alpha) ** 2
-    return a2 * ((1 - k2) / (1 + k2) if index in (1, 3) else (1 + k2) / (1 - k2))
+def ref_mean_photons(index, alpha, beta):
+    """Each mode's x^2 (1 - sign ka kb)/(1 + sign ka kb), x its amplitude:
+    <g|n|g'> = g g' <g|g'> on each coherent dyad."""
+    sign, _ = states.FORMS[index]
+    kk = ref_kappa(alpha) * ref_kappa(beta)
+    return [mp.mpf(x) ** 2 * (1 - sign * kk) / (1 + sign * kk) for x in (alpha, beta)]
 
 
 def within(got, want):
@@ -196,6 +201,19 @@ def test_binary_entropy_small_argument():
             assert within([measures.binary_entropy(x)], [want])
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(gap=st.floats(-16.0, math.log10(0.5)).map(lambda e: 10.0**e))
+@example(gap=2.0**-53)
+@example(gap=0.001200968618)  # decohere's alpha = 1.5, eta = 0.5 row
+def test_eof_lower_bound_near_half(gap):
+    # 1/2 - sqrt(f (1-f)) cancelled to 4.7e-11 relative on the default sweep
+    f = 0.5 + gap
+    with mp.workdps(80):
+        x = mp.mpf(1) / 2 - mp.sqrt(mp.mpf(f) * (1 - mp.mpf(f)))
+        want = ref_entropy([x, 1 - x])
+        assert abs(measures.eof_lower_bound(f) - want) <= 1e-14 * want
+
+
 def measures_report(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -211,15 +229,15 @@ def check_alpha_report(index, alpha):
     with mp.workdps(DIGITS):
         k = ref_kappa(alpha)
         lam = ref_spectrum(index, k)
-        photons = ref_mean_photon(index, alpha)
+        photons = ref_mean_photons(index, alpha, alpha)
         assert within([report["kappa"]], [k])
         assert within([report["normalization"]], [ref_normalization(index, k)])
         assert within([report["gram_off_diagonal"]], [2 * k / (1 + k**2)])
         assert within(report["spectrum"], lam)
         assert within([report["entropy"]], [ref_entropy(lam)])
         assert within([report["concurrence"]], [2 * mp.sqrt(lam[0] * lam[1])])
-        assert within([report["mean_photon_a"], report["mean_photon_b"]], [photons] * 2)
-        assert within([n_a, n_b], [photons] * 2)
+        assert within([report["mean_photon_a"], report["mean_photon_b"]], photons)
+        assert within([n_a, n_b], photons)
     return report
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,3 +137,16 @@ def test_embed_qubit_spectrum_example():
     rho_a = c.reshape(2, 2) @ c.reshape(2, 2).conj().T
     lam = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
     assert np.allclose(lam, [0.9, 0.1], atol=1e-12)
+
+
+def test_only_states_knows_the_even_odd_layout():
+    # the term layout has one owner: other modules read a state's terms,
+    # normalization and embed_qubit (fock keeps its own sign table apart)
+    private = {"_even_odd_terms", "_coefficients", "FORMS"}
+    for path in sorted(Path(states.__file__).parent.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a Name, an Attribute, an imported alias or a definition
+            name = next((getattr(node, k) for k in ("id", "attr", "name") if hasattr(node, k)), None)
+            assert name not in private, f"{path.name}:{getattr(node, 'lineno', '?')} names {name}"

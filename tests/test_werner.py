@@ -39,13 +39,26 @@ def test_build_is_valid_density():
     assert np.all(np.linalg.eigvalsh(rho) > -1e-12)
 
 
+def quasi_werner_gram(spec):
+    """Weighted Gram matrix of the mixture: diagonal of mixture weights
+    with the (1,3) overlap entry (1-F) D / 3."""
+    w = (1.0 - spec.fidelity) / 3.0
+    g = np.diag([w, spec.fidelity, w, w])
+    g[0, 2] = g[2, 0] = w * states.gram_off_diagonal(spec.kappa)
+    return g
+
+
 def test_gram():
-    g = werner.quasi_werner_gram(werner.QuasiWerner(1.0, 0.3))
+    g = quasi_werner_gram(werner.QuasiWerner(1.0, 0.3))
     assert np.allclose(g, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-15)
-    g = werner.quasi_werner_gram(werner.QuasiWerner(0.7, E2))
+    g = quasi_werner_gram(werner.QuasiWerner(0.7, E2))
     assert g[0, 2] == pytest.approx(0.1 * 0.2658022288340797, abs=1e-12)
-    g = werner.quasi_werner_gram(werner.QuasiWerner(0.0, 0.0))
+    g = quasi_werner_gram(werner.QuasiWerner(0.0, 0.0))
     assert np.allclose(g, np.diag([1 / 3, 0.0, 1 / 3, 1 / 3]), atol=1e-15)
+    # the mixture and its weighted Gram matrix share their spectrum
+    for spec in (werner.QuasiWerner(0.7, E2), werner.QuasiWerner(0.2, 0.9)):
+        gram = np.sort(np.linalg.eigvalsh(quasi_werner_gram(spec)))[::-1]
+        assert np.allclose(gram, werner.quasi_werner_spectrum(spec), rtol=0, atol=1e-15)
 
 
 def test_spectrum_examples():
