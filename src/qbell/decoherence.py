@@ -38,6 +38,10 @@ __all__ = [
     "diagnostic_fef",
 ]
 
+# the smallest normal float: below it a squared amplitude loses the
+# relative precision that expm1(-4 x^2) needs
+_TINY = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class LossChannel:
@@ -114,18 +118,24 @@ def fraction_over_family(state, beta):
     expm1 terms stay exact where the literal differences of exponentials
     cancel (alpha -> 0 or beta -> 0), and neither ratio underflows where
     the product of the two denominators, about 16 a^2 b^2, would.  An
-    alpha^2 below the smallest normal float, where expm1(-4 a^2) loses
-    its relative precision, and a non-finite result raise a ValueError.
+    alpha^2 or beta^2 below the smallest normal float, where expm1 of
+    its multiple loses its relative precision, and a non-finite result
+    raise a ValueError.
     """
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError(f"comparison amplitude beta must be positive, got {beta}")
     alpha, eta = state.alpha, state.eta
     a2 = alpha**2
-    if a2 < sys.float_info.min:
+    if a2 < _TINY:
         raise ValueError(
             f"family overlap is out of range at alpha={alpha}, eta={eta}: "
             "alpha^2 is below the smallest normal float"
+        )
+    if beta * beta < _TINY:
+        raise ValueError(
+            f"family overlap is out of range at alpha={alpha}, eta={eta}, "
+            f"beta={beta}: beta^2 is below the smallest normal float"
         )
     root = np.sqrt(eta) * alpha
     c = np.expm1(-2.0 * (alpha + root) * beta)
@@ -188,8 +198,9 @@ def search_optimal_beta(state):
     over (0, 2 alpha], then golden-section refinement of the bracketing
     interval to a 1e-10 width.  The true maximum lies strictly inside the
     bracket because f rises below beta* and falls above it, beta* <= alpha
-    (see optimal_beta)."""
-    lo, hi = 1e-6 * state.alpha, 2.0 * state.alpha
+    (see optimal_beta).  The grid starts no lower than twice the square
+    root of the smallest normal float, so every beta^2 it tries is normal."""
+    lo, hi = max(1e-6 * state.alpha, 2.0 * math.sqrt(_TINY)), 2.0 * state.alpha
     grid = np.linspace(lo, hi, 200)
     values = [fraction_over_family(state, b) for b in grid]
     k = int(np.argmax(values))

@@ -6,6 +6,7 @@ brute-force counterpart, reporting the largest deviation.  The CLI
 ``verify`` subcommand runs the whole battery.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,38 +36,70 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def lossy_pair_fock(alpha, eta, truncation=None):
-    """Three-mode (A, B, E) state: the antisymmetric entangled coherent
-    state with mode B passed through the loss channel, built from fock
-    primitives only."""
-    if truncation is None:
-        truncation = fock.adequate_truncation(alpha)
+def _loss_amplitude(alpha):
+    """alpha as a float, rejected where the lossy pair does not exist:
+    at 0 its two terms cancel, and a non-finite amplitude has no Fock
+    vector.  A negative alpha only flips the state's sign."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha == 0.0:
+        raise ValueError(f"loss amplitude must be finite and nonzero, got {alpha}")
+    return alpha
+
+
+def _lossy_terms(alpha, eta, truncation):
+    """The pieces of the unnormalized lossy pair
+    psi = plus (x) BS(minus, 0) - minus (x) BS(plus, 0) on modes (A, B, E):
+    the mode-A vectors |alpha> and |-alpha>, then the (B, E) outputs of
+    the loss beam splitter on |-alpha>|0> and on |alpha>|0>."""
     vac = np.zeros(truncation + 1, dtype=complex)
     vac[0] = 1.0
     plus = fock.coherent_vector(alpha, truncation)
     minus = fock.coherent_vector(-alpha, truncation)
     be_of_minus = fock.beam_splitter(np.outer(minus, vac), eta)
     be_of_plus = fock.beam_splitter(np.outer(plus, vac), eta)
+    return plus, minus, be_of_minus, be_of_plus
+
+
+def lossy_pair_fock(alpha, eta, truncation=None):
+    """Three-mode (A, B, E) state: the antisymmetric entangled coherent
+    state with mode B passed through the loss channel, built from fock
+    primitives only."""
+    alpha = _loss_amplitude(alpha)
+    if truncation is None:
+        truncation = fock.adequate_truncation(alpha)
+    plus, minus, be_of_minus, be_of_plus = _lossy_terms(alpha, eta, truncation)
     psi = plus[:, None, None] * be_of_minus - minus[:, None, None] * be_of_plus
     return psi / np.linalg.norm(psi)
 
 
 def family_overlap_curve(alpha, eta, betas, truncation=None):
     """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
-    computed entirely in the number basis: build the tripartite state
-    once per (alpha, eta), project modes A and B onto each comparison
-    state, and sum the environment weights."""
+    computed entirely in the number basis.  Each probe is contracted
+    with mode A of the lossy pair's two terms first, so the environment
+    weights are w = (plus . P) BS(minus) - (minus . P) BS(plus) and the
+    (N+1)^3 three-mode state is never formed; sum |w|^2 is divided by
+
+        |psi|^2 = |plus|^2 |BS(minus)|^2 + |minus|^2 |BS(plus)|^2
+                  - 2 Re(<plus|minus> <BS(minus)|BS(plus)>).
+    """
+    alpha = _loss_amplitude(alpha)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if betas.size == 0 or not np.all(np.isfinite(betas)):
+        raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
     if truncation is None:
-        truncation = fock.adequate_truncation(max(alpha, betas.max()))
-    psi = lossy_pair_fock(alpha, eta, truncation)
-    psi_ab_e = psi.reshape(-1, psi.shape[-1])  # (A, B) flattened against E
-    values = np.empty(betas.shape)
-    for i, beta in enumerate(betas):
-        probe = fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), truncation)
-        weights = probe.conj().ravel() @ psi_ab_e
-        values[i] = np.sum(np.abs(weights) ** 2)
-    return values
+        truncation = fock.adequate_truncation(max(abs(alpha), betas.max()))
+    plus, minus, be_of_minus, be_of_plus = _lossy_terms(alpha, eta, truncation)
+    probes = np.stack([
+        fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), truncation).conj()
+        for beta in betas
+    ])
+    weights = (plus @ probes) @ be_of_minus - (minus @ probes) @ be_of_plus
+    norm_sq = (
+        np.vdot(plus, plus).real * np.vdot(be_of_minus, be_of_minus).real
+        + np.vdot(minus, minus).real * np.vdot(be_of_plus, be_of_plus).real
+        - 2.0 * (np.vdot(plus, minus) * np.vdot(be_of_minus, be_of_plus)).real
+    )
+    return np.sum(np.abs(weights) ** 2, axis=1) / norm_sq
 
 
 _ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)

@@ -331,10 +331,24 @@ def test_large_amplitude_matches_mpmath():
 
 def test_non_finite_overlap_raises():
     state = decoherence.apply_loss(1.0, LossChannel(0.5))
-    # beta^2 underflows to 0, so expm1(-4 beta^2) is 0 and the ratio inf
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
-        with pytest.raises(ValueError, match="not finite"):
-            decoherence.fraction_over_family(state, 1e-170)
+    # beta^2 underflows to 0 at 1e-170, where expm1(-4 beta^2) would be 0
+    # and the ratio inf, and is subnormal at 1e-155 and 1.4e-154, where
+    # the ratio would be finite but wrong; each is named before any numpy
+    # call, so without a RuntimeWarning
+    for beta in (1e-170, 1e-155, 1.4e-154):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"beta={beta}: beta\\^2 is below"):
+                decoherence.fraction_over_family(state, beta)
+    assert 0.0 < decoherence.fraction_over_family(state, 1.5e-154) < 1.0
+
+
+def test_search_grid_stays_above_subnormal_beta():
+    # the grid's 1e-6 alpha start would square to a subnormal here; the
+    # search must still reach the small-amplitude limit (1 + sqrt(eta))^2 / 4
+    for alpha in (1e-150, 1e-153):
+        _, f_star = decoherence.optimal_beta(alpha, LossChannel(0.5))
+        assert f_star == pytest.approx((1.0 + math.sqrt(0.5)) ** 2 / 4.0, rel=1e-12)
 
 
 def _mp_optimal_overlap(alpha, eta, beta):

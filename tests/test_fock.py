@@ -80,6 +80,56 @@ def test_beam_splitter_tail_error():
         fock.beam_splitter(state, 0.5)
 
 
+def _sector_loop_splitter(vec, eta):
+    """The beam splitter one photon-number sector at a time, gathering
+    and scattering each sector by fancy indexing: the reference for the
+    one-gather form."""
+    vec = np.asarray(vec, dtype=complex)
+    size = vec.shape[0]
+    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
+    out = np.array(vec)
+    for sector in range(2 * size - 1):
+        low = max(0, sector - size + 1)
+        high = min(sector, size - 1)
+        idx_first = np.arange(low, high + 1)
+        idx_second = sector - idx_first
+        component = vec[idx_first, idx_second]
+        if np.max(np.abs(component)) <= 1e-18:
+            continue
+        out[idx_first, idx_second] = fock._splitter_block(theta, sector, low, high) @ component
+    return out
+
+
+def _splitter_inputs(size):
+    rng = np.random.default_rng(size)
+    noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    # |g>|0> holds one entry per sector; zeroing the upper half of g
+    # leaves every sector from size // 2 on empty, so those are skipped
+    one_mode = np.zeros((size, size), dtype=complex)
+    one_mode[:, 0] = fock.coherent_vector(1.2, max(size - 1, 40))[:size]
+    one_mode[size // 2 :, 0] = 0.0
+    for vec in (noise, one_mode):
+        yield vec
+        yield np.asfortranarray(vec)
+        yield vec.T  # a transposed view of a C-ordered array
+
+
+@pytest.mark.parametrize("size", [2, 21, 37])
+def test_beam_splitter_matches_sector_loop(size):
+    for vec in _splitter_inputs(size):
+        for eta in (0.0, 0.3, 1.0):
+            out = fock.beam_splitter(vec, eta, check_tail=False)
+            assert np.array_equal(out, _sector_loop_splitter(vec, eta)), (size, eta)
+
+
+def test_sector_order_cache_is_bounded():
+    info = fock._sector_order.cache_info
+    assert info().maxsize is not None
+    for size in range(2, 2 + 2 * info().maxsize):
+        fock.beam_splitter(np.eye(size, dtype=complex), 0.5, check_tail=False)
+    assert info().currsize <= info().maxsize
+
+
 def test_partial_trace_product_state():
     vec = np.outer(fock.coherent_vector(1.0, 40), fock.coherent_vector(0.5, 40))
     rho = fock.partial_trace(vec, keep=(0,))

@@ -62,6 +62,52 @@ def test_loss_checks_never_form_the_joint_density():
         assert peak < 50e6, (check.__name__, peak)
 
 
+def test_family_overlap_never_forms_the_three_mode_state():
+    alpha, eta, betas = 2.0, 0.5, np.linspace(0.5, 3.5, 7)
+    size = fock.adequate_truncation(betas.max()) + 1  # 70
+    verify.family_overlap_curve(alpha, eta, betas)  # fill the operator caches
+    tracemalloc.start()
+    try:
+        verify.family_overlap_curve(alpha, eta, betas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex (A, B, E) array alone is 70^3 * 16 B = 5.5 MB
+    assert peak < size**3 * 16, peak
+
+
+def test_zero_loss_amplitude_is_domain_error():
+    # the antisymmetric pair vanishes at alpha = 0; named, without the
+    # RuntimeWarning of normalizing a zero vector
+    with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
+        verify.family_overlap_curve(0.0, 0.5, [1.0])
+    with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
+        verify.lossy_pair_fock(0.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_loss_amplitude_is_domain_error(alpha):
+    with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
+        verify.family_overlap_curve(alpha, 0.5, [1.0])
+    with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
+        verify.lossy_pair_fock(alpha, 0.5)
+
+
+@pytest.mark.parametrize("betas", [[], np.array([]), [1.0, float("nan")]])
+def test_comparison_amplitudes_are_checked(betas):
+    with pytest.raises(ValueError, match="comparison amplitudes must be a nonempty finite list"):
+        verify.family_overlap_curve(1.0, 0.5, betas)
+
+
+def test_negative_loss_amplitude_flips_only_the_sign():
+    # |B2(-alpha)> = -|B2(alpha)>, so every overlap is unchanged
+    betas = [0.5, 1.0, 1.5]
+    for eta in (0.3, 0.8):
+        positive = verify.family_overlap_curve(1.0, eta, betas)
+        negative = verify.family_overlap_curve(-1.0, eta, betas)
+        assert np.max(np.abs(positive - negative)) < 1e-14
+
+
 def _counting_search(monkeypatch, transform=lambda beta, f: (beta, f)):
     calls = []
     search = decoherence.search_optimal_beta
