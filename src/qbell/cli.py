@@ -91,8 +91,6 @@ def _sweep_rows(args):
         raise ValueError("alpha-min must be positive")
     if args.steps < 2:
         raise ValueError("need at least 2 sweep steps")
-    for eta in args.etas:
-        decoherence.LossChannel(eta)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     points = decoherence.figure1_sweep(alphas, args.etas)
     return [

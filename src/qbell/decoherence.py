@@ -121,10 +121,14 @@ def fraction_over_family(state, beta):
     alpha^2 or beta^2 below the smallest normal float, where expm1 of
     its multiple loses its relative precision, and a non-finite result
     raise a ValueError.
+
+    Elementwise in beta (a scalar gives a float); an array's domain error
+    names its first offending beta.
     """
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"comparison amplitude beta must be positive, got {beta}")
+    beta = np.asarray(beta, dtype=float)
+    bad = beta[~(beta > 0.0)]
+    if bad.size:
+        raise ValueError(f"comparison amplitude beta must be positive, got {bad[0]}")
     alpha, eta = state.alpha, state.eta
     a2 = alpha**2
     if a2 < _TINY:
@@ -132,25 +136,30 @@ def fraction_over_family(state, beta):
             f"family overlap is out of range at alpha={alpha}, eta={eta}: "
             "alpha^2 is below the smallest normal float"
         )
-    if beta * beta < _TINY:
+    bad = beta[beta * beta < _TINY]
+    if bad.size:
         raise ValueError(
             f"family overlap is out of range at alpha={alpha}, eta={eta}, "
-            f"beta={beta}: beta^2 is below the smallest normal float"
+            f"beta={bad[0]}: beta^2 is below the smallest normal float"
         )
     root = np.sqrt(eta) * alpha
     c = np.expm1(-2.0 * (alpha + root) * beta)
-    value = float(
+    value = (
         0.5 * (1.0 + state.coherence)
-        * np.exp(-((alpha - beta) ** 2) - (root - beta) ** 2)
+        # np.square, not **: a numpy scalar would square through libm pow
+        * np.exp(-np.square(alpha - beta) - np.square(root - beta))
         * (c / np.expm1(-4.0 * a2))
-        * (c / np.expm1(-4.0 * beta**2))
+        * (c / np.expm1(-4.0 * np.square(beta)))
     )
-    if not math.isfinite(value):
+    bad = beta[~np.isfinite(value)]
+    if bad.size:
         raise ValueError(
-            f"family overlap is not finite at alpha={alpha}, eta={eta}, beta={beta}"
+            f"family overlap is not finite at alpha={alpha}, eta={eta}, "
+            f"beta={bad[0]}"
         )
     # the overlap is a fraction by construction; cap the rounding excursion
-    return min(1.0, value)
+    value = np.minimum(1.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def optimal_beta(alpha, channel, verify=True):
@@ -161,8 +170,8 @@ def optimal_beta(alpha, channel, verify=True):
     cosh((1-eta) alpha^2) sinh^2(c beta) / (sinh(2 alpha^2) sinh(2 beta^2)),
     so d log f / d beta = (2/beta) (g(c beta) - g(2 beta^2)) with the
     strictly increasing g(x) = x coth x: its sign is that of c - 2 beta.
-    With ``verify`` (the default), a bracketed grid-plus-golden-section
-    search over (0, 2 alpha] must achieve the same overlap to 1e-9
+    With ``verify`` (the default), the zooming grid search over (0, 2
+    alpha] (search_optimal_beta) must achieve the same overlap to 1e-9
     relative, otherwise a MaximizerError carrying the search result is
     raised.  The comparison runs on overlaps rather than positions
     because the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with
@@ -194,34 +203,22 @@ def _searched_maximum(state, beta_star, f_star):
 
 
 def search_optimal_beta(state):
-    """Independent 1-D maximization of the family overlap: 200-point grid
-    over (0, 2 alpha], then golden-section refinement of the bracketing
-    interval to a 1e-10 width.  The true maximum lies strictly inside the
+    """Independent 1-D maximization of the family overlap: a 200-point
+    grid over (0, 2 alpha], then 21-point grids, each over the bracket
+    [grid[k-1], grid[k+1]] of the last grid's argmax k, until that
+    bracket is at most 1e-10 wide.  The true maximum lies inside each
     bracket because f rises below beta* and falls above it, beta* <= alpha
-    (see optimal_beta).  The grid starts no lower than twice the square
-    root of the smallest normal float, so every beta^2 it tries is normal."""
+    (see optimal_beta).  The first grid starts no lower than twice the
+    square root of the smallest normal float, so every beta^2 is normal."""
     lo, hi = max(1e-6 * state.alpha, 2.0 * math.sqrt(_TINY)), 2.0 * state.alpha
     grid = np.linspace(lo, hi, 200)
-    values = [fraction_over_family(state, b) for b in grid]
-    k = int(np.argmax(values))
-    a = grid[max(0, k - 1)]
-    b = grid[min(len(grid) - 1, k + 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fraction_over_family(state, c)
-    fd = fraction_over_family(state, d)
-    while abs(b - a) > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fraction_over_family(state, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fraction_over_family(state, d)
-    beta = 0.5 * (a + b)
+    while True:
+        k = int(np.argmax(fraction_over_family(state, grid)))
+        lo, hi = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+        if hi - lo <= 1e-10:
+            break
+        grid = np.linspace(lo, hi, 21)
+    beta = 0.5 * (lo + hi)
     return beta, fraction_over_family(state, beta)
 
 
@@ -255,14 +252,14 @@ def figure1_sweep(alphas, etas):
     Points are ordered by (eta descending, alpha ascending).  Per-point
     maximizer failures, domain errors and arithmetic faults do not abort
     the sweep; they are collected and raised at the end as a SweepError
-    holding the completed points.
+    holding the completed points.  An invalid eta raises before any point.
     """
     points, failures = [], []
-    for eta in sorted(set(float(e) for e in etas), reverse=True):
-        channel = LossChannel(eta)
+    channels = {float(e): LossChannel(e) for e in etas}
+    for eta in sorted(channels, reverse=True):
         for alpha in sorted(set(float(a) for a in alphas)):
             try:
-                beta_star, f_star = optimal_beta(alpha, channel)
+                beta_star, f_star = optimal_beta(alpha, channels[eta])
                 points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
             except (measures.MaximizerError, ValueError, ArithmeticError) as exc:
                 failures.append((alpha, eta, str(exc)))

@@ -294,9 +294,7 @@ def check_family_overlap(truncation):
         for eta in (0.1, 0.5, 0.9):
             state = decoherence.apply_loss(alpha, decoherence.LossChannel(eta))
             betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
-            closed = np.array(
-                [decoherence.fraction_over_family(state, b) for b in betas]
-            )
+            closed = decoherence.fraction_over_family(state, betas)
             numeric = family_overlap_curve(alpha, eta, betas, truncation)
             dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("family_overlap", dev, 1e-9)

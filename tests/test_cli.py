@@ -157,8 +157,14 @@ def test_decohere_rejects_bad_grid(run_cli):
     assert proc.returncode == 2
     proc = run_cli("decohere", "--steps", "1", "--etas", "0.5")
     assert proc.returncode == 2
-    proc = run_cli("decohere", "--steps", "3", "--etas", "1.5")
-    assert proc.returncode == 2
+    # figure1_sweep checks every eta before its first point, outside its
+    # per-point handler, so the CLI needs no check of its own
+    for etas in (["1.5"], ["0.5", "1.5"], ["nan"], ["-0.1"]):
+        proc = run_cli("decohere", "--steps", "3", "--etas", *etas)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {
+            "error": f"transmissivity must lie in [0, 1], got {float(etas[-1])}"
+        }
 
 
 def test_charfunc_report(run_cli):

@@ -107,6 +107,44 @@ def test_fraction_over_family_examples():
             decoherence.fraction_over_family(state, beta)
 
 
+def test_array_overlap_matches_scalar_calls():
+    # one formula for both forms: every entry is within an ulp of the
+    # per-beta scalar call, from the smallest accepted amplitude to 30
+    rng = np.random.default_rng(1302)
+    alphas = np.concatenate(
+        [[1e-150, 30.0], 10.0 ** rng.uniform(-150.0, math.log10(30.0), 1998)]
+    )
+    count = 0
+    for alpha in alphas:
+        state = decoherence.apply_loss(alpha, LossChannel(rng.uniform()))
+        betas = alpha * 10.0 ** rng.uniform(-3.0, 0.5, 10)
+        scalar = np.array([decoherence.fraction_over_family(state, b) for b in betas])
+        array = decoherence.fraction_over_family(state, betas)
+        assert array.shape == betas.shape
+        assert np.all(np.abs(array - scalar) <= np.spacing(scalar))
+        count += len(betas)
+    assert count == 20000
+    grid = np.linspace(0.5, 1.5, 6).reshape(2, 3)
+    assert decoherence.fraction_over_family(state, grid).shape == (2, 3)
+    assert type(decoherence.fraction_over_family(state, np.float64(1.0))) is float
+
+
+def test_array_overlap_names_first_bad_beta():
+    # the scalar's domain errors, naming the first offending entry, and
+    # raised before the formula runs, so without a RuntimeWarning
+    state = decoherence.apply_loss(1.0, LossChannel(0.5))
+    cases = [
+        ([1.0, -400.0, 0.0], "beta must be positive, got -400.0"),
+        ([1.0, 2.0, float("nan")], "beta must be positive, got nan"),
+        ([1.0, 1.4e-154, 1e-170], "beta=1.4e-154: beta\\^2 is below"),
+    ]
+    for betas, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                decoherence.fraction_over_family(state, np.array(betas))
+
+
 def test_fraction_matches_oracle_grid():
     worst = 0.0
     for alpha in (0.2, 1.0, 2.0):
@@ -151,6 +189,26 @@ def test_optimal_beta_against_search_grid():
                 for b in np.linspace(0.01, 2 * alpha, 400)
             ]
             assert max(fine) <= f_star + 1e-12
+
+
+def test_search_makes_few_overlap_calls(monkeypatch):
+    # one 200-point grid, then 21-point zooms that each cut the bracket
+    # tenfold, then the overlap at the midpoint
+    sizes = []
+    real = decoherence.fraction_over_family
+
+    def counted(state, beta):
+        sizes.append(np.size(beta))
+        return real(state, beta)
+
+    monkeypatch.setattr(decoherence, "fraction_over_family", counted)
+    for alpha in (1e-150, 0.3, 1.0, 3.0, 30.0):
+        for eta in (0.1, 0.9):
+            state = decoherence.apply_loss(alpha, LossChannel(eta))
+            sizes.clear()
+            decoherence.search_optimal_beta(state)
+            assert len(sizes) <= 15
+            assert sizes[0] == 200 and set(sizes[1:-1]) <= {21} and sizes[-1] == 1
 
 
 def test_unique_maximum_proof():
@@ -214,6 +272,17 @@ def test_sweep_ordering_and_shape():
     # non-increasing in alpha at fixed eta
     for curve in curves.values():
         assert all(b <= a + 1e-15 for a, b in zip(curve, curve[1:]))
+
+
+def test_sweep_checks_every_eta_first(monkeypatch):
+    # an invalid eta is a domain error for the whole sweep, named in the
+    # order given, before any point is computed
+    calls = []
+    monkeypatch.setattr(decoherence, "optimal_beta", lambda *args: calls.append(args))
+    for etas, bad in (([0.9, -0.1], "-0.1"), ([-0.1, 1.5], "-0.1"), ([0.5, 1.5], "1.5")):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            decoherence.figure1_sweep([0.5, 1.0], etas)
+    assert calls == []
 
 
 def test_sweep_collects_failures(monkeypatch):
