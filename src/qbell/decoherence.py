@@ -17,6 +17,7 @@ between the original and attenuated amplitudes.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +42,9 @@ __all__ = [
 # the smallest normal float: below it a squared amplitude loses the
 # relative precision that expm1(-4 x^2) needs
 _TINY = sys.float_info.min
+# the amplitudes whose squares are 2^-1022 and just below overflow
+_ROOT_TINY = math.sqrt(_TINY)
+_ROOT_HUGE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -63,21 +67,11 @@ class DecoheredState:
     ``matrix`` is the 4x4 density matrix in the orthonormalized product
     basis built from span{|+alpha>, |-alpha>} on mode A and
     span{|+sqrt(eta) alpha>, |-sqrt(eta) alpha>} on mode B, ordered
-    |++>, |+->, |-+>, |-->.
-    """
-
-    alpha: float
-    eta: float
-    coherence: float
-    matrix: np.ndarray
-
-
-def apply_loss(alpha, channel):
-    """Propagate |B2(alpha)> through the loss channel and trace out the
-    environment.
+    |++>, |+->, |-+>, |-->.  It is built on first access: the family
+    overlap and its maximizer need only alpha, eta and the coherence.
 
     The environment ends in |-/+ sqrt(1-eta) alpha>, with even/odd
-    components (p_E, m_E), so the result is the mixture
+    components (p_E, m_E), so the matrix is the mixture
 
         (p_E h2/h2')^2 |B2'><B2'| + (m_E h2/h1')^2 |B1'><B1'|
 
@@ -87,19 +81,65 @@ def apply_loss(alpha, channel):
     At eta = 1 it is the pure |B2(alpha)> projector, at eta = 0 the equal
     mixture of |-+> and |++>.
     """
+
+    alpha: float
+    eta: float
+    coherence: float
+
+    @cached_property
+    def matrix(self):
+        alpha, eta = self.alpha, self.eta
+        h2 = CoherentQuasiBell(2, alpha).normalization
+        env = _cat_components(math.sqrt(1.0 - eta) * alpha)
+        rho = np.zeros((4, 4), dtype=complex)
+        for index, component in zip((2, 1), env):
+            mixed = CoherentQuasiBell(index, alpha, math.sqrt(eta) * alpha)
+            c = embed_qubit(mixed)
+            rho += (component * h2 / mixed.normalization) ** 2 * (c[:, None] * c.conj())
+        return rho
+
+
+def _coherence(alpha, eta):
+    """The coherence factor L = exp(-2 (1-eta) alpha^2), elementwise."""
+    return np.exp(-2.0 * (1.0 - eta) * np.square(alpha))
+
+
+def apply_loss(alpha, channel):
+    """Propagate |B2(alpha)> through the loss channel and trace out the
+    environment (see DecoheredState for the resulting mixture)."""
     alpha = _check_amplitude(alpha)
     if not alpha > 0.0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
-    eta = channel.eta
-    h2 = CoherentQuasiBell(2, alpha).normalization
-    env = _cat_components(math.sqrt(1.0 - eta) * alpha)
-    rho = np.zeros((4, 4), dtype=complex)
-    for index, component in zip((2, 1), env):
-        mixed = CoherentQuasiBell(index, alpha, math.sqrt(eta) * alpha)
-        c = embed_qubit(mixed)
-        rho += (component * h2 / mixed.normalization) ** 2 * (c[:, None] * c.conj())
-    coherence = np.exp(-2.0 * (1.0 - eta) * alpha**2)
-    return DecoheredState(alpha, eta, float(coherence), rho)
+    return DecoheredState(alpha, channel.eta, float(_coherence(alpha, channel.eta)))
+
+
+def _overlap_terms(alpha, eta, coherence):
+    """The factors of the family overlap that do not depend on beta:
+    alpha, s = sqrt(eta) alpha, -2 (alpha + s), (1 + L)/2 and
+    expm1(-4 alpha^2), elementwise.  Every square here and in
+    _family_overlap is np.square, an exact product, on floats and arrays
+    alike (** would go through libm pow on a numpy scalar)."""
+    root = np.sqrt(eta) * alpha
+    return (
+        alpha,
+        root,
+        -2.0 * (alpha + root),
+        0.5 * (1.0 + coherence),
+        np.expm1(-4.0 * np.square(alpha)),
+    )
+
+
+def _family_overlap(terms, beta):
+    """The family overlap of fraction_over_family from its _overlap_terms,
+    uncapped and without domain checks; the terms and beta broadcast."""
+    alpha, root, rate, weight, scale = terms
+    c = np.expm1(rate * beta)
+    return (
+        weight
+        * np.exp(-np.square(alpha - beta) - np.square(root - beta))
+        * (c / scale)
+        * (c / np.expm1(-4.0 * np.square(beta)))
+    )
 
 
 def fraction_over_family(state, beta):
@@ -142,15 +182,7 @@ def fraction_over_family(state, beta):
             f"family overlap is out of range at alpha={alpha}, eta={eta}, "
             f"beta={bad[0]}: beta^2 is below the smallest normal float"
         )
-    root = np.sqrt(eta) * alpha
-    c = np.expm1(-2.0 * (alpha + root) * beta)
-    value = (
-        0.5 * (1.0 + state.coherence)
-        # np.square, not **: a numpy scalar would square through libm pow
-        * np.exp(-np.square(alpha - beta) - np.square(root - beta))
-        * (c / np.expm1(-4.0 * a2))
-        * (c / np.expm1(-4.0 * np.square(beta)))
-    )
+    value = _family_overlap(_overlap_terms(alpha, eta, state.coherence), beta)
     bad = beta[~np.isfinite(value)]
     if bad.size:
         raise ValueError(
@@ -182,44 +214,113 @@ def optimal_beta(alpha, channel, verify=True):
     beta_star = state.alpha * (1.0 + np.sqrt(channel.eta)) / 2.0
     f_star = fraction_over_family(state, beta_star)
     if verify:
-        _searched_maximum(state, beta_star, f_star)
+        _searched_maximum(state.alpha, state.eta, beta_star, f_star)
     return beta_star, f_star
 
 
-def _searched_maximum(state, beta_star, f_star):
-    """Run search_optimal_beta on ``state`` and return its (beta, f),
-    raising a MaximizerError unless its overlap matches the closed-form
-    f_star to 1e-9 relative."""
-    beta_num, f_num = search_optimal_beta(state)
+def _searched_maximum(alpha, eta, beta_star, f_star):
+    """Run search_optimal_beta over the rows (alpha, eta) and return its
+    (beta, f), raising a MaximizerError that names the first row whose
+    overlap does not match the closed-form f_star to 1e-9 relative."""
+    beta_num, f_num = search_optimal_beta(alpha, eta)
     # written so that a NaN on either side fails the comparison
-    if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
+    bad = ~(np.abs(f_num - f_star) <= 1e-9 * np.maximum(f_star, 1e-300))
+    if bad.any():
+        i = np.argmax(bad)
+        rows = np.broadcast_arrays(alpha, eta, beta_star, f_star, beta_num, f_num)
+        a, e, b_star, f_s, b_num, f_n = (float(np.ravel(x)[i]) for x in rows)
         raise measures.MaximizerError(
-            f"search maximum f({beta_num}) = {f_num} disagrees with "
-            f"closed form f({beta_star}) = {f_star} "
-            f"(alpha={state.alpha}, eta={state.eta})",
-            f_num,
+            f"search maximum f({b_num}) = {f_n} disagrees with "
+            f"closed form f({b_star}) = {f_s} (alpha={a}, eta={e})",
+            f_n,
         )
     return beta_num, f_num
 
 
-def search_optimal_beta(state):
-    """Independent 1-D maximization of the family overlap: a 200-point
+# the search grids as numpy's linspace builds them, r step + lo with the
+# last entry hi, each padded with one more copy of its first and last
+# entry so that the bracket of an argmax k at either end is clipped
+_FIRST_RAMP = np.concatenate(([0.0], np.arange(200.0), [199.0]))
+_ZOOM_RAMP = np.concatenate(([0.0], np.arange(21.0), [20.0]))
+
+
+# keyed on (rows, padded grid size); a one-row search uses two keys
+@lru_cache(maxsize=64)
+def _bracket_ends(count, size):
+    """Flat positions of padded entries 0 and 2 of each of ``count`` rows
+    of ``size`` entries, shape (2, count, 1): adding a row's argmax k
+    gives its bracket [grid[k-1], grid[k+1]].  Read-only because every
+    search with that many rows shares it."""
+    ends = np.arange(0, count * size, size)[:, None] + np.array([0, 2])[:, None, None]
+    ends.flags.writeable = False
+    return ends
+
+
+def search_optimal_beta(alpha, eta):
+    """Independent 1-D maximization of the family overlap, elementwise
+    over the rows (alpha, eta), which broadcast together: a 200-point
     grid over (0, 2 alpha], then 21-point grids, each over the bracket
     [grid[k-1], grid[k+1]] of the last grid's argmax k, until that
-    bracket is at most 1e-10 wide.  The true maximum lies inside each
-    bracket because f rises below beta* and falls above it, beta* <= alpha
-    (see optimal_beta).  The first grid starts no lower than twice the
-    square root of the smallest normal float, so every beta^2 is normal."""
-    lo, hi = max(1e-6 * state.alpha, 2.0 * math.sqrt(_TINY)), 2.0 * state.alpha
-    grid = np.linspace(lo, hi, 200)
-    while True:
-        k = int(np.argmax(fraction_over_family(state, grid)))
-        lo, hi = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
-        if hi - lo <= 1e-10:
-            break
-        grid = np.linspace(lo, hi, 21)
-    beta = 0.5 * (lo + hi)
-    return beta, fraction_over_family(state, beta)
+    bracket is at most 1e-10 wide; returns that bracket's midpoint beta
+    and the overlap f there.  The true maximum lies inside each bracket
+    because f rises below beta* and falls above it, beta* <= alpha (see
+    optimal_beta).  The first grid starts no lower than twice the square
+    root of the smallest normal float, so every beta^2 is normal.
+
+    All rows share one overlap call per grid, and a row stops zooming
+    once its bracket is narrow enough, so each row's (beta, f) is bitwise
+    that of a one-row call.  Scalars give floats.  A row outside 0 <=
+    eta <= 1, or whose alpha^2 is not a finite normal float, is a domain
+    error naming the first such (alpha, eta)."""
+    # a 0-d input becomes a numpy scalar, whose arithmetic is the cheapest
+    alpha, eta = np.asarray(alpha, dtype=float)[()], np.asarray(eta, dtype=float)[()]
+    if alpha.shape != eta.shape:
+        alpha, eta = np.broadcast_arrays(alpha, eta)
+    # comparisons only, so that no square can overflow and a NaN fails
+    ok = (alpha >= _ROOT_TINY) & (alpha <= _ROOT_HUGE) & (eta >= 0.0) & (eta <= 1.0)
+    if np.count_nonzero(ok) < ok.size:
+        i = np.argmin(ok)
+        raise ValueError(
+            f"maximizer search is out of range at alpha={np.ravel(alpha)[i]}, "
+            f"eta={np.ravel(eta)[i]}: it needs 0 <= eta <= 1 and a positive alpha "
+            "whose square is a finite normal float"
+        )
+    terms = np.array(_overlap_terms(alpha, eta, _coherence(alpha, eta)))
+    flat_terms = terms.reshape(5, -1)
+    rows = np.arange(alpha.size)
+    beta = np.empty(alpha.size)
+    # each active row's bracket [lo, hi] and its width, as columns
+    lo = np.maximum(1e-6 * flat_terms[0, :, None], 2.0 * _ROOT_TINY)
+    hi = 2.0 * flat_terms[0, :, None]
+    width = hi - lo
+    ramp, stale = _FIRST_RAMP, True
+    while rows.size:
+        if stale:
+            grid_terms = flat_terms[:, rows, None].repeat(ramp.size, axis=2)
+            ends = _bracket_ends(rows.size, ramp.size)
+            stale = False
+        # ramp.size - 2 points, so ramp.size - 3 steps
+        grid = ramp * (width / (ramp.size - 3))
+        grid += lo
+        grid[:, -2:] = hi
+        values = _family_overlap(grid_terms, grid)
+        np.minimum(values, 1.0, out=values)
+        # padded entry j is grid[j-1], clipped at both ends, so the
+        # bracket of the argmax k is padded entries k and k + 2
+        lo, hi = grid.ravel()[values[:, 1:-1].argmax(axis=1, keepdims=True) + ends]
+        width = hi - lo
+        if np.minimum.reduce(width, axis=None) <= 1e-10:
+            done = (width <= 1e-10)[:, 0]
+            beta[rows[done]] = 0.5 * (lo[done, 0] + hi[done, 0])
+            rows, lo, hi, width = rows[~done], lo[~done], hi[~done], width[~done]
+            stale = True
+        if ramp is _FIRST_RAMP:
+            ramp, stale = _ZOOM_RAMP, True
+    beta = beta.reshape(alpha.shape)[()]
+    f = np.minimum(1.0, _family_overlap(terms, beta))
+    if alpha.ndim == 0:
+        return float(beta), float(f)
+    return beta, f
 
 
 def biphoton_fraction(channel):

@@ -43,9 +43,23 @@ def adequate_truncation(alpha):
     return int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0) + 20.0))
 
 
+# keyed on the size only, like _sector_order; a default verify battery
+# uses nine
+@lru_cache(maxsize=16)
+def _number_levels(size):
+    """n = 0..size-1 and (1/2) log n! over ``size`` levels, read-only
+    because every coherent vector of that size shares them."""
+    n = np.arange(size)
+    half_log_fact = 0.5 * np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, size))]))
+    n.flags.writeable = False
+    half_log_fact.flags.writeable = False
+    return n, half_log_fact
+
+
 def coherent_vector(alpha, truncation=None):
     """Normalized coherent state |alpha> (alpha real) in the number
-    basis: amplitudes proportional to alpha^n / sqrt(n!)."""
+    basis: amplitudes proportional to alpha^n / sqrt(n!), the odd ones
+    negated for alpha < 0."""
     alpha = float(alpha)
     needed = adequate_truncation(alpha)
     if truncation is None:
@@ -55,12 +69,11 @@ def coherent_vector(alpha, truncation=None):
             f"truncation {truncation} is below the adequacy rule "
             f"({needed} for amplitude {alpha}); raise it"
         )
-    n = np.arange(truncation + 1)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))]))
     if alpha != 0.0:
-        amps = np.sign(alpha) ** n * np.exp(
-            n * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * alpha**2
-        )
+        n, half_log_fact = _number_levels(truncation + 1)
+        amps = np.exp(n * np.log(abs(alpha)) - half_log_fact - 0.5 * alpha**2)
+        if alpha < 0.0:
+            amps[1::2] *= -1.0
     else:
         amps = np.zeros(truncation + 1)
         amps[0] = 1.0
@@ -176,17 +189,24 @@ def beam_splitter(vec, eta, check_tail=True):
     out[order] = moved
     out = out.reshape(size, size)
     if check_tail:
-        _check_tail(out, "beam splitter output")
+        _check_tail(_boundary_mass(out), "beam splitter output")
     return out
 
 
-def _check_tail(vec, what):
-    """Raise a TruncationError if the two-mode ``vec`` holds more than
-    1e-9 probability on the truncation boundary."""
-    boundary = np.sum(np.abs(vec[-1, :]) ** 2) + np.sum(np.abs(vec[:, -1]) ** 2)
-    if boundary > 1e-9:
+def _boundary_mass(vec):
+    """Probability the two-mode ``vec`` holds on its last row and column
+    (the corner counted twice)."""
+    return np.sum(np.abs(vec[-1, :]) ** 2) + np.sum(np.abs(vec[:, -1]) ** 2)
+
+
+def _check_tail(boundary, what):
+    """Raise a TruncationError if a boundary probability (the first of
+    an array of them) exceeds 1e-9."""
+    boundary = np.ravel(boundary)
+    over = np.flatnonzero(boundary > 1e-9)
+    if over.size:
         raise TruncationError(
-            f"{what} holds {boundary:.3e} probability on the "
+            f"{what} holds {boundary[over[0]]:.3e} probability on the "
             "truncation boundary; increase the truncation"
         )
 
@@ -226,22 +246,43 @@ def _displacement_eigensystem(size):
     return w, v
 
 
-def _displacement(zeta, size):
-    """Truncated displacement operator exp(zeta a+ - zeta* a).
+def _char_traces(vec, zeta_a, zeta_b):
+    """operator_trace_charfunc of the two-mode vector ``vec`` at the
+    points (zeta_a[i], zeta_b[i]) of two equal-length complex arrays, in
+    one stacked call.
 
-    Equals exp(zeta a+) exp(-zeta* a) exp(-|zeta|^2 / 2); the unitary
-    form keeps intermediate entries bounded where the triangular factors
-    would overflow the working precision at large truncations.
+    With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator
+    zeta a+ - zeta* a is R r (a+ - a) R+, exactly so on the truncated
+    space as well, so each displacement is D = R V diag(e^{-i r w}) V+ R+
+    from the one cached eigensystem i (a+ - a) = V diag(w) V+ per size.
+    With Y = V+ Ra* psi Rb* V*, the trace <psi| Da psi Db^T> is then
 
-    With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator is
-    R r (a+ - a) R+, exactly so on the truncated space as well, so
-    exp(...) = R V diag(e^{-i r w}) V+ R+ from the one cached
-    eigensystem i (a+ - a) = V diag(w) V+ per size.
+        sum_ij |Y_ij|^2 exp(-i (ra w_i + rb w_j)),
+
+    two matrix products per point where the displaced state takes four.
+    That state, Ra V Ea Y Eb V^T Rb with E = diag(e^{-i r w}), differs
+    from V Ea Y Eb V^T only by the unit phases R, so its last row and
+    column, whose probability must stay within the boundary rule of
+    beam_splitter, cost one matrix-vector product each.
     """
-    w, v = _displacement_eigensystem(size)
-    r, phi = abs(zeta), np.angle(zeta)
-    rotated = np.exp(1j * phi * np.arange(size))[:, None] * v
-    return (rotated * np.exp(-1j * r * w)) @ rotated.conj().T
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim != 2:
+        raise ValueError("expected a two-mode vector")
+    (wa, va), (wb, vb) = map(_displacement_eigensystem, vec.shape)
+    za, zb = np.asarray(zeta_a, dtype=complex), np.asarray(zeta_b, dtype=complex)
+    # the conjugate phases Ra*, Rb* and the diagonals Ea, Eb, one row per point
+    ra = np.exp(-1j * np.angle(za)[:, None] * np.arange(vec.shape[0]))
+    rb = np.exp(-1j * np.angle(zb)[:, None] * np.arange(vec.shape[1]))
+    ea = np.exp(-1j * np.abs(za)[:, None] * wa)
+    eb = np.exp(-1j * np.abs(zb)[:, None] * wb)
+    y = va.conj().T @ (ra[:, :, None] * vec * rb[:, None, :]) @ vb.conj()
+    last_row = np.einsum("pi,pij->pj", va[-1] * ea, y) * eb @ vb.T
+    last_col = (ea * np.einsum("pij,pj->pi", y, eb * vb[-1])) @ va.T
+    _check_tail(
+        np.sum(np.abs(last_row) ** 2, axis=1) + np.sum(np.abs(last_col) ** 2, axis=1),
+        "displaced state",
+    )
+    return np.einsum("pi,pij,pj->p", ea, y.real**2 + y.imag**2, eb)
 
 
 def operator_trace_charfunc(vec, point):
@@ -251,17 +292,10 @@ def operator_trace_charfunc(vec, point):
         Tr[rho exp(za a+) exp(-za* a) exp(zb b+) exp(-zb* b)]
             * exp(-(|za|^2 + |zb|^2)/2)
 
-    evaluated through the truncated displacement matrices of each mode,
-    with the same boundary rule as beam_splitter.
+    evaluated through the truncated displacement of each mode (see
+    _char_traces), with the same boundary rule as beam_splitter.
     """
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 2:
-        raise ValueError("expected a two-mode vector")
-    za = complex(point.zeta_a)
-    zb = complex(point.zeta_b)
-    moved = _displacement(za, vec.shape[0]) @ vec @ _displacement(zb, vec.shape[1]).T
-    _check_tail(moved, "displaced state")
-    return complex(np.vdot(vec, moved))
+    return complex(_char_traces(vec, [complex(point.zeta_a)], [complex(point.zeta_b)])[0])
 
 
 def mean_photon(rho):

@@ -110,9 +110,7 @@ def test_criterion_6_maximizer():
         for eta in np.linspace(0.1, 0.9, 9):
             channel = LossChannel(eta)
             beta_star, _ = decoherence.optimal_beta(alpha, channel)
-            beta_num, _ = decoherence.search_optimal_beta(
-                decoherence.apply_loss(alpha, channel)
-            )
+            beta_num, _ = decoherence.search_optimal_beta(alpha, eta)
             worst_rel = max(worst_rel, abs(beta_num - beta_star) / beta_star)
     assert worst_rel <= 1e-6
     worst_unit = 0.0

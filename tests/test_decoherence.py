@@ -166,8 +166,7 @@ def test_optimal_beta():
     assert beta == 1.0 and f == pytest.approx(1.0, abs=1e-12)
     beta, f = decoherence.optimal_beta(1.0, LossChannel(0.5))
     assert beta == pytest.approx((1 + np.sqrt(0.5)) / 2, abs=1e-15)
-    state = decoherence.apply_loss(1.0, LossChannel(0.5))
-    beta_num, f_num = decoherence.search_optimal_beta(state)
+    beta_num, f_num = decoherence.search_optimal_beta(1.0, 0.5)
     assert abs(beta_num - beta) < 1e-6 * beta
     assert abs(f_num - f) < 1e-9
     with pytest.raises(ValueError):
@@ -180,7 +179,7 @@ def test_optimal_beta_against_search_grid():
             channel = LossChannel(eta)
             state = decoherence.apply_loss(alpha, channel)
             beta_star, f_star = decoherence.optimal_beta(alpha, channel)
-            beta_num, f_num = decoherence.search_optimal_beta(state)
+            beta_num, f_num = decoherence.search_optimal_beta(alpha, eta)
             assert abs(beta_num - beta_star) <= 1e-6 * beta_star
             assert abs(f_num - f_star) <= 1e-9
             # nothing on a fine grid beats the closed-form maximum
@@ -193,22 +192,62 @@ def test_optimal_beta_against_search_grid():
 
 def test_search_makes_few_overlap_calls(monkeypatch):
     # one 200-point grid, then 21-point zooms that each cut the bracket
-    # tenfold, then the overlap at the midpoint
-    sizes = []
-    real = decoherence.fraction_over_family
+    # tenfold, then the overlap at the midpoint; each grid is padded with
+    # a copy of its first and last point, and a batch shares every call
+    grids = []
+    real = decoherence._family_overlap
 
-    def counted(state, beta):
-        sizes.append(np.size(beta))
-        return real(state, beta)
+    def counted(terms, beta):
+        grids.append(np.atleast_2d(beta))
+        return real(terms, beta)
 
-    monkeypatch.setattr(decoherence, "fraction_over_family", counted)
-    for alpha in (1e-150, 0.3, 1.0, 3.0, 30.0):
-        for eta in (0.1, 0.9):
-            state = decoherence.apply_loss(alpha, LossChannel(eta))
-            sizes.clear()
-            decoherence.search_optimal_beta(state)
-            assert len(sizes) <= 15
-            assert sizes[0] == 200 and set(sizes[1:-1]) <= {21} and sizes[-1] == 1
+    monkeypatch.setattr(decoherence, "_family_overlap", counted)
+    alphas, etas = np.meshgrid([1e-150, 0.3, 1.0, 3.0, 30.0], [0.1, 0.9])
+    for alpha, eta in zip(alphas.ravel(), etas.ravel()):
+        grids.clear()
+        decoherence.search_optimal_beta(alpha, eta)
+        assert len(grids) <= 15
+        points = [len(np.unique(grid)) for grid in grids]
+        assert points[0] == 200 and set(points[1:-1]) <= {21} and points[-1] == 1
+    grids.clear()
+    decoherence.search_optimal_beta(alphas, etas)
+    assert len(grids) <= 15 and grids[0].shape == (10, 202)
+
+
+def test_batched_search_rows_match_one_row_calls():
+    # each row stops zooming on its own, so a batch gives every row's
+    # one-row (beta, f) bitwise, from the smallest accepted amplitude to 30
+    rng = np.random.default_rng(1401)
+    alphas = np.concatenate(
+        [[1e-150, 30.0], 10.0 ** rng.uniform(-150.0, math.log10(30.0), 98)]
+    )
+    etas = np.concatenate([[0.5, 1.0], rng.uniform(0.0, 1.0, 98)])
+    beta, f = decoherence.search_optimal_beta(alphas, etas)
+    one = [decoherence.search_optimal_beta(a, e) for a, e in zip(alphas, etas)]
+    assert np.array_equal(beta, [b for b, _ in one])
+    assert np.array_equal(f, [v for _, v in one])
+    assert all(type(b) is float and type(v) is float for b, v in one)
+    grid_beta, grid_f = decoherence.search_optimal_beta(alphas.reshape(10, 10), 0.5)
+    assert grid_beta.shape == grid_f.shape == (10, 10)
+    assert np.array_equal(grid_f.ravel(), decoherence.search_optimal_beta(alphas, 0.5)[1])
+
+
+def test_search_names_first_bad_row():
+    # checked by comparison before any arithmetic, so without a
+    # RuntimeWarning, naming the first offending (alpha, eta)
+    cases = [
+        ([1.0, 2.0, -1.0], [0.5, 1.5, 0.5], "alpha=2.0, eta=1.5"),
+        ([1.0, 1e-160, 2.0], 0.5, "alpha=1e-160, eta=0.5"),
+        ([1.0, 1e160, float("nan")], 0.5, r"alpha=1e\+160, eta=0.5"),
+        ([1.0, float("nan")], [0.5, 0.5], "alpha=nan, eta=0.5"),
+        (1.0, float("nan"), "alpha=1.0, eta=nan"),
+        (0.0, 0.5, "alpha=0.0, eta=0.5"),
+    ]
+    for alpha, eta, where in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"search is out of range at {where}:"):
+                decoherence.search_optimal_beta(alpha, eta)
 
 
 def test_unique_maximum_proof():
@@ -453,7 +492,7 @@ def test_optimal_overlap_matches_mpmath(alpha, eta):
 
 def test_nan_search_fails_comparison(monkeypatch):
     monkeypatch.setattr(
-        decoherence, "search_optimal_beta", lambda state: (1.0, float("nan"))
+        decoherence, "search_optimal_beta", lambda alpha, eta: (1.0, float("nan"))
     )
     with pytest.raises(measures.MaximizerError):
         decoherence.optimal_beta(1.0, LossChannel(0.5))

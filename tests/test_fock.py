@@ -28,6 +28,30 @@ def test_coherent_vector():
     assert abs(mean - 9.0) < 1e-9
 
 
+def _reference_coherent_vector(alpha, truncation):
+    # the table-per-call build: log n! and sign(alpha)^n for every call
+    n = np.arange(truncation + 1)
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))]))
+    if alpha != 0.0:
+        amps = np.sign(alpha) ** n * np.exp(
+            n * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * alpha**2
+        )
+    else:
+        amps = np.zeros(truncation + 1)
+        amps[0] = 1.0
+    vec = amps.astype(complex)
+    return vec / np.linalg.norm(vec)
+
+
+def test_coherent_vector_is_bitwise_the_reference():
+    # the cached number levels and the odd-entry flip change no bit
+    for alpha, truncation in ((1.0, 40), (-1.3, 50), (0.0, 30), (3.0, 61), (-0.1, 33)):
+        got = fock.coherent_vector(alpha, truncation)
+        assert np.array_equal(got, _reference_coherent_vector(alpha, truncation))
+    n, half_log_fact = fock._number_levels(41)
+    assert not n.flags.writeable and not half_log_fact.flags.writeable
+
+
 def test_quasi_bell_fock_norm_and_spectra():
     vec = fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, 1.0))
     lam = np.sort(np.linalg.eigvalsh(fock.partial_trace(vec, keep=(0,))))[::-1][:2]
@@ -220,11 +244,15 @@ def test_splitter_cache_is_bounded():
 
 
 def test_displacement_matches_direct_exponential():
+    # the rotation identity the traces rest on: exp(zeta a+ - zeta* a) =
+    # R V diag(e^{-i r w}) V+ R+ from the cached eigensystem of the size
     for size in (21, 37):
         ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)
+        w, v = fock._displacement_eigensystem(size)
         for zeta in (0.0, 0.7, -1.2, 0.9j, 1.1 - 0.4j):
             direct = fock._expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
-            rotated = fock._displacement(zeta, size)
+            rotated = np.exp(1j * np.angle(zeta) * np.arange(size))[:, None] * v
+            rotated = (rotated * np.exp(-1j * abs(zeta) * w)) @ rotated.conj().T
             assert np.max(np.abs(rotated - direct)) < 1e-13
             unit = rotated.conj().T @ rotated
             assert np.max(np.abs(unit - np.eye(size))) < 1e-13
@@ -234,8 +262,47 @@ def test_displacement_cache_is_bounded():
     info = fock._displacement_eigensystem.cache_info
     assert info().maxsize is not None
     for size in range(2, 2 + 2 * info().maxsize):
-        fock._displacement(0.3 + 0.2j, size)
+        fock._displacement_eigensystem(size)
     assert info().currsize <= info().maxsize
+
+
+def _direct_displacement(zeta, size):
+    ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)
+    return fock._expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
+
+
+def test_eigenbasis_traces_match_explicit_displacements():
+    # sum |Y_ij|^2 e^{-i (ra w_i + rb w_j)} against <psi| Da psi Db^T>
+    # built from the direct exponentials, at two (unequal) mode sizes
+    rng = np.random.default_rng(1402)
+    for state, shape in ((coherent.CoherentQuasiBell(2, 1.0, 0.6), None), (None, (41, 33))):
+        if state is None:
+            vec = np.outer(fock.coherent_vector(0.7, shape[0] - 1), fock.coherent_vector(0.3, shape[1] - 1))
+        else:
+            vec = fock.quasi_bell_fock(state)
+        za = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
+        zb = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
+        traces = fock._char_traces(vec, za, zb)
+        explicit = [
+            np.vdot(vec, _direct_displacement(a, vec.shape[0]) @ vec @ _direct_displacement(b, vec.shape[1]).T)
+            for a, b in zip(za, zb)
+        ]
+        assert np.max(np.abs(traces - explicit)) < 1e-13
+        single = fock.operator_trace_charfunc(vec, coherent.CharFuncPoint(za[3], zb[3]))
+        assert type(single) is complex and single == traces[3]
+
+
+def test_eigenbasis_traces_keep_the_boundary_rule():
+    # the mass the displaced state puts on its last row and column, as
+    # the explicit product gives it, names the first offending point
+    n = fock.adequate_truncation(1.0)
+    vec = np.outer(fock.coherent_vector(1.0, n), fock.coherent_vector(1.0, n))
+    za = np.array([0.5, 4.0, 5.0 + 1.0j])
+    moved = _direct_displacement(za[1], n + 1) @ vec
+    mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
+    with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
+        fock._char_traces(vec, za, np.zeros(3))
+    assert np.isfinite(fock._char_traces(vec, za[:1], np.zeros(1))).all()
 
 
 def test_loss_purity_frobenius_equals_trace():

@@ -109,21 +109,22 @@ def test_negative_loss_amplitude_flips_only_the_sign():
 
 
 def _counting_search(monkeypatch, transform=lambda beta, f: (beta, f)):
-    calls = []
+    rows = []
     search = decoherence.search_optimal_beta
 
-    def counted(state):
-        calls.append(state)
-        return transform(*search(state))
+    def counted(alpha, eta):
+        rows.append(np.size(alpha))
+        return transform(*search(alpha, eta))
 
     monkeypatch.setattr(decoherence, "search_optimal_beta", counted)
-    return calls
+    return rows
 
 
 def test_optimal_beta_check_searches_once_per_point(monkeypatch):
-    calls = _counting_search(monkeypatch)
+    # one batched search over all 90 points
+    rows = _counting_search(monkeypatch)
     assert verify.check_optimal_beta().passed
-    assert len(calls) == 90
+    assert rows == [90]
 
 
 def test_optimal_beta_check_keeps_the_overlap_rule(monkeypatch):
