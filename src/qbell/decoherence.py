@@ -104,12 +104,24 @@ def _coherence(alpha, eta):
     return np.exp(-2.0 * (1.0 - eta) * np.square(alpha))
 
 
+def _check_loss_scale(alpha):
+    """Raise a ValueError naming alpha where 4 alpha^2 is not finite.
+    Below that bound -4 alpha^2, and the exponent -2 (alpha + s) beta of
+    the family overlap at any beta <= alpha, are finite; above it they
+    overflow.  A Python float product, so no numpy call warns first."""
+    if not math.isfinite(4.0 * alpha * alpha):
+        raise ValueError(
+            f"amplitude {alpha} is out of range for photon loss: 4 alpha^2 is not finite"
+        )
+
+
 def apply_loss(alpha, channel):
     """Propagate |B2(alpha)> through the loss channel and trace out the
     environment (see DecoheredState for the resulting mixture)."""
     alpha = _check_amplitude(alpha)
     if not alpha > 0.0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
+    _check_loss_scale(alpha)
     return DecoheredState(alpha, channel.eta, float(_coherence(alpha, channel.eta)))
 
 
@@ -169,29 +181,46 @@ def fraction_over_family(state, beta):
     bad = beta[~(beta > 0.0)]
     if bad.size:
         raise ValueError(f"comparison amplitude beta must be positive, got {bad[0]}")
-    alpha, eta = state.alpha, state.eta
-    a2 = alpha**2
-    if a2 < _TINY:
+    _check_overlap_alpha(state.alpha, state.eta)
+    _check_overlap_beta(state.alpha, state.eta, beta)
+    value = _family_overlap(_overlap_terms(state.alpha, state.eta, state.coherence), beta)
+    _check_finite(state.alpha, state.eta, beta, value)
+    # the overlap is a fraction by construction; cap the rounding excursion
+    value = np.minimum(1.0, value)
+    return float(value) if value.ndim == 0 else value
+
+
+def _check_overlap_alpha(alpha, eta):
+    """The family overlap's domain errors in alpha, raised before any
+    numpy call: 4 alpha^2 must be finite and alpha^2 a normal float."""
+    _check_loss_scale(alpha)
+    if alpha**2 < _TINY:
         raise ValueError(
             f"family overlap is out of range at alpha={alpha}, eta={eta}: "
             "alpha^2 is below the smallest normal float"
         )
+
+
+def _check_overlap_beta(alpha, eta, beta):
+    """The domain error naming the first entry of the array ``beta`` whose
+    square is below the smallest normal float."""
     bad = beta[beta * beta < _TINY]
     if bad.size:
         raise ValueError(
             f"family overlap is out of range at alpha={alpha}, eta={eta}, "
             f"beta={bad[0]}: beta^2 is below the smallest normal float"
         )
-    value = _family_overlap(_overlap_terms(alpha, eta, state.coherence), beta)
+
+
+def _check_finite(alpha, eta, beta, value):
+    """The error naming the first entry of ``beta`` whose overlap
+    ``value`` is not finite."""
     bad = beta[~np.isfinite(value)]
     if bad.size:
         raise ValueError(
             f"family overlap is not finite at alpha={alpha}, eta={eta}, "
             f"beta={bad[0]}"
         )
-    # the overlap is a fraction by construction; cap the rounding excursion
-    value = np.minimum(1.0, value)
-    return float(value) if value.ndim == 0 else value
 
 
 def optimal_beta(alpha, channel, verify=True):
@@ -211,11 +240,26 @@ def optimal_beta(alpha, channel, verify=True):
     conditioned past the rounding plateau while the value still is.
     """
     state = apply_loss(alpha, channel)
-    beta_star = state.alpha * (1.0 + np.sqrt(channel.eta)) / 2.0
-    f_star = fraction_over_family(state, beta_star)
+    _check_overlap_alpha(state.alpha, state.eta)
+    # beta* >= alpha/2, so with alpha^2 normal -4 beta*^2 is nonzero and
+    # _optimum divides by no zero before beta* is checked
+    beta_star, f_star = _optimum(state.alpha, state.eta)
+    at = np.asarray(beta_star)
+    _check_overlap_beta(state.alpha, state.eta, at)
+    _check_finite(state.alpha, state.eta, at, f_star)
+    f_star = float(f_star)
     if verify:
         _searched_maximum(state.alpha, state.eta, beta_star, f_star)
     return beta_star, f_star
+
+
+def _optimum(alpha, eta):
+    """(beta*, f*) = (alpha (1 + sqrt(eta)) / 2, the family overlap there,
+    capped at 1), elementwise over the broadcast (alpha, eta), without
+    domain checks: optimal_beta is its checked scalar face."""
+    terms = _overlap_terms(alpha, eta, _coherence(alpha, eta))
+    beta_star = terms[0] * (1.0 + np.sqrt(eta)) / 2.0
+    return beta_star, np.minimum(1.0, _family_overlap(terms, beta_star))
 
 
 def _searched_maximum(alpha, eta, beta_star, f_star):
@@ -270,20 +314,22 @@ def search_optimal_beta(alpha, eta):
     All rows share one overlap call per grid, and a row stops zooming
     once its bracket is narrow enough, so each row's (beta, f) is bitwise
     that of a one-row call.  Scalars give floats.  A row outside 0 <=
-    eta <= 1, or whose alpha^2 is not a finite normal float, is a domain
-    error naming the first such (alpha, eta)."""
+    eta <= 1, whose alpha^2 is not a normal float, or whose last grid
+    point 2 alpha has an infinite 4 beta^2, is a domain error naming the
+    first such (alpha, eta)."""
     # a 0-d input becomes a numpy scalar, whose arithmetic is the cheapest
     alpha, eta = np.asarray(alpha, dtype=float)[()], np.asarray(eta, dtype=float)[()]
     if alpha.shape != eta.shape:
         alpha, eta = np.broadcast_arrays(alpha, eta)
-    # comparisons only, so that no square can overflow and a NaN fails
-    ok = (alpha >= _ROOT_TINY) & (alpha <= _ROOT_HUGE) & (eta >= 0.0) & (eta <= 1.0)
+    # comparisons only, so that no square can overflow and a NaN fails;
+    # the grid reaches beta = 2 alpha, where 4 beta^2 = (4 alpha)^2
+    ok = (alpha >= _ROOT_TINY) & (alpha <= 0.25 * _ROOT_HUGE) & (eta >= 0.0) & (eta <= 1.0)
     if np.count_nonzero(ok) < ok.size:
         i = np.argmin(ok)
         raise ValueError(
             f"maximizer search is out of range at alpha={np.ravel(alpha)[i]}, "
             f"eta={np.ravel(eta)[i]}: it needs 0 <= eta <= 1 and a positive alpha "
-            "whose square is a finite normal float"
+            "whose square is a normal float and for which (4 alpha)^2 is finite"
         )
     terms = np.array(_overlap_terms(alpha, eta, _coherence(alpha, eta)))
     flat_terms = terms.reshape(5, -1)

@@ -58,8 +58,9 @@ def _number_levels(size):
 
 def coherent_vector(alpha, truncation=None):
     """Normalized coherent state |alpha> (alpha real) in the number
-    basis: amplitudes proportional to alpha^n / sqrt(n!), the odd ones
-    negated for alpha < 0."""
+    basis: amplitudes proportional to |alpha|^n / sqrt(n!), taken
+    through _parity for alpha < 0, so |-alpha> is the parity image of
+    |alpha> bit for bit."""
     alpha = float(alpha)
     needed = adequate_truncation(alpha)
     if truncation is None:
@@ -72,13 +73,39 @@ def coherent_vector(alpha, truncation=None):
     if alpha != 0.0:
         n, half_log_fact = _number_levels(truncation + 1)
         amps = np.exp(n * np.log(abs(alpha)) - half_log_fact - 0.5 * alpha**2)
-        if alpha < 0.0:
-            amps[1::2] *= -1.0
     else:
         amps = np.zeros(truncation + 1)
         amps[0] = 1.0
     vec = amps.astype(complex)
-    return vec / np.linalg.norm(vec)
+    # bitwise vec / np.linalg.norm(vec) without its call overhead: the
+    # imaginary parts are 0, and numpy divides a complex array by a real
+    # scalar as a product with its reciprocal
+    vec *= 1.0 / math.sqrt(vec.real.dot(vec.real))
+    return _parity(vec) if alpha < 0.0 else vec
+
+
+# keyed on the shape only; a default verify battery uses 13, nine
+# one-mode sizes and four two-mode shapes
+@lru_cache(maxsize=32)
+def _odd_entries(shape):
+    """Mask of the entries of a ``shape`` array whose photon numbers,
+    one per axis, have an odd sum; read-only because every state of that
+    shape shares it."""
+    odd = np.indices(shape).sum(axis=0) % 2 == 1
+    odd.flags.writeable = False
+    return odd
+
+
+def _parity(vec):
+    """The photon-number parity (-1)^(n_1 + ... + n_m) applied to a pure
+    state with one axis per mode: a copy with the odd-total entries
+    negated.  Negation is exact, so the magnitudes and the norm keep
+    every bit.  It takes |alpha> to |-alpha>, and a beam splitter, which
+    conserves the total photon number, commutes with it:
+    beam_splitter(_parity(psi)) is _parity(beam_splitter(psi))."""
+    out = np.array(vec, dtype=complex)
+    np.negative(out, out=out, where=_odd_entries(out.shape))
+    return out
 
 
 _SIGN_PATTERNS = {
@@ -91,22 +118,30 @@ _SIGN_PATTERNS = {
 }
 
 
-def quasi_bell_fock(state, truncation=None):
-    """Two-mode quasi-Bell state built explicitly from coherent vectors.
+def _quasi_bell_terms(state, truncation):
+    """The quasi-Bell state as two product terms and their norm:
+    ((a, b), (c, d)), norm with the state (a (x) b + c (x) d) / norm.
 
-    Normalized numerically; the squared norm of the unnormalized
-    superposition is checked against 2 (1 +/- ka kb) as an internal
-    consistency guard.
+    a = |alpha> and b the first mode-B vector; the second term is
+    sign (P a) (x) (P b) with P the parity (_parity), so two coherent
+    vectors serve all four.  An entry (n, m) of the sum is 2 a_n b_m
+    when sign (-1)^(n+m) = +1 and exactly 0 otherwise, so the squared
+    norm is 4 (E_a E_b + O_a O_b) for sign +1 and 4 (E_a O_b + O_a E_b)
+    for sign -1, with E and O the even-n and odd-n sums of |amplitude|^2:
+    a sum of positive terms, which cannot cancel.  It is checked against
+    2 (1 +/- ka kb) as an internal consistency guard.
     """
     alpha, beta = state.alpha, state.beta
-    if truncation is None:
-        truncation = adequate_truncation(max(abs(alpha), abs(beta)))
     sign, flip_b = _SIGN_PATTERNS[state.index]
-    b_first, b_second = (-beta, beta) if flip_b else (beta, -beta)
-    term1 = np.outer(coherent_vector(alpha, truncation), coherent_vector(b_first, truncation))
-    term2 = np.outer(coherent_vector(-alpha, truncation), coherent_vector(b_second, truncation))
-    raw = term1 + sign * term2
-    norm_sq = float(np.vdot(raw, raw).real)
+    a = coherent_vector(alpha, truncation)
+    b = coherent_vector(-beta if flip_b else beta, truncation)
+    even_a, odd_a, even_b, odd_b = (
+        float(np.vdot(part, part).real) for part in (a[0::2], a[1::2], b[0::2], b[1::2])
+    )
+    if sign > 0:
+        norm_sq = 4.0 * (even_a * even_b + odd_a * odd_b)
+    else:
+        norm_sq = 4.0 * (even_a * odd_b + odd_a * even_b)
     kk = math.exp(-2.0 * alpha**2) * math.exp(-2.0 * beta**2)
     expected = 2.0 * (1.0 + sign * kk)
     if abs(norm_sq - expected) > 1e-10:
@@ -114,7 +149,19 @@ def quasi_bell_fock(state, truncation=None):
             f"unnormalized norm^2 {norm_sq} differs from {expected}; "
             "truncation too small for these amplitudes"
         )
-    return raw / math.sqrt(norm_sq)
+    c = _parity(a)
+    if sign < 0:
+        np.negative(c, out=c)
+    return ((a, b), (c, _parity(b))), math.sqrt(norm_sq)
+
+
+def quasi_bell_fock(state, truncation=None):
+    """Two-mode quasi-Bell state built explicitly from coherent vectors
+    (see _quasi_bell_terms), normalized numerically."""
+    if truncation is None:
+        truncation = adequate_truncation(max(abs(state.alpha), abs(state.beta)))
+    ((a, b), (c, d)), norm = _quasi_bell_terms(state, truncation)
+    return (np.outer(a, b) + np.outer(c, d)) / norm
 
 
 def _expm_antihermitian(gen):

@@ -50,14 +50,29 @@ def _lossy_terms(alpha, eta, truncation):
     """The pieces of the unnormalized lossy pair
     psi = plus (x) BS(minus, 0) - minus (x) BS(plus, 0) on modes (A, B, E):
     the mode-A vectors |alpha> and |-alpha>, then the (B, E) outputs of
-    the loss beam splitter on |-alpha>|0> and on |alpha>|0>."""
+    the loss beam splitter on |-alpha>|0> and on |alpha>|0>.  Photon-number
+    parity gives both minus terms from the plus ones: |-alpha> is the
+    parity image of |alpha>, and the splitter commutes with the total
+    parity, so BS(minus, 0) is BS(plus, 0) with entry (b, e) times
+    (-1)^(b+e), bit for bit; one splitter call serves both."""
     vac = np.zeros(truncation + 1, dtype=complex)
     vac[0] = 1.0
     plus = fock.coherent_vector(alpha, truncation)
-    minus = fock.coherent_vector(-alpha, truncation)
-    be_of_minus = fock.beam_splitter(np.outer(minus, vac), eta)
     be_of_plus = fock.beam_splitter(np.outer(plus, vac), eta)
-    return plus, minus, be_of_minus, be_of_plus
+    return plus, fock._parity(plus), fock._parity(be_of_plus), be_of_plus
+
+
+def _pair_norm_sq(plus, minus, be_of_minus, be_of_plus):
+    """|psi|^2 of the lossy pair from its _lossy_terms:
+
+        |plus|^2 |BS(minus)|^2 + |minus|^2 |BS(plus)|^2
+            - 2 Re(<plus|minus> <BS(minus)|BS(plus)>).
+    """
+    return (
+        np.vdot(plus, plus).real * np.vdot(be_of_minus, be_of_minus).real
+        + np.vdot(minus, minus).real * np.vdot(be_of_plus, be_of_plus).real
+        - 2.0 * (np.vdot(plus, minus) * np.vdot(be_of_minus, be_of_plus)).real
+    )
 
 
 def lossy_pair_fock(alpha, eta, truncation=None):
@@ -74,13 +89,16 @@ def lossy_pair_fock(alpha, eta, truncation=None):
 
 def family_overlap_curve(alpha, eta, betas, truncation=None):
     """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
-    computed entirely in the number basis.  Each probe is contracted
-    with mode A of the lossy pair's two terms first, so the environment
-    weights are w = (plus . P) BS(minus) - (minus . P) BS(plus) and the
-    (N+1)^3 three-mode state is never formed; sum |w|^2 is divided by
+    computed entirely in the number basis.  Each probe is kept as its
+    two product terms u (x) v (fock._quasi_bell_terms) and contracted
+    with mode A of the lossy pair's two terms first: a mode-A vector x
+    gives the mode-B vector x . conj(probe) = sum (x . u*) v* / norm, so
+    the environment weights are
 
-        |psi|^2 = |plus|^2 |BS(minus)|^2 + |minus|^2 |BS(plus)|^2
-                  - 2 Re(<plus|minus> <BS(minus)|BS(plus)>).
+        w = (plus . P*) BS(minus) - (minus . P*) BS(plus),
+
+    and neither a dense probe nor the (N+1)^3 three-mode state is
+    formed; sum |w|^2 is divided by _pair_norm_sq.
     """
     alpha = _loss_amplitude(alpha)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
@@ -89,16 +107,19 @@ def family_overlap_curve(alpha, eta, betas, truncation=None):
     if truncation is None:
         truncation = fock.adequate_truncation(max(abs(alpha), betas.max()))
     plus, minus, be_of_minus, be_of_plus = _lossy_terms(alpha, eta, truncation)
-    probes = np.stack([
-        fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), truncation).conj()
+    probes = [
+        fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, beta), truncation)
         for beta in betas
-    ])
-    weights = (plus @ probes) @ be_of_minus - (minus @ probes) @ be_of_plus
-    norm_sq = (
-        np.vdot(plus, plus).real * np.vdot(be_of_minus, be_of_minus).real
-        + np.vdot(minus, minus).real * np.vdot(be_of_plus, be_of_plus).real
-        - 2.0 * (np.vdot(plus, minus) * np.vdot(be_of_minus, be_of_plus)).real
-    )
+    ]
+    # the conjugated vectors of every probe term, indexed (beta, term, mode, n)
+    vecs = np.array([terms for terms, _ in probes]).conj()
+    scale = 1.0 / np.array([norm for _, norm in probes])[:, None]
+
+    def contracted(mode_a):
+        return np.sum((vecs[:, :, 0] @ mode_a)[:, :, None] * vecs[:, :, 1], axis=1) * scale
+
+    weights = contracted(plus) @ be_of_minus - contracted(minus) @ be_of_plus
+    norm_sq = _pair_norm_sq(plus, minus, be_of_minus, be_of_plus)
     return np.sum(np.abs(weights) ** 2, axis=1) / norm_sq
 
 
@@ -232,30 +253,30 @@ def check_beam_splitter_unitary():
 def _orthonormal_pair(alpha, truncation):
     """Fock vectors of the orthonormal basis built from span{|a>, |-a>}."""
     up = fock.coherent_vector(alpha, truncation)
-    down = fock.coherent_vector(-alpha, truncation)
+    down = fock._parity(up)
     plus, minus = up + down, up - down
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
 
 
 def _projected_loss_density(alpha, eta, n):
     """The Fock-space rho_AB of lossy_pair_fock projected onto the 4x4
-    basis of DecoheredState.matrix.  rho_AB = M M+ with M the (A, B) x E
-    amplitude matrix, so the projection B+ rho_AB B is (B+ M)(B+ M)+ and
-    the (n+1)^2-square rho_AB is never formed."""
-    psi = lossy_pair_fock(alpha, eta, n)
-    plus_a, minus_a = _orthonormal_pair(alpha, n)
-    plus_b, minus_b = _orthonormal_pair(np.sqrt(eta) * alpha, n)
-    basis = np.stack(
-        [
-            np.kron(plus_a, plus_b),
-            np.kron(plus_a, minus_b),
-            np.kron(minus_a, plus_b),
-            np.kron(minus_a, minus_b),
-        ],
-        axis=1,
-    )
-    phi = basis.conj().T @ psi.reshape(-1, psi.shape[-1])
-    return fock.partial_trace(phi, keep=(0,))
+    basis of DecoheredState.matrix, built from the pair's two terms.
+    With psi = plus (x) BS(minus) - minus (x) BS(plus), the (A, B) x E
+    amplitude matrix projected onto the basis is
+
+        phi_(ij) = <a_i|plus> <b_j|BS(minus) - <a_i|minus> <b_j|BS(plus),
+
+    a 4 x (n+1) matrix, and the projection of rho_AB = M M+ is
+    phi phi+ / |psi|^2 (_pair_norm_sq); neither psi nor rho_AB is formed."""
+    alpha = _loss_amplitude(alpha)
+    plus, minus, be_of_minus, be_of_plus = _lossy_terms(alpha, eta, n)
+    basis_a = np.stack(_orthonormal_pair(alpha, n)).conj()
+    basis_b = np.stack(_orthonormal_pair(np.sqrt(eta) * alpha, n)).conj()
+    phi = (
+        np.multiply.outer(basis_a @ plus, basis_b @ be_of_minus)
+        - np.multiply.outer(basis_a @ minus, basis_b @ be_of_plus)
+    ).reshape(4, -1)
+    return (phi @ phi.conj().T) / _pair_norm_sq(plus, minus, be_of_minus, be_of_plus)
 
 
 def check_loss_density(truncation):
@@ -275,11 +296,20 @@ def check_loss_purity(truncation):
     dev = 0.0
     # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
     for eta in (0.3, 0.5):
-        psi = lossy_pair_fock(alpha, eta, n)
-        # psi is pure, so rho_AB and rho_E share their nonzero spectrum
-        # (Schmidt decomposition) and Tr rho_AB^2 = Tr rho_E^2; rho_E is
-        # Hermitian, so that is the Frobenius sum of |rho_E_ij|^2
-        rho_env = fock.partial_trace(psi, keep=(2,))
+        plus, minus, be_of_minus, be_of_plus = _lossy_terms(alpha, eta, n)
+        # psi = sum_k A_k (x) T_k over (A, T) = (plus, BS(minus)) and
+        # (minus, -BS(plus)) is pure, so rho_AB and rho_E share their
+        # nonzero spectrum (Schmidt decomposition) and Tr rho_AB^2 =
+        # Tr rho_E^2.  Tracing A and B from the terms gives
+        # rho_E = sum_kl <A_l|A_k> T_k^T conj(T_l) / |psi|^2, an
+        # (n+1)-square matrix, and rho_E is Hermitian, so Tr rho_E^2 is
+        # the Frobenius sum of |rho_E_ij|^2
+        terms = ((plus, be_of_minus), (minus, -be_of_plus))
+        rho_env = sum(
+            np.vdot(a_l, a_k) * (t_k.T @ t_l.conj())
+            for a_k, t_k in terms
+            for a_l, t_l in terms
+        ) / _pair_norm_sq(plus, minus, be_of_minus, be_of_plus)
         numeric = float(np.vdot(rho_env, rho_env).real)
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = float(np.real(np.trace(closed_rho @ closed_rho)))
@@ -300,8 +330,9 @@ def check_family_overlap(truncation):
 
 
 def check_optimal_beta():
-    # beta* and f* come from optimal_beta itself at each of the 90 points,
-    # and one batched search_optimal_beta call runs over all of them,
+    # beta* and f* come from one pass of decoherence._optimum, the
+    # elementwise form of optimal_beta, over the 90 points, and one
+    # batched search_optimal_beta call runs over all of them,
     # raising a MaximizerError past the 1e-9 relative overlap rule that
     # optimal_beta(verify=True) applies.  The position deviation is
     # reported from alpha = 0.3 up: the overlap peak flattens like
@@ -311,10 +342,7 @@ def check_optimal_beta():
         grid.ravel()
         for grid in np.meshgrid(np.linspace(0.3, 3.0, 10), np.linspace(0.1, 0.9, 9), indexing="ij")
     )
-    beta_star, f_star = np.array([
-        decoherence.optimal_beta(alpha, decoherence.LossChannel(eta), verify=False)
-        for alpha, eta in zip(alphas, etas)
-    ]).T
+    beta_star, f_star = decoherence._optimum(alphas, etas)
     beta_num, _ = decoherence._searched_maximum(alphas, etas, beta_star, f_star)
     return CheckResult("optimal_beta", np.max(np.abs(beta_num - beta_star) / beta_star), 1e-6)
 

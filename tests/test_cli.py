@@ -288,19 +288,32 @@ def test_floating_point_fault_is_pure_json_error():
     assert "(alpha=1e-160, eta=0.5)" in error
 
 
+def test_overflow_band_is_pure_json_error():
+    # alpha^2 is finite here, 4 alpha^2 is not: a domain error naming each
+    # point, with no numpy overflow warning on stderr
+    proc = run_cli_process("decohere", "--alpha-min", "1e154", "--alpha-max", "1.2e154",
+                           "--steps", "2", "--etas", "0.5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert "overflow" not in error
+    for alpha in ("1e+154", "1.2e+154"):
+        assert f"(alpha={alpha}, eta=0.5): amplitude {alpha} is out of range" in error
+
+
 def test_numpy_fault_is_json_error(run_cli, monkeypatch):
     # no real input reaches a numpy fault any more; the CLI still makes
     # one raise, and the sweep names its point
     from qbell import decoherence
 
-    real = decoherence.fraction_over_family
+    real = decoherence._optimum
 
-    def faulty(state, beta):
-        if state.alpha < 0.5:
+    def faulty(alpha, eta):
+        if alpha < 0.5:
             return np.float64(1.0) / np.float64(0.0)
-        return real(state, beta)
+        return real(alpha, eta)
 
-    monkeypatch.setattr(decoherence, "fraction_over_family", faulty)
+    monkeypatch.setattr(decoherence, "_optimum", faulty)
     proc = run_cli("decohere", "--alpha-min", "0.1", "--alpha-max", "1",
                    "--steps", "2", "--etas", "0.5")
     assert proc.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -248,6 +249,38 @@ def test_search_names_first_bad_row():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"search is out of range at {where}:"):
                 decoherence.search_optimal_beta(alpha, eta)
+
+
+def test_overflow_band_is_a_named_domain_error():
+    # alpha^2 is finite up to 1.34e154 but 4 alpha^2 only up to 6.7e153;
+    # past it every entry point names alpha before any numpy call
+    channel = LossChannel(0.5)
+    for alpha in (7e153, 1e154, 1.2e154):
+        calls = (
+            lambda: decoherence.apply_loss(alpha, channel),
+            lambda: decoherence.optimal_beta(alpha, channel),
+            lambda: decoherence.optimal_beta(alpha, channel, verify=False),
+            lambda: decoherence.fraction_over_family(
+                decoherence.DecoheredState(alpha, 0.5, 0.0), 1.0
+            ),
+        )
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(f"amplitude {alpha!r} is out of range")):
+                    call()
+    # the search's grid reaches beta = 2 alpha, so its 4 beta^2 stops it
+    # at alpha = sqrt(float max) / 4, and optimal_beta's check with it
+    edge = 0.25 * math.sqrt(np.finfo(float).max)
+    for alpha in (float(np.nextafter(edge, np.inf)), 5e153):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"search is out of range at alpha={alpha!r}")):
+                decoherence.optimal_beta(alpha, channel)
+            decoherence.optimal_beta(alpha, channel, verify=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decoherence.optimal_beta(edge, channel)[1] == 0.0
 
 
 def test_unique_maximum_proof():

@@ -146,6 +146,67 @@ def test_beam_splitter_matches_sector_loop(size):
             assert np.array_equal(out, _sector_loop_splitter(vec, eta)), (size, eta)
 
 
+def test_coherent_parity_is_bitwise():
+    # |-alpha> is the parity image of |alpha>: same magnitudes, same norm
+    for truncation in (66, 80):
+        for alpha in (0.0, 1e-3, 0.4, 1.0, 2.5, 3.3):
+            for sign in (1.0, -1.0):
+                vec = fock.coherent_vector(sign * alpha, truncation)
+                flipped = fock.coherent_vector(-sign * alpha, truncation)
+                assert np.array_equal(fock._parity(vec), flipped), (alpha, truncation)
+                if alpha:
+                    # sign bits too, away from the vacuum's zeros
+                    assert np.array_equal(fock._parity(vec).view(np.uint64), flipped.view(np.uint64))
+                assert np.array_equal(np.abs(vec), np.abs(flipped))
+                assert np.linalg.norm(vec) == np.linalg.norm(flipped)
+    assert np.array_equal(fock._parity(fock._parity(vec)), vec)
+
+
+@pytest.mark.parametrize("size", [2, 21, 37, 62])
+def test_beam_splitter_commutes_with_parity(size):
+    # the splitter conserves the total photon number, so it commutes with
+    # (-1)^(n_1 + n_2) entry for entry: each sector moves with one sign
+    vac = np.zeros(size, dtype=complex)
+    vac[0] = 1.0
+    one_mode = np.outer(fock.coherent_vector(1.7, max(size - 1, 47))[:size], vac)
+    for vec in list(_splitter_inputs(size)) + [one_mode]:
+        for eta in (0.0, 0.3, 1.0):
+            moved = fock.beam_splitter(vec, eta, check_tail=False)
+            flipped = fock.beam_splitter(fock._parity(vec), eta, check_tail=False)
+            assert np.array_equal(flipped, fock._parity(moved)), (size, eta)
+    odd = fock._odd_entries((3, 4))
+    assert odd[0, 1] and odd[1, 0] and not odd[1, 1] and not odd.flags.writeable
+
+
+def _dense_quasi_bell(state, truncation):
+    # the four-vector build: every coherent vector made by coherent_vector
+    # and the squared norm taken from the dense superposition
+    sign = -1.0 if state.index in (2, 4) else 1.0
+    b_first = -state.beta if state.index in (1, 2) else state.beta
+    raw = np.outer(
+        fock.coherent_vector(state.alpha, truncation), fock.coherent_vector(b_first, truncation)
+    ) + sign * np.outer(
+        fock.coherent_vector(-state.alpha, truncation), fock.coherent_vector(-b_first, truncation)
+    )
+    return raw / math.sqrt(np.vdot(raw, raw).real)
+
+
+def test_quasi_bell_terms_match_the_dense_build():
+    for index in (1, 2, 3, 4):
+        for alpha, beta in ((1e-3, 1e-3), (0.3, 1.1), (1.0, 1.0), (2.0, 0.6), (1.0, 0.0)):
+            if index in (2, 4) and beta == 0.0:
+                continue  # a vanishing state
+            state = coherent.CoherentQuasiBell(index, alpha, beta)
+            got = fock.quasi_bell_fock(state, 50)
+            assert np.max(np.abs(got - _dense_quasi_bell(state, 50))) < 1e-15, (index, alpha, beta)
+            ((a, b), (c, d)), norm = fock._quasi_bell_terms(state, 50)
+            assert np.array_equal(got, (np.outer(a, b) + np.outer(c, d)) / norm)
+    # the parity-class sums do not cancel where 1 - ka kb does
+    tiny = coherent.CoherentQuasiBell(2, 1e-5)
+    _, norm = fock._quasi_bell_terms(tiny, 31)
+    assert norm**2 == pytest.approx(-2.0 * math.expm1(-4e-10), rel=1e-9)
+
+
 def test_sector_order_cache_is_bounded():
     info = fock._sector_order.cache_info
     assert info().maxsize is not None

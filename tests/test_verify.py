@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbell import decoherence, fock, measures, verify
+from qbell import coherent, decoherence, fock, measures, verify
 
 
 def _basis_pair(amplitude, n):
@@ -49,7 +49,9 @@ def test_environment_purity_equals_trace():
 
 
 def test_loss_checks_never_form_the_joint_density():
-    # one (61^2)-square complex rho_AB alone would take 61^4 * 16 B = 222 MB
+    # one (61^2)-square complex rho_AB alone would take 61^4 * 16 B = 222 MB,
+    # and one complex (A, B, E) state 61^3 * 16 B = 3.6 MB: both checks
+    # work from the pair's two terms and stay below the smaller
     verify.check_loss_density(60)  # fill the splitter and displacement caches
     verify.check_loss_purity(60)
     for check in (verify.check_loss_purity, verify.check_loss_density):
@@ -59,7 +61,36 @@ def test_loss_checks_never_form_the_joint_density():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50e6, (check.__name__, peak)
+        assert peak < 61**3 * 16, (check.__name__, peak)
+
+
+def _dense_probe_curve(alpha, eta, betas, truncation):
+    # the dense build: |-alpha> and its splitter output made directly, and
+    # each normalized B2(beta) probe stacked as an (N+1)^2 array
+    vac = np.zeros(truncation + 1, dtype=complex)
+    vac[0] = 1.0
+    plus = fock.coherent_vector(alpha, truncation)
+    minus = fock.coherent_vector(-alpha, truncation)
+    be_of_minus = fock.beam_splitter(np.outer(minus, vac), eta)
+    be_of_plus = fock.beam_splitter(np.outer(plus, vac), eta)
+    probes = np.stack([
+        fock.quasi_bell_fock(coherent.CoherentQuasiBell(2, beta), truncation).conj()
+        for beta in betas
+    ])
+    weights = (plus @ probes) @ be_of_minus - (minus @ probes) @ be_of_plus
+    psi = plus[:, None, None] * be_of_minus - minus[:, None, None] * be_of_plus
+    return np.sum(np.abs(weights) ** 2, axis=1) / np.vdot(psi, psi).real
+
+
+def test_family_overlap_curve_matches_dense_probes():
+    worst = 0.0
+    for alpha in (0.5, 1.0, 2.0):
+        for eta in (0.0, 0.1, 0.5, 0.9, 1.0):
+            betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
+            n = fock.adequate_truncation(betas.max())
+            curve = verify.family_overlap_curve(alpha, eta, betas, n)
+            worst = max(worst, np.max(np.abs(curve - _dense_probe_curve(alpha, eta, betas, n))))
+    assert worst < 1e-13
 
 
 def test_family_overlap_never_forms_the_three_mode_state():
@@ -138,6 +169,20 @@ def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
     result = verify.check_optimal_beta()
     assert not result.passed
     assert result.deviation > 1e-6
+
+
+def test_optimum_rows_are_the_scalar_calls():
+    alphas, etas = (
+        grid.ravel()
+        for grid in np.meshgrid(np.linspace(0.3, 3.0, 10), np.linspace(0.1, 0.9, 9), indexing="ij")
+    )
+    rng = np.random.default_rng(1501)
+    alphas = np.concatenate([alphas, 10.0 ** rng.uniform(-150.0, 3.0, 200)])
+    etas = np.concatenate([etas, rng.uniform(0.0, 1.0, 200)])
+    beta_star, f_star = decoherence._optimum(alphas, etas)
+    for row, (alpha, eta) in enumerate(zip(alphas, etas)):
+        beta, f = decoherence.optimal_beta(alpha, decoherence.LossChannel(eta), verify=False)
+        assert beta_star[row] == beta and f_star[row] == f, (alpha, eta)
 
 
 def test_deviations_are_python_floats():
