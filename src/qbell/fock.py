@@ -8,7 +8,12 @@ closed-form modules.
 
 Conventions: a pure state of m modes is an ndarray with one axis per
 mode, each of length N+1 where N is the truncation; densities are
-square 2-D arrays over the flattened kept modes.
+square 2-D arrays over the flattened kept modes.  A two-mode state may
+also be kept as product terms: two stacks ``terms_a`` (T x Na) and
+``terms_b`` (T x Nb) of mode vectors standing for the state
+psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b, which the
+private kernels (_char_traces, _reduced_density) take without forming
+psi; a quasi-Bell state is two such terms (_quasi_bell_terms).
 """
 
 import math
@@ -118,23 +123,35 @@ _SIGN_PATTERNS = {
 }
 
 
-def _quasi_bell_terms(state, truncation):
-    """The quasi-Bell state as two product terms and their norm:
-    ((a, b), (c, d)), norm with the state (a (x) b + c (x) d) / norm.
+def _quasi_bell_terms(state, truncation=None):
+    """The quasi-Bell state as two stacked product terms and their norm:
+    (terms_a, terms_b), norm with the state terms_a^T terms_b / norm,
+    terms_a = [a, c] and terms_b = [b, d], so a (x) b + c (x) d.
 
     a = |alpha> and b the first mode-B vector; the second term is
     sign (P a) (x) (P b) with P the parity (_parity), so two coherent
-    vectors serve all four.  An entry (n, m) of the sum is 2 a_n b_m
-    when sign (-1)^(n+m) = +1 and exactly 0 otherwise, so the squared
-    norm is 4 (E_a E_b + O_a O_b) for sign +1 and 4 (E_a O_b + O_a E_b)
-    for sign -1, with E and O the even-n and odd-n sums of |amplitude|^2:
-    a sum of positive terms, which cannot cancel.  It is checked against
-    2 (1 +/- ka kb) as an internal consistency guard.
+    vectors serve all four, and one when |beta| = |alpha|, where b is a
+    or P a bit for bit (coherent_vector).  An entry (n, m) of the sum is
+    2 a_n b_m when sign (-1)^(n+m) = +1 and exactly 0 otherwise, so the
+    squared norm is 4 (E_a E_b + O_a O_b) for sign +1 and
+    4 (E_a O_b + O_a E_b) for sign -1, with E and O the even-n and odd-n
+    sums of |amplitude|^2: a sum of positive terms, which cannot cancel.
+    It is checked against 2 (1 +/- ka kb) as an internal consistency
+    guard.  Without a truncation, the adequacy rule of the larger
+    amplitude sets it.
     """
     alpha, beta = state.alpha, state.beta
+    if truncation is None:
+        truncation = adequate_truncation(max(abs(alpha), abs(beta)))
     sign, flip_b = _SIGN_PATTERNS[state.index]
+    amp_b = -beta if flip_b else beta
     a = coherent_vector(alpha, truncation)
-    b = coherent_vector(-beta if flip_b else beta, truncation)
+    if amp_b == alpha:
+        b = a
+    elif amp_b == -alpha:
+        b = _parity(a)
+    else:
+        b = coherent_vector(amp_b, truncation)
     even_a, odd_a, even_b, odd_b = (
         float(np.vdot(part, part).real) for part in (a[0::2], a[1::2], b[0::2], b[1::2])
     )
@@ -149,18 +166,17 @@ def _quasi_bell_terms(state, truncation):
             f"unnormalized norm^2 {norm_sq} differs from {expected}; "
             "truncation too small for these amplitudes"
         )
-    c = _parity(a)
+    # stacked copies, so b may be a itself and the sign negates only c
+    terms_a = np.array((a, _parity(a)))
     if sign < 0:
-        np.negative(c, out=c)
-    return ((a, b), (c, _parity(b))), math.sqrt(norm_sq)
+        np.negative(terms_a[1], out=terms_a[1])
+    return (terms_a, np.array((b, _parity(b)))), math.sqrt(norm_sq)
 
 
 def quasi_bell_fock(state, truncation=None):
     """Two-mode quasi-Bell state built explicitly from coherent vectors
     (see _quasi_bell_terms), normalized numerically."""
-    if truncation is None:
-        truncation = adequate_truncation(max(abs(state.alpha), abs(state.beta)))
-    ((a, b), (c, d)), norm = _quasi_bell_terms(state, truncation)
+    ((a, c), (b, d)), norm = _quasi_bell_terms(state, truncation)
     return (np.outer(a, b) + np.outer(c, d)) / norm
 
 
@@ -273,6 +289,19 @@ def partial_trace(psi, keep):
     return mat @ mat.conj().T
 
 
+def _reduced_density(terms_a, terms_b, mode):
+    """Reduced density matrix of mode ``mode`` (0 for A, 1 for B) of the
+    two-mode state terms_a^T terms_b, through the T x T Gram matrix of
+    the traced mode's terms:
+
+        rho_A = terms_a^T (terms_b terms_b^+) terms_a*,
+        rho_B = terms_b^T (terms_a terms_a^+) terms_b*,
+
+    partial_trace of the dense state without forming it, in O(T N^2)."""
+    kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
+    return kept.T @ (traced @ traced.conj().T) @ kept.conj()
+
+
 def von_neumann_entropy(rho):
     """Base-2 von Neumann entropy; eigenvalues up to 1e-14 are treated
     as exactly zero."""
@@ -293,43 +322,58 @@ def _displacement_eigensystem(size):
     return w, v
 
 
-def _char_traces(vec, zeta_a, zeta_b):
-    """operator_trace_charfunc of the two-mode vector ``vec`` at the
-    points (zeta_a[i], zeta_b[i]) of two equal-length complex arrays, in
-    one stacked call.
+def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
+    """operator_trace_charfunc of the two-mode state terms_a^T terms_b
+    (product terms, see the module conventions) at the points
+    (zeta_a[p], zeta_b[p]) of two equal-length complex arrays, in one
+    stacked call.
 
     With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator
     zeta a+ - zeta* a is R r (a+ - a) R+, exactly so on the truncated
     space as well, so each displacement is D = R V diag(e^{-i r w}) V+ R+
     from the one cached eigensystem i (a+ - a) = V diag(w) V+ per size.
-    With Y = V+ Ra* psi Rb* V*, the trace <psi| Da psi Db^T> is then
+    Each term goes to that eigenbasis, x_t = Va+ Ra* a_t and
+    y_t = Vb+ Rb* b_t, so Y = V+ Ra* psi Rb* V* is sum_t x_t y_t^T, and
+    with E = diag(e^{-i r w}) the trace <psi| Da psi Db^T> =
+    sum_ij |Y_ij|^2 Ea_i Eb_j is
 
-        sum_ij |Y_ij|^2 exp(-i (ra w_i + rb w_j)),
+        sum_st (sum_i Ea_i x_si conj(x_ti)) (sum_j Eb_j y_sj conj(y_tj)),
 
-    two matrix products per point where the displaced state takes four.
-    That state, Ra V Ea Y Eb V^T Rb with E = diag(e^{-i r w}), differs
-    from V Ea Y Eb V^T only by the unit phases R, so its last row and
-    column, whose probability must stay within the boundary rule of
-    beam_splitter, cost one matrix-vector product each.
+    O(T N^2 + T^2 N) per point, never forming Y.  The displaced state
+    Ra V Ea Y Eb V^T Rb differs from V Ea Y Eb V^T only by the unit
+    phases R, so its last row, sum_t (Va[-1] . Ea x_t) (Eb y_t)^T Vb^T,
+    and its last column, whose probability must stay within the boundary
+    rule of beam_splitter, come from the same x and y.
     """
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 2:
-        raise ValueError("expected a two-mode vector")
-    (wa, va), (wb, vb) = map(_displacement_eigensystem, vec.shape)
+    terms_a = np.asarray(terms_a, dtype=complex)
+    terms_b = np.asarray(terms_b, dtype=complex)
+    if terms_a.ndim != 2 or terms_b.ndim != 2 or len(terms_a) != len(terms_b):
+        raise ValueError("expected two equally long stacks of mode vectors")
+    (wa, va), (wb, vb) = (_displacement_eigensystem(t.shape[1]) for t in (terms_a, terms_b))
     za, zb = np.asarray(zeta_a, dtype=complex), np.asarray(zeta_b, dtype=complex)
     # the conjugate phases Ra*, Rb* and the diagonals Ea, Eb, one row per point
-    ra = np.exp(-1j * np.angle(za)[:, None] * np.arange(vec.shape[0]))
-    rb = np.exp(-1j * np.angle(zb)[:, None] * np.arange(vec.shape[1]))
+    ra = np.exp(-1j * np.angle(za)[:, None] * np.arange(terms_a.shape[1]))
+    rb = np.exp(-1j * np.angle(zb)[:, None] * np.arange(terms_b.shape[1]))
     ea = np.exp(-1j * np.abs(za)[:, None] * wa)
     eb = np.exp(-1j * np.abs(zb)[:, None] * wb)
-    y = va.conj().T @ (ra[:, :, None] * vec * rb[:, None, :]) @ vb.conj()
-    last_row = np.einsum("pi,pij->pj", va[-1] * ea, y) * eb @ vb.T
-    last_col = (ea * np.einsum("pij,pj->pi", y, eb * vb[-1])) @ va.T
+
+    def eigenbasis(phases, terms, v):
+        # V+ R* t for every point and term, indexed (point, term, level),
+        # as one matrix product over all of their rows
+        rows = (phases[:, None, :] * terms).reshape(-1, terms.shape[1])
+        return (rows @ v.conj()).reshape(len(phases), len(terms), -1)
+
+    x, y = eigenbasis(ra, terms_a, va), eigenbasis(rb, terms_b, vb)
+    xe, ye = x * ea[:, None, :], y * eb[:, None, :]
+    last_row = np.einsum("pt,ptj->pj", xe @ va[-1], ye) @ vb.T
+    last_col = np.einsum("pt,pti->pi", ye @ vb[-1], xe) @ va.T
     _check_tail(
         np.sum(np.abs(last_row) ** 2, axis=1) + np.sum(np.abs(last_col) ** 2, axis=1),
         "displaced state",
     )
-    return np.einsum("pi,pij,pj->p", ea, y.real**2 + y.imag**2, eb)
+    gram_a = xe @ x.conj().transpose(0, 2, 1)
+    gram_b = ye @ y.conj().transpose(0, 2, 1)
+    return np.sum(gram_a * gram_b, axis=(1, 2))
 
 
 def operator_trace_charfunc(vec, point):
@@ -340,9 +384,15 @@ def operator_trace_charfunc(vec, point):
             * exp(-(|za|^2 + |zb|^2)/2)
 
     evaluated through the truncated displacement of each mode (see
-    _char_traces), with the same boundary rule as beam_splitter.
+    _char_traces, to which the dense state is the terms (identity, vec)),
+    with the same boundary rule as beam_splitter.
     """
-    return complex(_char_traces(vec, [complex(point.zeta_a)], [complex(point.zeta_b)])[0])
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim != 2:
+        raise ValueError("expected a two-mode vector")
+    return complex(
+        _char_traces(np.eye(vec.shape[0]), vec, [complex(point.zeta_a)], [complex(point.zeta_b)])[0]
+    )
 
 
 def mean_photon(rho):

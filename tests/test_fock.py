@@ -199,12 +199,81 @@ def test_quasi_bell_terms_match_the_dense_build():
             state = coherent.CoherentQuasiBell(index, alpha, beta)
             got = fock.quasi_bell_fock(state, 50)
             assert np.max(np.abs(got - _dense_quasi_bell(state, 50))) < 1e-15, (index, alpha, beta)
-            ((a, b), (c, d)), norm = fock._quasi_bell_terms(state, 50)
+            ((a, c), (b, d)), norm = fock._quasi_bell_terms(state, 50)
             assert np.array_equal(got, (np.outer(a, b) + np.outer(c, d)) / norm)
     # the parity-class sums do not cancel where 1 - ka kb does
     tiny = coherent.CoherentQuasiBell(2, 1e-5)
     _, norm = fock._quasi_bell_terms(tiny, 31)
     assert norm**2 == pytest.approx(-2.0 * math.expm1(-4e-10), rel=1e-9)
+
+
+def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
+    # where |beta| = |alpha| mode B's vector is a or its parity image,
+    # bitwise the fresh coherent_vector, so one call serves the state
+    fresh = fock.coherent_vector
+    calls = []
+
+    def counted(alpha, truncation=None):
+        calls.append(alpha)
+        return fresh(alpha, truncation)
+
+    monkeypatch.setattr(fock, "coherent_vector", counted)
+    for alpha, beta in ((1.0, 1.0), (-0.7, 0.7), (1.2, -1.2), (0.4, 1.1)):
+        for index in (1, 2, 3, 4):
+            calls.clear()
+            state = coherent.CoherentQuasiBell(index, alpha, beta)
+            (terms_a, terms_b), _ = fock._quasi_bell_terms(state, 45)
+            amp_b = -beta if index in (1, 2) else beta
+            second_a = fresh(-alpha, 45)
+            expected = (
+                fresh(alpha, 45),
+                -second_a if index in (2, 4) else second_a,
+                fresh(amp_b, 45),
+                fresh(-amp_b, 45),
+            )
+            for got, want in zip((*terms_a, *terms_b), expected):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (index, alpha, beta)
+            assert len(calls) == (1 if abs(alpha) == abs(beta) else 2), (index, alpha, beta)
+
+
+def _term_inputs():
+    for index in (1, 2, 3, 4):
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.6), (0.3, 1.7)):
+            state = coherent.CoherentQuasiBell(index, alpha, beta)
+            (terms_a, terms_b), norm = fock._quasi_bell_terms(state, 60)
+            yield state, terms_a / norm, terms_b
+
+
+def test_term_kernels_match_the_dense_state():
+    # the product-term traces and reduced densities against the dense
+    # quasi_bell_fock state's operator_trace_charfunc and partial_trace
+    rng = np.random.default_rng(1602)
+    za = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
+    zb = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
+    worst = 0.0
+    for state, terms_a, terms_b in _term_inputs():
+        vec = fock.quasi_bell_fock(state, 60)
+        dense = [fock.operator_trace_charfunc(vec, coherent.CharFuncPoint(a, b)) for a, b in zip(za, zb)]
+        worst = max(worst, np.max(np.abs(fock._char_traces(terms_a, terms_b, za, zb) - dense)))
+        for mode in (0, 1):
+            rho = fock._reduced_density(terms_a, terms_b, mode)
+            worst = max(worst, np.max(np.abs(rho - fock.partial_trace(vec, keep=(mode,)))))
+    assert worst < 1e-13
+
+
+def test_term_traces_keep_the_boundary_rule():
+    # a displacement that moves the state onto the truncation boundary is
+    # named with the mass of the explicit displaced dense state
+    state = coherent.CoherentQuasiBell(2, 1.0, 0.6)
+    n = fock.adequate_truncation(1.0)
+    (terms_a, terms_b), norm = fock._quasi_bell_terms(state, n)
+    za = np.array([0.5, 4.0 + 1.0j])
+    moved = _direct_displacement(za[1], n + 1) @ fock.quasi_bell_fock(state, n)
+    mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
+    with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
+        fock._char_traces(terms_a / norm, terms_b, za, np.zeros(2))
+    with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
+        fock._quasi_bell_terms(state, n - 1)
 
 
 def test_sector_order_cache_is_bounded():
@@ -343,7 +412,7 @@ def test_eigenbasis_traces_match_explicit_displacements():
             vec = fock.quasi_bell_fock(state)
         za = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
         zb = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
-        traces = fock._char_traces(vec, za, zb)
+        traces = fock._char_traces(np.eye(vec.shape[0]), vec, za, zb)
         explicit = [
             np.vdot(vec, _direct_displacement(a, vec.shape[0]) @ vec @ _direct_displacement(b, vec.shape[1]).T)
             for a, b in zip(za, zb)
@@ -362,8 +431,8 @@ def test_eigenbasis_traces_keep_the_boundary_rule():
     moved = _direct_displacement(za[1], n + 1) @ vec
     mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
     with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
-        fock._char_traces(vec, za, np.zeros(3))
-    assert np.isfinite(fock._char_traces(vec, za[:1], np.zeros(1))).all()
+        fock._char_traces(np.eye(n + 1), vec, za, np.zeros(3))
+    assert np.isfinite(fock._char_traces(np.eye(n + 1), vec, za[:1], np.zeros(1))).all()
 
 
 def test_loss_purity_frobenius_equals_trace():

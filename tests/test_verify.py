@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbell import coherent, decoherence, fock, measures, verify
+from qbell import coherent, decoherence, fock, measures, states, verify, werner
 
 
 def _basis_pair(amplitude, n):
@@ -62,6 +62,77 @@ def test_loss_checks_never_form_the_joint_density():
         finally:
             tracemalloc.stop()
         assert peak < 61**3 * 16, (check.__name__, peak)
+
+
+def test_quasi_bell_checks_never_form_the_dense_state():
+    # the dense build's stacked traces held one (20, 61, 61) complex array
+    # per state, 20 * 61^2 * 16 B = 1.2 MB; the product terms stay below it.
+    # 61 is the smallest truncation the spectra check's alpha = 3 admits
+    checks = ((verify.check_char_function, 60), (verify.check_reduced_spectra, 61))
+    for check, n in checks:
+        check(n)  # fill the displacement and number-level caches
+    for check, n in checks:
+        tracemalloc.start()
+        try:
+            check(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 61**2 * 16, (check.__name__, peak)
+
+
+def test_too_small_truncation_is_named_by_the_term_checks():
+    for check in (
+        verify.check_gram_matrix,
+        verify.check_reduced_spectra,
+        verify.check_unit_entropy,
+        verify.check_mean_photons,
+        verify.check_asymmetric_spectra,
+        verify.check_char_function,
+    ):
+        with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
+            check(20)
+
+
+def test_char_points_are_the_per_point_draws():
+    # one (20, 2, 2) draw consumes the generator in the order of the
+    # per-point draws, real parts (za, zb) then imaginary parts
+    batched, per_point = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(8):
+        za, zb = verify._char_points(batched)
+        want_a, want_b = np.array([
+            per_point.uniform(-1.5, 1.5, 2) + 1j * per_point.uniform(-1.5, 1.5, 2) for _ in range(20)
+        ]).T
+        assert np.array_equal(za, want_a) and np.array_equal(zb, want_b)
+
+
+def test_stacked_eigensolves_report_the_per_matrix_maxima():
+    dev = 0.0
+    for fid in np.linspace(0.0, 1.0, 6):
+        for kappa in np.linspace(0.0, 0.9, 6):
+            spec = werner.QuasiWerner(fid, kappa)
+            numeric = np.sort(np.linalg.eigvalsh(werner.build_quasi_werner(spec)))[::-1]
+            dev = max(dev, float(np.max(np.abs(werner.quasi_werner_spectrum(spec) - numeric))))
+    assert verify.check_werner_spectrum().deviation == dev
+    dev = 0.0
+    for alpha in verify._ALPHA_GRID:
+        for index in (1, 2, 3, 4):
+            state = coherent.CoherentQuasiBell(index, alpha)
+            rho = fock._reduced_density(*verify._state_terms(state, None), 0)
+            lam = np.sort(np.linalg.eigvalsh(rho))[::-1][:2]
+            dev = max(dev, float(np.max(np.abs(lam - coherent.coherent_spectrum(state)))))
+    assert verify.check_reduced_spectra(None).deviation == dev
+
+
+def test_gram_check_matches_the_dense_inner_products():
+    # the term Grams give the deviation of the dense vectors' vdots
+    dev = 0.0
+    for alpha in verify._ALPHA_GRID:
+        vecs = [fock.quasi_bell_fock(coherent.CoherentQuasiBell(i, alpha)) for i in (1, 2, 3, 4)]
+        numeric = np.array([[abs(np.vdot(vi, vj)) for vj in vecs] for vi in vecs])
+        closed = states.gram_matrix(coherent.overlap_of_amplitude(alpha))
+        dev = max(dev, float(np.max(np.abs(numeric - closed))))
+    assert abs(verify.check_gram_matrix(None).deviation - dev) < 1e-14
 
 
 def _dense_probe_curve(alpha, eta, betas, truncation):
