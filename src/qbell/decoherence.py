@@ -223,21 +223,17 @@ def _check_finite(alpha, eta, beta, value):
         )
 
 
-def optimal_beta(alpha, channel, verify=True):
+def optimal_beta(alpha, channel):
     """Best comparison amplitude and the overlap it achieves.
 
-    Returns (beta_star, f_star) with beta_star = c/2, c = alpha (1 +
-    sqrt(eta)), the unique maximum over beta > 0.  Proof: f(beta) =
-    cosh((1-eta) alpha^2) sinh^2(c beta) / (sinh(2 alpha^2) sinh(2 beta^2)),
-    so d log f / d beta = (2/beta) (g(c beta) - g(2 beta^2)) with the
-    strictly increasing g(x) = x coth x: its sign is that of c - 2 beta.
-    With ``verify`` (the default), the zooming grid search over (0, 2
-    alpha] (search_optimal_beta) must achieve the same overlap to 1e-9
-    relative, otherwise a MaximizerError carrying the search result is
-    raised.  The comparison runs on overlaps rather than positions
-    because the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with
-    c = alpha (1 + sqrt(eta)), so at small amplitude the position is not
-    conditioned past the rounding plateau while the value still is.
+    Returns (beta_star, f_star), two floats, with beta_star = c/2, c =
+    alpha (1 + sqrt(eta)), the unique maximum over beta > 0.  Proof:
+    f(beta) = cosh((1-eta) alpha^2) sinh^2(c beta) / (sinh(2 alpha^2)
+    sinh(2 beta^2)), so d log f / d beta = (2/beta) (g(c beta) - g(2
+    beta^2)) with the strictly increasing g(x) = x coth x: its sign is
+    that of c - 2 beta.  The closed form alone, with its domain checks;
+    figure1_sweep compares it with the independent search
+    (_searched_maximum) at each point.
     """
     state = apply_loss(alpha, channel)
     _check_overlap_alpha(state.alpha, state.eta)
@@ -247,10 +243,7 @@ def optimal_beta(alpha, channel, verify=True):
     at = np.asarray(beta_star)
     _check_overlap_beta(state.alpha, state.eta, at)
     _check_finite(state.alpha, state.eta, at, f_star)
-    f_star = float(f_star)
-    if verify:
-        _searched_maximum(state.alpha, state.eta, beta_star, f_star)
-    return beta_star, f_star
+    return float(beta_star), float(f_star)
 
 
 def _optimum(alpha, eta):
@@ -263,22 +256,20 @@ def _optimum(alpha, eta):
 
 
 def _searched_maximum(alpha, eta, beta_star, f_star):
-    """Run search_optimal_beta over the rows (alpha, eta) and return its
-    (beta, f), raising a MaximizerError that names the first row whose
-    overlap does not match the closed-form f_star to 1e-9 relative."""
+    """Raise a MaximizerError unless search_optimal_beta at (alpha, eta)
+    matches the closed-form overlap f_star at beta_star to 1e-9
+    relative.  The comparison runs on overlaps rather than positions
+    because the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with
+    c = alpha (1 + sqrt(eta)), so at small amplitude the position is not
+    conditioned past the rounding plateau while the value still is."""
     beta_num, f_num = search_optimal_beta(alpha, eta)
     # written so that a NaN on either side fails the comparison
-    bad = ~(np.abs(f_num - f_star) <= 1e-9 * np.maximum(f_star, 1e-300))
-    if bad.any():
-        i = np.argmax(bad)
-        rows = np.broadcast_arrays(alpha, eta, beta_star, f_star, beta_num, f_num)
-        a, e, b_star, f_s, b_num, f_n = (float(np.ravel(x)[i]) for x in rows)
+    if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
         raise measures.MaximizerError(
-            f"search maximum f({b_num}) = {f_n} disagrees with "
-            f"closed form f({b_star}) = {f_s} (alpha={a}, eta={e})",
-            f_n,
+            f"search maximum f({beta_num}) = {f_num} disagrees with "
+            f"closed form f({beta_star}) = {f_star} (alpha={alpha}, eta={eta})",
+            f_num,
         )
-    return beta_num, f_num
 
 
 # the search grids as numpy's linspace builds them, r step + lo with the
@@ -396,7 +387,9 @@ class SweepError(RuntimeError):
 def figure1_sweep(alphas, etas):
     """Optimal overlap across an (alpha, eta) grid.
 
-    Points are ordered by (eta descending, alpha ascending).  Per-point
+    Points are ordered by (eta descending, alpha ascending).  Each
+    point's closed form (optimal_beta) is checked at runtime against the
+    independent search (_searched_maximum).  Per-point
     maximizer failures, domain errors and arithmetic faults do not abort
     the sweep; they are collected and raised at the end as a SweepError
     holding the completed points.  An invalid eta raises before any point.
@@ -407,6 +400,7 @@ def figure1_sweep(alphas, etas):
         for alpha in sorted(set(float(a) for a in alphas)):
             try:
                 beta_star, f_star = optimal_beta(alpha, channels[eta])
+                _searched_maximum(alpha, eta, beta_star, f_star)
                 points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
             except (measures.MaximizerError, ValueError, ArithmeticError) as exc:
                 failures.append((alpha, eta, str(exc)))

@@ -208,11 +208,33 @@ def test_verify_failure_exit(run_cli, monkeypatch):
     assert proc.stderr == "FAILED: bad\n"
 
 
+def test_verify_reports_a_broken_search(run_cli, monkeypatch):
+    # a search whose overlaps break the 1e-9 rule fails its check line
+    # instead of aborting the battery
+    from qbell import decoherence
+
+    search = decoherence.search_optimal_beta
+
+    def broken(alpha, eta):
+        beta, f = search(alpha, eta)
+        return beta, f * (1.0 + 1e-6)
+
+    monkeypatch.setattr(decoherence, "search_optimal_beta", broken)
+    proc = run_cli("verify")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 14
+    failed = [line for line in lines if line.endswith("-> FAIL")]
+    assert failed == [line for line in lines if line.startswith("optimal_beta: ")]
+    assert failed[0].startswith("optimal_beta: max deviation = 1.000e-03")
+    assert proc.stderr == "FAILED: optimal_beta\n"
+
+
 def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
     # a maximizer failure at every point makes the sweep fail
     from qbell import decoherence, measures
 
-    def failing(alpha, channel, verify=True):
+    def failing(alpha, channel):
         raise measures.MaximizerError("forced failure", 0.0)
 
     monkeypatch.setattr(decoherence, "optimal_beta", failing)

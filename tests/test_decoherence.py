@@ -259,7 +259,6 @@ def test_overflow_band_is_a_named_domain_error():
         calls = (
             lambda: decoherence.apply_loss(alpha, channel),
             lambda: decoherence.optimal_beta(alpha, channel),
-            lambda: decoherence.optimal_beta(alpha, channel, verify=False),
             lambda: decoherence.fraction_over_family(
                 decoherence.DecoheredState(alpha, 0.5, 0.0), 1.0
             ),
@@ -270,17 +269,21 @@ def test_overflow_band_is_a_named_domain_error():
                 with pytest.raises(ValueError, match=re.escape(f"amplitude {alpha!r} is out of range")):
                     call()
     # the search's grid reaches beta = 2 alpha, so its 4 beta^2 stops it
-    # at alpha = sqrt(float max) / 4, and optimal_beta's check with it
+    # at alpha = sqrt(float max) / 4, and the sweep's runtime check with
+    # it; the closed form alone still returns there
     edge = 0.25 * math.sqrt(np.finfo(float).max)
     for alpha in (float(np.nextafter(edge, np.inf)), 5e153):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"search is out of range at alpha={alpha!r}")):
-                decoherence.optimal_beta(alpha, channel)
-            decoherence.optimal_beta(alpha, channel, verify=False)
+            with pytest.raises(
+                decoherence.SweepError,
+                match=re.escape(f"search is out of range at alpha={alpha!r}"),
+            ):
+                decoherence.figure1_sweep([alpha], [0.5])
+            assert decoherence.optimal_beta(alpha, channel)[1] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert decoherence.optimal_beta(edge, channel)[1] == 0.0
+        assert decoherence.figure1_sweep([edge], [0.5])[0].fraction == 0.0
 
 
 def test_unique_maximum_proof():
@@ -360,10 +363,10 @@ def test_sweep_checks_every_eta_first(monkeypatch):
 def test_sweep_collects_failures(monkeypatch):
     real = decoherence.optimal_beta
 
-    def flaky(alpha, channel, verify=True):
+    def flaky(alpha, channel):
         if alpha > 0.5:
             raise measures.MaximizerError("forced failure", 0.0)
-        return real(alpha, channel, verify)
+        return real(alpha, channel)
 
     monkeypatch.setattr(decoherence, "optimal_beta", flaky)
     with pytest.raises(decoherence.SweepError) as info:
@@ -518,14 +521,30 @@ def _mp_optimal_overlap(alpha, eta, beta):
 @example(alpha=1e-80, eta=0.5)
 @example(alpha=30.0, eta=1.0)
 def test_optimal_overlap_matches_mpmath(alpha, eta):
-    beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta), verify=False)
+    beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta))
+    assert type(beta_star) is float and type(f_star) is float
     reference = _mp_optimal_overlap(alpha, eta, beta_star)
     assert f_star == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+
+def test_optimal_beta_past_the_search_reach():
+    # where every grid value of the search underflows and the sweep's
+    # runtime check fails, the closed form alone is still right
+    assert decoherence.optimal_beta(5000, LossChannel(1.0)) == (5000.0, 1.0)
+    alpha, eta = 6000.0, 0.99
+    beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta))
+    reference = _mp_optimal_overlap(alpha, eta, beta_star)
+    # s = sqrt(eta) alpha carries about two roundings, ~2 s 2^-53, and
+    # log f moves by 2 |s - beta*| per unit of s: about 4e-11 relative
+    s = math.sqrt(eta) * alpha
+    tolerance = 4.0 * abs(s - beta_star) * s * 2.0**-53
+    assert f_star == pytest.approx(float(reference), rel=tolerance, abs=0.0)
 
 
 def test_nan_search_fails_comparison(monkeypatch):
     monkeypatch.setattr(
         decoherence, "search_optimal_beta", lambda alpha, eta: (1.0, float("nan"))
     )
-    with pytest.raises(measures.MaximizerError):
-        decoherence.optimal_beta(1.0, LossChannel(0.5))
+    with pytest.raises(decoherence.SweepError, match="disagrees with closed form") as info:
+        decoherence.figure1_sweep([1.0], [0.5])
+    assert info.value.points == []

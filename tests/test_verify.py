@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbell import coherent, decoherence, fock, measures, states, verify, werner
+from qbell import coherent, decoherence, fock, states, verify, werner
 
 
 def _basis_pair(amplitude, n):
@@ -230,9 +230,17 @@ def test_optimal_beta_check_searches_once_per_point(monkeypatch):
 
 
 def test_optimal_beta_check_keeps_the_overlap_rule(monkeypatch):
+    # reported as a failure, not raised: 1e-6 relative is 1e3 times the
+    # overlap rule, so 1e-3 on the check's scale
     _counting_search(monkeypatch, lambda beta, f: (beta, f * (1.0 + 1e-6)))
-    with pytest.raises(measures.MaximizerError):
-        verify.check_optimal_beta()
+    result = verify.check_optimal_beta()
+    assert not result.passed
+    assert result.deviation == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_optimal_beta_check_fails_a_nan_search(monkeypatch):
+    _counting_search(monkeypatch, lambda beta, f: (beta, f * np.nan))
+    assert not verify.check_optimal_beta().passed
 
 
 def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
@@ -252,7 +260,7 @@ def test_optimum_rows_are_the_scalar_calls():
     etas = np.concatenate([etas, rng.uniform(0.0, 1.0, 200)])
     beta_star, f_star = decoherence._optimum(alphas, etas)
     for row, (alpha, eta) in enumerate(zip(alphas, etas)):
-        beta, f = decoherence.optimal_beta(alpha, decoherence.LossChannel(eta), verify=False)
+        beta, f = decoherence.optimal_beta(alpha, decoherence.LossChannel(eta))
         assert beta_star[row] == beta and f_star[row] == f, (alpha, eta)
 
 
