@@ -255,16 +255,23 @@ def _optimum(alpha, eta):
     return beta_star, np.minimum(1.0, _family_overlap(terms, beta_star))
 
 
+def _overlap_miss(f_num, f_star):
+    """|f_num - f_star| / f_star in units of the runtime check's 1e-9
+    relative tolerance, elementwise, so the check passes at <= 1.  The
+    1e-300 keeps an f_star of 0 from dividing by zero and moves no f_star
+    above 1e-284; a NaN on either side gives a NaN, which fails."""
+    return abs(f_num - f_star) / (1e-9 * (f_star + 1e-300))
+
+
 def _searched_maximum(alpha, eta, beta_star, f_star):
     """Raise a MaximizerError unless search_optimal_beta at (alpha, eta)
-    matches the closed-form overlap f_star at beta_star to 1e-9
-    relative.  The comparison runs on overlaps rather than positions
+    matches the closed-form overlap f_star at beta_star to 1e-9 relative
+    (_overlap_miss).  The comparison runs on overlaps rather than positions
     because the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with
     c = alpha (1 + sqrt(eta)), so at small amplitude the position is not
     conditioned past the rounding plateau while the value still is."""
     beta_num, f_num = search_optimal_beta(alpha, eta)
-    # written so that a NaN on either side fails the comparison
-    if not abs(f_num - f_star) <= 1e-9 * max(f_star, 1e-300):
+    if not _overlap_miss(f_num, f_star) <= 1.0:
         raise measures.MaximizerError(
             f"search maximum f({beta_num}) = {f_num} disagrees with "
             f"closed form f({beta_star}) = {f_star} (alpha={alpha}, eta={eta})",

@@ -97,11 +97,13 @@ def _environment_amplitudes(pair, probe_a, probe_b):
 def lossy_pair_fock(alpha, eta, truncation=None):
     """Three-mode (A, B, E) state: the antisymmetric entangled coherent
     state with mode B passed through the loss channel, built from fock
-    primitives only."""
+    primitives only, and divided by its own norm rather than _lossy_pair's
+    Gram sum: the tests' independent dense reference."""
     alpha = _loss_amplitude(alpha)
     if truncation is None:
         truncation = fock.adequate_truncation(alpha)
-    return np.einsum("ta,tbe->abe", *_lossy_pair(alpha, eta, truncation))
+    psi = np.einsum("ta,tbe->abe", *_lossy_pair(alpha, eta, truncation))
+    return psi / np.linalg.norm(psi)
 
 
 def family_overlap_curve(alpha, eta, betas, truncation=None):
@@ -295,22 +297,26 @@ def check_loss_density(truncation):
     return CheckResult("loss_density", dev, 1e-9)
 
 
+def _loss_purity(alpha, eta, n):
+    """Tr rho_AB^2 of the _lossy_pair, taken on the environment: psi =
+    sum_t A_t (x) T_t is pure, so Tr rho_AB^2 = Tr rho_E^2 (Schmidt
+    decomposition), and the (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T
+    conj(T_u) is Hermitian, so that is the Frobenius sum |rho_E_ij|^2."""
+    pair_a, pair_be = _lossy_pair(alpha, eta, n)
+    # conj(sum_t <A_t|A_u> T_t), conjugated in place, not through a copy
+    mixed = (pair_a.conj() @ pair_a.T) @ pair_be.reshape(2, -1)
+    np.conjugate(mixed, out=mixed)
+    rho_env = pair_be.reshape(-1, n + 1).T @ mixed.reshape(-1, n + 1)
+    return float(np.vdot(rho_env, rho_env).real)
+
+
 def check_loss_purity(truncation):
     alpha = 1.0
     n = truncation or fock.adequate_truncation(alpha)
     dev = 0.0
     # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
     for eta in (0.3, 0.5):
-        pair_a, pair_be = _lossy_pair(alpha, eta, n)
-        # psi = sum_t A_t (x) T_t is pure, so rho_AB and rho_E share their
-        # nonzero spectrum (Schmidt decomposition) and Tr rho_AB^2 =
-        # Tr rho_E^2.  Tracing A and B from the terms gives the
-        # (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T conj(T_u), and
-        # rho_E is Hermitian, so Tr rho_E^2 is the Frobenius sum of
-        # |rho_E_ij|^2
-        mixed = np.tensordot(pair_a.conj() @ pair_a.T, pair_be.conj(), axes=(0, 0))
-        rho_env = pair_be.reshape(-1, n + 1).T @ mixed.reshape(-1, n + 1)
-        numeric = float(np.vdot(rho_env, rho_env).real)
+        numeric = _loss_purity(alpha, eta, n)
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = float(np.real(np.trace(closed_rho @ closed_rho)))
         dev = max(dev, abs(numeric - closed))
@@ -333,11 +339,11 @@ def check_optimal_beta():
     # beta* and f* come from one pass of decoherence._optimum, the
     # elementwise form of optimal_beta, over the 90 points, and one
     # batched search_optimal_beta call runs over all of them.  Each rule
-    # is reported on the position rule's 1e-6 scale: the overlap's 1e-9
-    # relative rule times 1e3.  The position is compared from alpha = 0.3
-    # up: the overlap peak flattens like exp(-(2/3) c^2 (b - b*)^2) with
-    # c = alpha (1 + sqrt(eta)), so below that b* is not conditioned past
-    # rounding.
+    # is reported on the position rule's 1e-6 scale: the overlap as 1e-6
+    # times figure1_sweep's _overlap_miss.  The position is compared from
+    # alpha = 0.3 up: the overlap peak flattens like exp(-(2/3) c^2 (b -
+    # b*)^2) with c = alpha (1 + sqrt(eta)), so below that b* is not
+    # conditioned past rounding.
     alphas, etas = (
         grid.ravel()
         for grid in np.meshgrid(np.linspace(0.3, 3.0, 10), np.linspace(0.1, 0.9, 9), indexing="ij")
@@ -345,9 +351,9 @@ def check_optimal_beta():
     beta_star, f_star = decoherence._optimum(alphas, etas)
     beta_num, f_num = decoherence.search_optimal_beta(alphas, etas)
     position = np.max(np.abs(beta_num - beta_star) / beta_star)
-    overlap = np.max(np.abs(f_num - f_star) / f_star)
+    overlap = 1e-6 * np.max(decoherence._overlap_miss(f_num, f_star))
     # np.maximum, unlike max, passes a NaN on, and a NaN fails the check
-    return CheckResult("optimal_beta", np.maximum(position, 1e3 * overlap), 1e-6)
+    return CheckResult("optimal_beta", np.maximum(position, overlap), 1e-6)
 
 
 def check_werner_spectrum():

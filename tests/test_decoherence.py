@@ -435,6 +435,9 @@ def test_tiny_amplitude_matches_mpmath():
         beta_star, f_star = decoherence.optimal_beta(alpha, channel)
         rho_ref, f_ref = _mp_loss_reference(alpha, channel.eta, beta_star)
         assert f_star == pytest.approx(f_ref, rel=1e-12)
+        # the independent search reaches the closed-form maximum
+        _, f_num = decoherence.search_optimal_beta(alpha, channel.eta)
+        assert f_num == pytest.approx(f_star, rel=1e-9)
         state = decoherence.apply_loss(alpha, channel)
         assert np.allclose(state.matrix, rho_ref, rtol=0, atol=1e-12)
 
@@ -471,6 +474,8 @@ def test_large_amplitude_matches_mpmath():
             beta_star, f_star = decoherence.optimal_beta(alpha, LossChannel(eta))
             _, f_ref = _mp_loss_reference(alpha, eta, beta_star)
             assert f_star == pytest.approx(f_ref, rel=1e-12)
+            _, f_num = decoherence.search_optimal_beta(alpha, eta)
+            assert f_num == pytest.approx(f_star, rel=1e-9)
 
 
 def test_non_finite_overlap_raises():
@@ -490,9 +495,15 @@ def test_non_finite_overlap_raises():
 def test_search_grid_stays_above_subnormal_beta():
     # the grid's 1e-6 alpha start would square to a subnormal here; the
     # search must still reach the small-amplitude limit (1 + sqrt(eta))^2 / 4
+    limit = (1.0 + math.sqrt(0.5)) ** 2 / 4.0
     for alpha in (1e-150, 1e-153):
         _, f_star = decoherence.optimal_beta(alpha, LossChannel(0.5))
-        assert f_star == pytest.approx((1.0 + math.sqrt(0.5)) ** 2 / 4.0, rel=1e-12)
+        assert f_star == pytest.approx(limit, rel=1e-12)
+        _, f_num = decoherence.search_optimal_beta(alpha, 0.5)
+        assert f_num == pytest.approx(limit, rel=1e-9)
+    # and the sweep's runtime check passes both points
+    points = decoherence.figure1_sweep([1e-150, 1e-153], [0.5])
+    assert [p.fraction for p in points] == pytest.approx([limit, limit], rel=1e-12)
 
 
 def _mp_optimal_overlap(alpha, eta, beta):
