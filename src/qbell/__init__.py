@@ -16,7 +16,6 @@ from .states import (
     embed_qubit,
 )
 from .measures import (
-    MaximizerError,
     binary_entropy,
     concurrence_pure,
     eof_wootters,

@@ -211,8 +211,7 @@ def main(argv=None):
         # RuntimeWarning on stderr; underflow to zero stays silent
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             args.func(args)
-    except (ValueError, ArithmeticError, measures.MaximizerError,
-            decoherence.SweepError) as exc:
+    except (ValueError, ArithmeticError, decoherence.SweepError) as exc:
         _fail(exc)
 
 

@@ -233,7 +233,7 @@ def optimal_beta(alpha, channel):
     beta^2)) with the strictly increasing g(x) = x coth x: its sign is
     that of c - 2 beta.  The closed form alone, with its domain checks;
     figure1_sweep compares it with the independent search
-    (_searched_maximum) at each point.
+    (search_optimal_beta) at each point.
     """
     state = apply_loss(alpha, channel)
     _check_overlap_alpha(state.alpha, state.eta)
@@ -263,22 +263,6 @@ def _overlap_miss(f_num, f_star):
     return abs(f_num - f_star) / (1e-9 * (f_star + 1e-300))
 
 
-def _searched_maximum(alpha, eta, beta_star, f_star):
-    """Raise a MaximizerError unless search_optimal_beta at (alpha, eta)
-    matches the closed-form overlap f_star at beta_star to 1e-9 relative
-    (_overlap_miss).  The comparison runs on overlaps rather than positions
-    because the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with
-    c = alpha (1 + sqrt(eta)), so at small amplitude the position is not
-    conditioned past the rounding plateau while the value still is."""
-    beta_num, f_num = search_optimal_beta(alpha, eta)
-    if not _overlap_miss(f_num, f_star) <= 1.0:
-        raise measures.MaximizerError(
-            f"search maximum f({beta_num}) = {f_num} disagrees with "
-            f"closed form f({beta_star}) = {f_star} (alpha={alpha}, eta={eta})",
-            f_num,
-        )
-
-
 # the search grids as numpy's linspace builds them, r step + lo with the
 # last entry hi, each padded with one more copy of its first and last
 # entry so that the bracket of an argmax k at either end is clipped
@@ -301,20 +285,20 @@ def _bracket_ends(count, size):
 def search_optimal_beta(alpha, eta):
     """Independent 1-D maximization of the family overlap, elementwise
     over the rows (alpha, eta), which broadcast together: a 200-point
-    grid over (0, 2 alpha], then 21-point grids, each over the bracket
-    [grid[k-1], grid[k+1]] of the last grid's argmax k, until that
-    bracket is at most 1e-10 wide; returns that bracket's midpoint beta
-    and the overlap f there.  The true maximum lies inside each bracket
-    because f rises below beta* and falls above it, beta* <= alpha (see
-    optimal_beta).  The first grid starts no lower than twice the square
-    root of the smallest normal float, so every beta^2 is normal.
+    grid over (0, 2 alpha], then nine 21-point grids, each over the
+    bracket [grid[k-1], grid[k+1]] of the last grid's argmax k; returns
+    the last bracket's midpoint beta and the overlap f there.  Each zoom
+    cuts the bracket tenfold, so the last one is at most 2.1e-11 alpha
+    wide.  The true maximum lies inside each bracket because f rises
+    below beta* and falls above it, beta* <= alpha (see optimal_beta).
+    The first grid starts no lower than twice the square root of the
+    smallest normal float, so every beta^2 is normal.
 
-    All rows share one overlap call per grid, and a row stops zooming
-    once its bracket is narrow enough, so each row's (beta, f) is bitwise
-    that of a one-row call.  Scalars give floats.  A row outside 0 <=
-    eta <= 1, whose alpha^2 is not a normal float, or whose last grid
-    point 2 alpha has an infinite 4 beta^2, is a domain error naming the
-    first such (alpha, eta)."""
+    All rows share one overlap call per grid and make the same ten
+    grids, so each row's (beta, f) is bitwise that of a one-row call.
+    Scalars give floats.  A row outside 0 <= eta <= 1, whose alpha^2 is
+    not a normal float, or whose last grid point 2 alpha has an infinite
+    4 beta^2, is a domain error naming the first such (alpha, eta)."""
     # a 0-d input becomes a numpy scalar, whose arithmetic is the cheapest
     alpha, eta = np.asarray(alpha, dtype=float)[()], np.asarray(eta, dtype=float)[()]
     if alpha.shape != eta.shape:
@@ -330,37 +314,24 @@ def search_optimal_beta(alpha, eta):
             "whose square is a normal float and for which (4 alpha)^2 is finite"
         )
     terms = np.array(_overlap_terms(alpha, eta, _coherence(alpha, eta)))
-    flat_terms = terms.reshape(5, -1)
-    rows = np.arange(alpha.size)
-    beta = np.empty(alpha.size)
-    # each active row's bracket [lo, hi] and its width, as columns
-    lo = np.maximum(1e-6 * flat_terms[0, :, None], 2.0 * _ROOT_TINY)
-    hi = 2.0 * flat_terms[0, :, None]
-    width = hi - lo
-    ramp, stale = _FIRST_RAMP, True
-    while rows.size:
-        if stale:
-            grid_terms = flat_terms[:, rows, None].repeat(ramp.size, axis=2)
-            ends = _bracket_ends(rows.size, ramp.size)
-            stale = False
+    # each row's terms and bracket [lo, hi], as columns
+    row_terms = terms.reshape(5, -1, 1)
+    lo = np.maximum(1e-6 * row_terms[0], 2.0 * _ROOT_TINY)
+    hi = 2.0 * row_terms[0]
+    for ramp in (_FIRST_RAMP,) + (_ZOOM_RAMP,) * 9:
         # ramp.size - 2 points, so ramp.size - 3 steps
-        grid = ramp * (width / (ramp.size - 3))
+        grid = ramp * ((hi - lo) / (ramp.size - 3))
         grid += lo
         grid[:, -2:] = hi
-        values = _family_overlap(grid_terms, grid)
+        # the terms repeated to the grid's shape, as a broadcast kernel
+        # call is slower
+        values = _family_overlap(row_terms.repeat(ramp.size, axis=2), grid)
         np.minimum(values, 1.0, out=values)
         # padded entry j is grid[j-1], clipped at both ends, so the
         # bracket of the argmax k is padded entries k and k + 2
-        lo, hi = grid.ravel()[values[:, 1:-1].argmax(axis=1, keepdims=True) + ends]
-        width = hi - lo
-        if np.minimum.reduce(width, axis=None) <= 1e-10:
-            done = (width <= 1e-10)[:, 0]
-            beta[rows[done]] = 0.5 * (lo[done, 0] + hi[done, 0])
-            rows, lo, hi, width = rows[~done], lo[~done], hi[~done], width[~done]
-            stale = True
-        if ramp is _FIRST_RAMP:
-            ramp, stale = _ZOOM_RAMP, True
-    beta = beta.reshape(alpha.shape)[()]
+        k = values[:, 1:-1].argmax(axis=1, keepdims=True)
+        lo, hi = grid.ravel()[k + _bracket_ends(len(grid), ramp.size)]
+    beta = (0.5 * (lo + hi)).reshape(alpha.shape)[()]
     f = np.minimum(1.0, _family_overlap(terms, beta))
     if alpha.ndim == 0:
         return float(beta), float(f)
@@ -396,10 +367,15 @@ def figure1_sweep(alphas, etas):
 
     Points are ordered by (eta descending, alpha ascending).  Each
     point's closed form (optimal_beta) is checked at runtime against the
-    independent search (_searched_maximum).  Per-point
-    maximizer failures, domain errors and arithmetic faults do not abort
-    the sweep; they are collected and raised at the end as a SweepError
-    holding the completed points.  An invalid eta raises before any point.
+    independent search (search_optimal_beta): their overlaps must agree
+    to 1e-9 relative (_overlap_miss).  Overlaps, not positions, because
+    the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with c =
+    alpha (1 + sqrt(eta)), so at small amplitude only the value is
+    conditioned past the rounding plateau.
+    Per-point check failures, domain errors and arithmetic faults do not
+    abort the sweep; they are collected and raised at the end as a
+    SweepError holding the completed points.  An invalid eta raises
+    before any point.
     """
     points, failures = [], []
     channels = {float(e): LossChannel(e) for e in etas}
@@ -407,10 +383,17 @@ def figure1_sweep(alphas, etas):
         for alpha in sorted(set(float(a) for a in alphas)):
             try:
                 beta_star, f_star = optimal_beta(alpha, channels[eta])
-                _searched_maximum(alpha, eta, beta_star, f_star)
-                points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
-            except (measures.MaximizerError, ValueError, ArithmeticError) as exc:
+                beta_num, f_num = search_optimal_beta(alpha, eta)
+            except (ValueError, ArithmeticError) as exc:
                 failures.append((alpha, eta, str(exc)))
+                continue
+            if _overlap_miss(f_num, f_star) <= 1.0:
+                points.append(FractionCurvePoint(alpha, eta, f_star, beta_star))
+            else:
+                failures.append((alpha, eta, (
+                    f"search maximum f({beta_num}) = {f_num} disagrees with "
+                    f"closed form f({beta_star}) = {f_star} (alpha={alpha}, eta={eta})"
+                )))
     if failures:
         raise SweepError(failures, points)
     return points

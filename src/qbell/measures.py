@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "MaximizerError",
     "binary_entropy",
     "concurrence_pure",
     "eof_wootters",
@@ -44,18 +43,6 @@ _MAGIC = np.array(
 
 _HERM_TOL = 1e-10
 _EIG_FLOOR = -1e-12
-
-
-class MaximizerError(RuntimeError):
-    """Raised when a numerical maximization disagrees with the closed form
-    it checks.
-
-    Carries the value the numerical search reached in ``best_value``.
-    """
-
-    def __init__(self, message, best_value):
-        super().__init__(message)
-        self.best_value = best_value
 
 
 def binary_entropy(x):

@@ -7,9 +7,9 @@ brute-force counterpart, reporting the largest deviation.  The loss
 checks read one normalized lossy pair (_lossy_pair) through one
 environment contraction (_environment_amplitudes).  The optimal-beta
 check reports the independent maximizer search against the closed form
-as a deviation; the runtime check that raises on a mismatch belongs to
-decoherence.figure1_sweep.  The CLI ``verify`` subcommand runs the
-whole battery.
+as a deviation; the runtime check that fails a sweep point on a
+mismatch belongs to decoherence.figure1_sweep.  The CLI ``verify``
+subcommand runs the whole battery.
 """
 
 import math
@@ -22,7 +22,6 @@ from . import coherent, decoherence, fock, states, werner
 __all__ = [
     "CheckResult",
     "run_all",
-    "lossy_pair_fock",
     "family_overlap_curve",
 ]
 
@@ -92,18 +91,6 @@ def _environment_amplitudes(pair, probe_a, probe_b):
     pair_a, pair_be = pair
     on_b = np.swapaxes(probe_a.conj() @ pair_a.T, -1, -2) @ probe_b.conj()
     return on_b.reshape(len(on_b), -1) @ pair_be.reshape(-1, pair_be.shape[-1])
-
-
-def lossy_pair_fock(alpha, eta, truncation=None):
-    """Three-mode (A, B, E) state: the antisymmetric entangled coherent
-    state with mode B passed through the loss channel, built from fock
-    primitives only, and divided by its own norm rather than _lossy_pair's
-    Gram sum: the tests' independent dense reference."""
-    alpha = _loss_amplitude(alpha)
-    if truncation is None:
-        truncation = fock.adequate_truncation(alpha)
-    psi = np.einsum("ta,tbe->abe", *_lossy_pair(alpha, eta, truncation))
-    return psi / np.linalg.norm(psi)
 
 
 def family_overlap_curve(alpha, eta, betas, truncation=None):
@@ -271,7 +258,7 @@ def _orthonormal_pair(alpha, truncation):
 
 
 def _projected_loss_density(alpha, eta, n):
-    """The Fock-space rho_AB of lossy_pair_fock projected onto the 4x4
+    """The Fock-space rho_AB of the _lossy_pair projected onto the 4x4
     basis of DecoheredState.matrix: phi phi+, with phi the environment
     amplitudes (_environment_amplitudes) of the four basis products
     a_i (x) b_j, a 4 x (n+1) matrix; neither psi nor rho_AB is formed."""
@@ -340,10 +327,10 @@ def check_optimal_beta():
     # elementwise form of optimal_beta, over the 90 points, and one
     # batched search_optimal_beta call runs over all of them.  Each rule
     # is reported on the position rule's 1e-6 scale: the overlap as 1e-6
-    # times figure1_sweep's _overlap_miss.  The position is compared from
-    # alpha = 0.3 up: the overlap peak flattens like exp(-(2/3) c^2 (b -
-    # b*)^2) with c = alpha (1 + sqrt(eta)), so below that b* is not
-    # conditioned past rounding.
+    # times _overlap_miss, the rule on which figure1_sweep fails a point.
+    # The position is compared from alpha = 0.3 up: the overlap peak
+    # flattens like exp(-(2/3) c^2 (b - b*)^2) with c = alpha (1 +
+    # sqrt(eta)), so below that b* is not conditioned past rounding.
     alphas, etas = (
         grid.ravel()
         for grid in np.meshgrid(np.linspace(0.3, 3.0, 10), np.linspace(0.1, 0.9, 9), indexing="ij")

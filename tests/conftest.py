@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbell import coherent
+from qbell import coherent, fock
 
 
 @pytest.fixture
@@ -18,3 +18,22 @@ def log_fit_residual():
         return coherent._log_fit_residual(coords, np.array([char_fn(p) for p in points]))
 
     return residual
+
+
+@pytest.fixture
+def lossy_pair_fock():
+    """The dense reference of the loss checks: the three-mode (A, B, E)
+    state (|a> (x) BS(|-a>|0>) - |-a> (x) BS(|a>|0>)) / norm, the
+    antisymmetric entangled coherent state with mode B sent through the
+    loss splitter, built from fock's coherent vectors and splitter and
+    divided by its own norm, at truncation n."""
+
+    def build(alpha, eta, n):
+        vac = np.zeros(n + 1)
+        vac[0] = 1.0
+        plus, minus = fock.coherent_vector(alpha, n), fock.coherent_vector(-alpha, n)
+        psi = np.einsum("a,be->abe", plus, fock.beam_splitter(np.outer(minus, vac), eta))
+        psi -= np.einsum("a,be->abe", minus, fock.beam_splitter(np.outer(plus, vac), eta))
+        return psi / np.linalg.norm(psi)
+
+    return build

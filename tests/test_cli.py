@@ -231,17 +231,23 @@ def test_verify_reports_a_broken_search(run_cli, monkeypatch):
 
 
 def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
-    # a maximizer failure at every point makes the sweep fail
-    from qbell import decoherence, measures
+    # a search that breaks the runtime check at every point makes the
+    # sweep fail
+    from qbell import decoherence
 
-    def failing(alpha, channel):
-        raise measures.MaximizerError("forced failure", 0.0)
+    search = decoherence.search_optimal_beta
 
-    monkeypatch.setattr(decoherence, "optimal_beta", failing)
+    def broken(alpha, eta):
+        beta, f = search(alpha, eta)
+        return beta, f * (1.0 + 1e-6)
+
+    monkeypatch.setattr(decoherence, "search_optimal_beta", broken)
     proc = run_cli("decohere", "--alpha-min", "10", "--alpha-max", "14",
                    "--steps", "5", "--etas", "0.5")
     assert proc.returncode == 2
-    assert "sweep point(s) failed" in json.loads(proc.stderr)["error"]
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith("5 sweep point(s) failed: ")
+    assert error.count("disagrees with closed form") == 5
 
 
 def test_charfunc_tiny_amplitude_value(run_cli):
@@ -382,7 +388,7 @@ def test_package_exports():
     names = """
         QuasiBell normalization_constant gram_matrix gram_off_diagonal
         reduced_spectrum entropy_of_entanglement embed_qubit
-        MaximizerError binary_entropy concurrence_pure eof_wootters
+        binary_entropy concurrence_pure eof_wootters
         eof_lower_bound fully_entangled_fraction
         QuasiWerner build_quasi_werner quasi_werner_spectrum
         CoherentQuasiBell CharFuncPoint overlap_of_amplitude mean_photon_numbers
@@ -390,7 +396,7 @@ def test_package_exports():
         LossChannel DecoheredState FractionCurvePoint apply_loss
         fraction_over_family optimal_beta biphoton_fraction figure1_sweep
     """.split()
-    assert len(names) == 31
+    assert len(names) == 30
     exported = {
         name for name, value in vars(qbell).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)

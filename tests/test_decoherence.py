@@ -26,10 +26,12 @@ def test_apply_loss_lossless_is_pure():
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_apply_loss_coherence_factor_and_purity():
+def test_apply_loss_coherence_factor_and_purity(lossy_pair_fock):
+    from qbell import fock
+
     state = decoherence.apply_loss(1.0, LossChannel(0.5))
     assert state.coherence == pytest.approx(np.exp(-1.0), abs=1e-15)
-    psi = verify.lossy_pair_fock(1.0, 0.5)
+    psi = lossy_pair_fock(1.0, 0.5, fock.adequate_truncation(1.0))
     rho_fock = fock_partial(psi)
     oracle_purity = np.trace(rho_fock @ rho_fock).real
     assert np.trace(state.matrix @ state.matrix).real == pytest.approx(
@@ -67,10 +69,10 @@ def test_apply_loss_trace_one_rank_two():
             decoherence.apply_loss(alpha, LossChannel(0.5))
 
 
-def test_apply_loss_matches_oracle_density():
-    psi = verify.lossy_pair_fock(1.0, 0.5)
+def test_apply_loss_matches_oracle_density(lossy_pair_fock):
     from qbell import fock
 
+    psi = lossy_pair_fock(1.0, 0.5, fock.adequate_truncation(1.0))
     rho_fock = fock.partial_trace(psi, keep=(0, 1))
     plus_a, minus_a = verify._orthonormal_pair(1.0, fock.adequate_truncation(1.0))
     plus_b, minus_b = verify._orthonormal_pair(
@@ -192,31 +194,38 @@ def test_optimal_beta_against_search_grid():
 
 
 def test_search_makes_few_overlap_calls(monkeypatch):
-    # one 200-point grid, then 21-point zooms that each cut the bracket
-    # tenfold, then the overlap at the midpoint; each grid is padded with
-    # a copy of its first and last point, and a batch shares every call
-    grids = []
+    # one 200-point grid, then nine 21-point zooms that each cut the
+    # bracket tenfold, then the overlap at the midpoint of the last
+    # bracket, which is at most 2.1e-11 alpha wide; each grid is padded
+    # with a copy of its first and last point, and a batch shares every call
+    calls = []
     real = decoherence._family_overlap
 
     def counted(terms, beta):
-        grids.append(np.atleast_2d(beta))
-        return real(terms, beta)
+        values = real(terms, beta)
+        calls.append((np.atleast_2d(beta), np.atleast_2d(values)))
+        return values
 
     monkeypatch.setattr(decoherence, "_family_overlap", counted)
-    alphas, etas = np.meshgrid([1e-150, 0.3, 1.0, 3.0, 30.0], [0.1, 0.9])
+    alphas, etas = np.meshgrid([1e-150, 0.3, 1.0, 3.0, 30.0, 1e3], [0.1, 0.9])
     for alpha, eta in zip(alphas.ravel(), etas.ravel()):
-        grids.clear()
-        decoherence.search_optimal_beta(alpha, eta)
-        assert len(grids) <= 15
-        points = [len(np.unique(grid)) for grid in grids]
-        assert points[0] == 200 and set(points[1:-1]) <= {21} and points[-1] == 1
-    grids.clear()
+        calls.clear()
+        beta, _ = decoherence.search_optimal_beta(alpha, eta)
+        assert len(calls) == 1 + 9 + 1
+        points = [len(np.unique(grid)) for grid, _ in calls]
+        assert points[0] == 200 and set(points[1:-1]) == {21} and points[-1] == 1
+        # the last bracket [grid[k-1], grid[k+1]] of the last zoom's argmax k
+        grid, values = (padded[0, 1:-1] for padded in calls[-2])
+        k = values.argmax()
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        assert lo <= beta <= hi and hi - lo <= 2.1e-11 * alpha
+    calls.clear()
     decoherence.search_optimal_beta(alphas, etas)
-    assert len(grids) <= 15 and grids[0].shape == (10, 202)
+    assert len(calls) == 1 + 9 + 1 and calls[0][0].shape == (12, 202)
 
 
 def test_batched_search_rows_match_one_row_calls():
-    # each row stops zooming on its own, so a batch gives every row's
+    # every row makes the same ten grids, so a batch gives every row's
     # one-row (beta, f) bitwise, from the smallest accepted amplitude to 30
     rng = np.random.default_rng(1401)
     alphas = np.concatenate(
@@ -361,17 +370,24 @@ def test_sweep_checks_every_eta_first(monkeypatch):
 
 
 def test_sweep_collects_failures(monkeypatch):
-    real = decoherence.optimal_beta
+    # a search whose overlap is 1e-6 high breaks the runtime check's 1e-9
+    # rule at that point only; the sweep keeps the other point
+    search = decoherence.search_optimal_beta
 
-    def flaky(alpha, channel):
-        if alpha > 0.5:
-            raise measures.MaximizerError("forced failure", 0.0)
-        return real(alpha, channel)
+    def broken(alpha, eta):
+        beta, f = search(alpha, eta)
+        return beta, f * (1.0 + 1e-6) if alpha > 0.5 else f
 
-    monkeypatch.setattr(decoherence, "optimal_beta", flaky)
+    monkeypatch.setattr(decoherence, "search_optimal_beta", broken)
     with pytest.raises(decoherence.SweepError) as info:
         decoherence.figure1_sweep([0.2, 0.8], [0.5])
-    assert len(info.value.failures) == 1
+    [(alpha, eta, message)] = info.value.failures
+    assert (alpha, eta) == (0.8, 0.5)
+    assert re.fullmatch(
+        r"search maximum f\(\S+\) = \S+ disagrees with closed form "
+        r"f\(\S+\) = \S+ \(alpha=0\.8, eta=0\.5\)",
+        message,
+    )
     assert len(info.value.points) == 1
     assert info.value.points[0].alpha == 0.2
 
@@ -493,8 +509,11 @@ def test_non_finite_overlap_raises():
 
 
 def test_search_grid_stays_above_subnormal_beta():
-    # the grid's 1e-6 alpha start would square to a subnormal here; the
-    # search must still reach the small-amplitude limit (1 + sqrt(eta))^2 / 4
+    # the grid's 1e-6 alpha start would square to a subnormal here, where
+    # the overlap's rounding lifts it above the maximum, and the nine zooms
+    # would follow it down (f 1.9e-6 relative high at 1e-153); with the
+    # 2 sqrt(float min) floor the search reaches the small-amplitude
+    # limit (1 + sqrt(eta))^2 / 4
     limit = (1.0 + math.sqrt(0.5)) ** 2 / 4.0
     for alpha in (1e-150, 1e-153):
         _, f_star = decoherence.optimal_beta(alpha, LossChannel(0.5))

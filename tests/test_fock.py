@@ -435,10 +435,10 @@ def test_eigenbasis_traces_keep_the_boundary_rule():
     assert np.isfinite(fock._char_traces(np.eye(n + 1), vec, za[:1], np.zeros(1))).all()
 
 
-def test_loss_purity_frobenius_equals_trace():
+def test_loss_purity_frobenius_equals_trace(lossy_pair_fock):
     # the battery's loss amplitude
     alpha, eta, n = 1.0, 0.5, fock.adequate_truncation(1.0)
-    rho = fock.partial_trace(verify.lossy_pair_fock(alpha, eta, n), keep=(0, 1))
+    rho = fock.partial_trace(lossy_pair_fock(alpha, eta, n), keep=(0, 1))
     by_trace = np.trace(rho @ rho).real
     assert abs(np.vdot(rho, rho).real - by_trace) < 1e-13
     closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
@@ -447,11 +447,11 @@ def test_loss_purity_frobenius_equals_trace():
     assert abs(deviation - abs(by_trace - closed)) < 1e-13
 
 
-def test_family_overlap_curve_matches_einsum():
+def test_family_overlap_curve_matches_einsum(lossy_pair_fock):
     alpha, eta = 1.0, 0.3
     betas = np.linspace(0.25, 1.75, 7)
     n = fock.adequate_truncation(betas.max())
-    psi = verify.lossy_pair_fock(alpha, eta, n)
+    psi = lossy_pair_fock(alpha, eta, n)
     reference = [
         np.sum(np.abs(np.einsum(
             "ab,abe->e",

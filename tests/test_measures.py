@@ -207,9 +207,3 @@ def test_eof_bound_inequality_random_densities():
             min(1.0, measures.fully_entangled_fraction(rho))
         )
         assert eof >= bound - 1e-9
-
-
-def test_maximizer_error_carries_best_value():
-    err = measures.MaximizerError("did not converge", 0.42)
-    assert err.best_value == 0.42
-    assert "converge" in str(err)

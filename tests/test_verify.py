@@ -12,7 +12,7 @@ def _basis_pair(amplitude, n):
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
 
 
-def test_loss_density_projection_matches_full_density():
+def test_loss_density_projection_matches_full_density(lossy_pair_fock):
     # the battery's loss amplitude
     alpha, n = 1.0, fock.adequate_truncation(1.0)
     worst = 0.0
@@ -23,7 +23,7 @@ def test_loss_density_projection_matches_full_density():
             [np.kron(a, b) for a in (plus_a, minus_a) for b in (plus_b, minus_b)],
             axis=1,
         )
-        rho_ab = fock.partial_trace(verify.lossy_pair_fock(alpha, eta, n), keep=(0, 1))
+        rho_ab = fock.partial_trace(lossy_pair_fock(alpha, eta, n), keep=(0, 1))
         reference = basis.conj().T @ rho_ab @ basis
         projected = verify._projected_loss_density(alpha, eta, n)
         assert np.max(np.abs(projected - reference)) < 1e-13
@@ -32,11 +32,11 @@ def test_loss_density_projection_matches_full_density():
     assert abs(verify.check_loss_density(n).deviation - worst) < 1e-13
 
 
-def test_environment_purity_equals_trace():
+def test_environment_purity_equals_trace(lossy_pair_fock):
     alpha, n = 1.0, fock.adequate_truncation(1.0)
     expected = 0.0
     for eta in (0.3, 0.5):
-        psi = verify.lossy_pair_fock(alpha, eta, n)
+        psi = lossy_pair_fock(alpha, eta, n)
         rho_ab = fock.partial_trace(psi, keep=(0, 1))
         rho_env = fock.partial_trace(psi, keep=(2,))
         by_trace = np.trace(rho_ab @ rho_ab).real
@@ -184,7 +184,7 @@ def test_zero_loss_amplitude_is_domain_error():
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
         verify.family_overlap_curve(0.0, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
-        verify.lossy_pair_fock(0.0, 0.5)
+        verify._projected_loss_density(0.0, 0.5, 30)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
@@ -192,7 +192,7 @@ def test_non_finite_loss_amplitude_is_domain_error(alpha):
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
         verify.family_overlap_curve(alpha, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
-        verify.lossy_pair_fock(alpha, 0.5)
+        verify._projected_loss_density(alpha, 0.5, 30)
 
 
 @pytest.mark.parametrize("betas", [[], np.array([]), [1.0, float("nan")]])
