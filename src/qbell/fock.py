@@ -14,6 +14,11 @@ also be kept as product terms: two stacks ``terms_a`` (T x Na) and
 psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b, which the
 private kernels (_char_traces, _reduced_density) take without forming
 psi; a quasi-Bell state is two such terms (_quasi_bell_terms).
+
+The beam splitter runs per photon-number sector from theta-free sector
+eigensystems; beam_splitter takes any two-mode vector, and the private
+_splitter_on_vacuum takes the one-mode g of g (x) |0>, the loss model's
+input, through one cached table of vacuum columns.
 """
 
 import math
@@ -180,28 +185,80 @@ def quasi_bell_fock(state, truncation=None):
     return (np.outer(a, b) + np.outer(c, d)) / norm
 
 
-def _expm_antihermitian(gen):
-    """exp(gen) for an anti-Hermitian generator, from the eigensystem of
-    the Hermitian matrix i gen = V diag(w) V+: exp(gen) = V diag(e^{-iw}) V+."""
-    w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+_POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-# one default verify battery fills 578 blocks; the bound keeps a
-# long-lived process that visits many transmissivities from growing
+# keyed on the sector alone, theta-free; a default verify battery uses
+# 90: the full sectors 0..69 of the loss checks' tables and the 20
+# partial sectors of the unitarity check's 21-level pair
+@lru_cache(maxsize=128)
+def _sector_eigensystem(sector, low, high):
+    """Eigensystem (w, V) of the Hermitian i K on the photon-number sector
+    n_first = low..high of total photon number ``sector``, with K the
+    coupling generator a b+ - a+ b there.  The splitter of angle theta
+    has the generator theta K, so every theta shares V and the block is
+    V diag(e^{-i theta w}) V+ (_evolved_eigenbasis).  Read-only because
+    every splitter through that sector shares it."""
+    n_first = np.arange(low + 1, high + 1)  # coupling between n_first-1 and n_first
+    coupling = np.sqrt(n_first * (sector - n_first + 1.0))
+    # i K = D J D+ with D = diag(i^j) and J the real symmetric tridiagonal
+    # matrix of off-diagonal -coupling, whose eigh is the cheaper one
+    w, u = np.linalg.eigh(-(np.diag(coupling, k=1) + np.diag(coupling, k=-1)))
+    v = _POWERS_OF_I[np.arange(high - low + 1) % 4, None] * u
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def _evolved_eigenbasis(theta, sector, low, high):
+    """V diag(e^{-i theta w}) and V from the sector's eigensystem: the
+    one exponential rule of both splitter paths, whose block is this
+    times V+ and whose vacuum column is this times conj(V[-1])."""
+    w, v = _sector_eigensystem(sector, low, high)
+    return v * np.exp(-1j * theta * w), v
+
+
+# keyed on the angle; a default verify battery fills 123 blocks, the
+# unitarity check's three angles at size 21 (the loss checks take
+# _splitter_on_vacuum); the bound keeps a long-lived process that visits
+# many transmissivities from growing
 @lru_cache(maxsize=1024)
 def _splitter_block(theta, sector, low, high):
     """Unitary on the photon-number sector n_first = low..high of total
-    photon number ``sector``, from the exponential of the two-mode
-    coupling generator theta (a b+ - a+ b)."""
-    size = high - low + 1
-    gen = np.zeros((size, size))
-    for i in range(size - 1):
-        n_first = low + i + 1  # coupling between n_first-1 and n_first
-        val = theta * math.sqrt(n_first * (sector - n_first + 1))
-        gen[i, i + 1] = val
-        gen[i + 1, i] = -val
-    return _expm_antihermitian(gen)
+    photon number ``sector``, the exponential of the two-mode coupling
+    generator theta (a b+ - a+ b); read-only because it is cached."""
+    evolved, v = _evolved_eigenbasis(theta, sector, low, high)
+    block = evolved @ v.conj().T
+    block.flags.writeable = False
+    return block
+
+
+# keyed on (angle, size); a default verify battery makes 36 tables of at
+# most 70 x 70 complex entries (78 KB) each
+@lru_cache(maxsize=64)
+def _vacuum_columns(theta, size):
+    """T[k, m] = <k, m| U |k+m, 0>, the splitter of angle theta on the
+    vacuum-input states of a ``size``-level first mode: |n>|0> is the
+    last state of the full sector n (low 0, high n), so its image is that
+    block's last column, laid out on the sector's anti-diagonal k + m = n.
+    Entries with k + m >= size are 0.  Read-only because it is cached."""
+    table = np.zeros((size, size), dtype=complex)
+    flat = table.reshape(-1)
+    for sector in range(size):
+        evolved, v = _evolved_eigenbasis(theta, sector, 0, sector)
+        # (k, sector - k) for k = 0..sector, at flat index k (size - 1) +
+        # sector; a one-level table's single entry takes any positive step
+        flat[sector : sector * size + 1 : size - 1 or 1] = evolved @ v[-1].conj()
+    table.flags.writeable = False
+    return table
+
+
+def _splitter_angle(eta):
+    """The mixing angle theta = atan2(sqrt(1 - eta), sqrt(eta)) of the
+    transmissivity-eta beam splitter, after checking eta lies in [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    return math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
 
 
 # keyed on the two-mode size only; a default verify battery uses nine
@@ -235,10 +292,8 @@ def beam_splitter(vec, eta, check_tail=True):
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2 or vec.shape[0] != vec.shape[1]:
         raise ValueError("expected a two-mode vector with equal truncations")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    theta = _splitter_angle(eta)
     size = vec.shape[0]
-    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
     order, starts = _sector_order(size)
     moved = vec.ravel()[order]
     peaks = np.maximum.reduceat(np.abs(moved), starts[:-1])
@@ -251,6 +306,31 @@ def beam_splitter(vec, eta, check_tail=True):
     out = np.empty(size * size, dtype=complex)
     out[order] = moved
     out = out.reshape(size, size)
+    if check_tail:
+        _check_tail(_boundary_mass(out), "beam splitter output")
+    return out
+
+
+def _splitter_on_vacuum(vec_a, eta, check_tail=True):
+    """beam_splitter(np.outer(vec_a, |0>), eta) without the sector loop.
+
+    |n>|0> lies in sector n alone, so the output is T[k, m] vec_a[k + m]
+    with T the cached vacuum-column table (_vacuum_columns) and vec_a
+    zero-padded to 2 size - 1 entries: one strided view and one product.
+    Every sector is moved, also one whose amplitude beam_splitter's
+    1e-18 peak filter would pass through, and ``check_tail`` applies
+    beam_splitter's boundary rule.
+    """
+    vec_a = np.asarray(vec_a, dtype=complex)
+    if vec_a.ndim != 1 or vec_a.size == 0:
+        raise ValueError("expected a nonempty one-mode vector")
+    theta = _splitter_angle(eta)
+    size = len(vec_a)
+    padded = np.zeros(2 * size - 1, dtype=complex)
+    padded[:size] = vec_a
+    # a Hankel view of the fresh buffer: entry (k, m) is padded[k + m]
+    hankel = np.ndarray((size, size), complex, padded, 0, padded.strides * 2)
+    out = _vacuum_columns(theta, size) * hankel
     if check_tail:
         _check_tail(_boundary_mass(out), "beam splitter output")
     return out

@@ -53,11 +53,10 @@ def _loss_amplitude(alpha):
 
 def _splitter_output(alpha, eta, n):
     """|alpha> and the (B, E) output BS(|alpha>|0>) of the loss beam
-    splitter, at truncation n."""
-    vac = np.zeros(n + 1, dtype=complex)
-    vac[0] = 1.0
+    splitter, at truncation n, from fock's vacuum-input kernel
+    (fock._splitter_on_vacuum): the environment enters in its vacuum."""
     plus = fock.coherent_vector(alpha, n)
-    return plus, fock.beam_splitter(np.outer(plus, vac), eta)
+    return plus, fock._splitter_on_vacuum(plus, eta)
 
 
 def _lossy_pair(alpha, eta, n):

@@ -92,14 +92,21 @@ def test_beam_splitter_unitary():
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_beam_splitter_tail_error():
-    n = 12
-    vac = np.zeros(n + 1, dtype=complex)
-    vac[0] = 1.0
-    # |3> cut to 13 levels, below the adequacy rule: alpha^n / sqrt(n!)
+def _cut_coherent_three(n):
+    # |3> cut to n + 1 levels, below the adequacy rule: alpha^n / sqrt(n!)
     levels = np.arange(n + 1)
     amps = 3.0**levels / np.sqrt([math.factorial(k) for k in levels])
-    state = np.outer(amps / np.linalg.norm(amps), vac)
+    return amps / np.linalg.norm(amps)
+
+
+def _vacuum(size):
+    vac = np.zeros(size, dtype=complex)
+    vac[0] = 1.0
+    return vac
+
+
+def test_beam_splitter_tail_error():
+    state = np.outer(_cut_coherent_three(12), _vacuum(13))
     with pytest.raises(fock.TruncationError):
         fock.beam_splitter(state, 0.5)
 
@@ -144,6 +151,64 @@ def test_beam_splitter_matches_sector_loop(size):
         for eta in (0.0, 0.3, 1.0):
             out = fock.beam_splitter(vec, eta, check_tail=False)
             assert np.array_equal(out, _sector_loop_splitter(vec, eta)), (size, eta)
+
+
+def _vacuum_kernel_inputs(size):
+    rng = np.random.default_rng(1900 + size)
+    noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    noise /= np.linalg.norm(noise)
+    yield noise
+    yield fock.coherent_vector(1.3, max(size - 1, 40))[:size]
+    # a row of a Fortran-ordered array and every other entry of a longer
+    # one: two strided views
+    wide = np.asfortranarray(rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size)))
+    yield wide[1] / np.linalg.norm(wide[1])
+    yield np.repeat(noise, 2)[::2]
+
+
+@pytest.mark.parametrize("size", [2, 21, 37, 62, 70])
+def test_vacuum_kernel_matches_beam_splitter(size):
+    # BS(g (x) |0>) from the vacuum-column table against the general
+    # per-sector path on the dense input
+    worst = 0.0
+    for vec_a in _vacuum_kernel_inputs(size):
+        for eta in (0.0, 0.3, 0.5, 1.0):
+            out = fock._splitter_on_vacuum(vec_a, eta, check_tail=False)
+            dense = fock.beam_splitter(np.outer(vec_a, _vacuum(size)), eta, check_tail=False)
+            assert out.shape == (size, size) and out.flags.c_contiguous
+            worst = max(worst, np.max(np.abs(out - dense)))
+            flipped = fock._splitter_on_vacuum(fock._parity(vec_a), eta, check_tail=False)
+            assert np.array_equal(flipped, fock._parity(out)), (size, eta)
+    assert worst < 1e-15, worst
+
+
+def test_vacuum_kernel_keeps_the_boundary_rule():
+    amps = _cut_coherent_three(12)
+    with pytest.raises(fock.TruncationError) as general:
+        fock.beam_splitter(np.outer(amps, _vacuum(13)), 0.5)
+    with pytest.raises(fock.TruncationError) as kernel:
+        fock._splitter_on_vacuum(amps, 0.5)
+    assert str(kernel.value) == str(general.value)
+    assert str(general.value).startswith("beam splitter output holds ")
+    with pytest.raises(ValueError, match="transmissivity must lie in"):
+        fock._splitter_on_vacuum(amps, 1.5)
+    for bad in (np.outer(amps, amps), np.zeros(0)):
+        with pytest.raises(ValueError, match="expected a nonempty one-mode vector"):
+            fock._splitter_on_vacuum(bad, 0.5)
+
+
+def test_vacuum_columns_are_the_block_columns():
+    # sector n of the table, T[k, n - k] for k = 0..n, is the last column
+    # of the full sector block; nothing lies past the last input sector
+    for eta in (0.0, 0.3, 1.0):
+        theta = fock._splitter_angle(eta)
+        for size in (2, 21, 62):
+            table = fock._vacuum_columns(theta, size)
+            for n in range(size):
+                k = np.arange(n + 1)
+                column = fock._splitter_block(theta, n, 0, n)[:, -1]
+                assert np.max(np.abs(table[k, n - k] - column)) < 1e-15, (eta, size, n)
+            assert not np.any(table[np.add.outer(np.arange(size), np.arange(size)) >= size])
 
 
 def test_coherent_parity_is_bitwise():
@@ -365,12 +430,32 @@ def test_densities_are_physical():
 
 
 def test_splitter_cache_is_bounded():
-    info = fock._splitter_block.cache_info
-    assert info().maxsize is not None
+    caches = (fock._splitter_block, fock._sector_eigensystem, fock._vacuum_columns)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
     verify.run_all()
+    # sixty angles: more tables than the bound, and with every sector of
+    # a 21-level pair, more blocks than the bound
     for eta in np.linspace(0.05, 0.95, 60):
         verify.family_overlap_curve(3.0, float(eta), [2.0])
-    assert info().currsize <= info().maxsize
+        fock.beam_splitter(np.ones((21, 21), dtype=complex), float(eta), check_tail=False)
+    # the eigensystems are theta-free, so they grow with the sectors only
+    for sector in range(1, 1 + 2 * fock._sector_eigensystem.cache_info().maxsize):
+        fock._sector_eigensystem(sector, sector - 1, sector)
+    for cache in caches:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize, cache
+    cached = (
+        *fock._sector_eigensystem(5, 0, 5),
+        fock._splitter_block(0.4, 5, 0, 5),
+        fock._vacuum_columns(0.4, 6),
+    )
+    assert not any(array.flags.writeable for array in cached)
+
+
+def _expm_antihermitian(gen):
+    # exp(gen) for an anti-Hermitian generator, from the eigensystem of
+    # the Hermitian matrix i gen = V diag(w) V+: exp(gen) = V diag(e^{-iw}) V+
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def test_displacement_matches_direct_exponential():
@@ -380,7 +465,7 @@ def test_displacement_matches_direct_exponential():
         ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)
         w, v = fock._displacement_eigensystem(size)
         for zeta in (0.0, 0.7, -1.2, 0.9j, 1.1 - 0.4j):
-            direct = fock._expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
+            direct = _expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
             rotated = np.exp(1j * np.angle(zeta) * np.arange(size))[:, None] * v
             rotated = (rotated * np.exp(-1j * abs(zeta) * w)) @ rotated.conj().T
             assert np.max(np.abs(rotated - direct)) < 1e-13
@@ -398,7 +483,7 @@ def test_displacement_cache_is_bounded():
 
 def _direct_displacement(zeta, size):
     ladder = np.diag(np.sqrt(np.arange(1, size)), k=1)
-    return fock._expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
+    return _expm_antihermitian(zeta * ladder.T - np.conj(zeta) * ladder)
 
 
 def test_eigenbasis_traces_match_explicit_displacements():

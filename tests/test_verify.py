@@ -178,6 +178,22 @@ def test_family_overlap_never_forms_the_three_mode_state():
     assert peak < size**3 * 16, peak
 
 
+def test_loss_checks_take_the_vacuum_kernel(monkeypatch):
+    # every loss check sends |alpha>|0> through fock._splitter_on_vacuum,
+    # so none of them reaches the general per-sector splitter
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loss check called fock.beam_splitter")
+
+    monkeypatch.setattr(fock, "beam_splitter", refuse)
+    for check in (
+        verify.check_beam_splitter_rule,
+        verify.check_family_overlap,
+        verify.check_loss_density,
+        verify.check_loss_purity,
+    ):
+        assert check(None).passed, check
+
+
 def test_zero_loss_amplitude_is_domain_error():
     # the antisymmetric pair vanishes at alpha = 0; named, without the
     # RuntimeWarning of normalizing a zero vector
