@@ -185,9 +185,6 @@ def quasi_bell_fock(state, truncation=None):
     return (np.outer(a, b) + np.outer(c, d)) / norm
 
 
-_POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
 # keyed on the sector alone, theta-free; a default verify battery uses
 # 90: the full sectors 0..69 of the loss checks' tables and the 20
 # partial sectors of the unitarity check's 21-level pair
@@ -197,25 +194,14 @@ def _sector_eigensystem(sector, low, high):
     n_first = low..high of total photon number ``sector``, with K the
     coupling generator a b+ - a+ b there.  The splitter of angle theta
     has the generator theta K, so every theta shares V and the block is
-    V diag(e^{-i theta w}) V+ (_evolved_eigenbasis).  Read-only because
-    every splitter through that sector shares it."""
+    V diag(e^{-i theta w}) V+.  Read-only because every splitter through
+    that sector shares it."""
     n_first = np.arange(low + 1, high + 1)  # coupling between n_first-1 and n_first
     coupling = np.sqrt(n_first * (sector - n_first + 1.0))
-    # i K = D J D+ with D = diag(i^j) and J the real symmetric tridiagonal
-    # matrix of off-diagonal -coupling, whose eigh is the cheaper one
-    w, u = np.linalg.eigh(-(np.diag(coupling, k=1) + np.diag(coupling, k=-1)))
-    v = _POWERS_OF_I[np.arange(high - low + 1) % 4, None] * u
+    w, v = np.linalg.eigh(1j * (np.diag(coupling, k=1) - np.diag(coupling, k=-1)))
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
-
-
-def _evolved_eigenbasis(theta, sector, low, high):
-    """V diag(e^{-i theta w}) and V from the sector's eigensystem: the
-    one exponential rule of both splitter paths, whose block is this
-    times V+ and whose vacuum column is this times conj(V[-1])."""
-    w, v = _sector_eigensystem(sector, low, high)
-    return v * np.exp(-1j * theta * w), v
 
 
 # keyed on the angle; a default verify battery fills 123 blocks, the
@@ -227,8 +213,8 @@ def _splitter_block(theta, sector, low, high):
     """Unitary on the photon-number sector n_first = low..high of total
     photon number ``sector``, the exponential of the two-mode coupling
     generator theta (a b+ - a+ b); read-only because it is cached."""
-    evolved, v = _evolved_eigenbasis(theta, sector, low, high)
-    block = evolved @ v.conj().T
+    w, v = _sector_eigensystem(sector, low, high)
+    block = (v * np.exp(-1j * theta * w)) @ v.conj().T
     block.flags.writeable = False
     return block
 
@@ -245,10 +231,11 @@ def _vacuum_columns(theta, size):
     table = np.zeros((size, size), dtype=complex)
     flat = table.reshape(-1)
     for sector in range(size):
-        evolved, v = _evolved_eigenbasis(theta, sector, 0, sector)
+        w, v = _sector_eigensystem(sector, 0, sector)
+        column = v @ (np.exp(-1j * theta * w) * v[-1].conj())
         # (k, sector - k) for k = 0..sector, at flat index k (size - 1) +
         # sector; a one-level table's single entry takes any positive step
-        flat[sector : sector * size + 1 : size - 1 or 1] = evolved @ v[-1].conj()
+        flat[sector : sector * size + 1 : size - 1 or 1] = column
     table.flags.writeable = False
     return table
 
@@ -285,9 +272,10 @@ def beam_splitter(vec, eta, check_tail=True):
     evaluated sector by sector: one gather lays the sectors out as
     contiguous runs, each run whose largest amplitude exceeds 1e-18 is
     multiplied by its block, the rest pass through untouched, and one
-    scatter restores the two-mode layout.  With ``check_tail``,
-    probability accumulating on the truncation boundary above 1e-9
-    raises a TruncationError.
+    scatter restores the two-mode layout.  At eta = 1 each moved block
+    is V V+ from its sector's eigensystem, the identity to rounding
+    only.  With ``check_tail``, probability accumulating on the
+    truncation boundary above 1e-9 raises a TruncationError.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2 or vec.shape[0] != vec.shape[1]:
@@ -311,15 +299,15 @@ def beam_splitter(vec, eta, check_tail=True):
     return out
 
 
-def _splitter_on_vacuum(vec_a, eta, check_tail=True):
+def _splitter_on_vacuum(vec_a, eta):
     """beam_splitter(np.outer(vec_a, |0>), eta) without the sector loop.
 
     |n>|0> lies in sector n alone, so the output is T[k, m] vec_a[k + m]
     with T the cached vacuum-column table (_vacuum_columns) and vec_a
     zero-padded to 2 size - 1 entries: one strided view and one product.
     Every sector is moved, also one whose amplitude beam_splitter's
-    1e-18 peak filter would pass through, and ``check_tail`` applies
-    beam_splitter's boundary rule.
+    1e-18 peak filter would pass through, and beam_splitter's boundary
+    rule always applies.
     """
     vec_a = np.asarray(vec_a, dtype=complex)
     if vec_a.ndim != 1 or vec_a.size == 0:
@@ -331,8 +319,7 @@ def _splitter_on_vacuum(vec_a, eta, check_tail=True):
     # a Hankel view of the fresh buffer: entry (k, m) is padded[k + m]
     hankel = np.ndarray((size, size), complex, padded, 0, padded.strides * 2)
     out = _vacuum_columns(theta, size) * hankel
-    if check_tail:
-        _check_tail(_boundary_mass(out), "beam splitter output")
+    _check_tail(_boundary_mass(out), "beam splitter output")
     return out
 
 

@@ -90,6 +90,19 @@ def test_beam_splitter_unitary():
     for eta in (0.0, 0.37, 1.0):
         out = fock.beam_splitter(vec, eta, check_tail=False)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    # eta = 1 is the identity to rounding: each block is V V+
+    assert np.max(np.abs(fock.beam_splitter(vec, 1.0, check_tail=False) - vec)) < 1e-15
+    # each block, full (low 0, high n) or partial, against the direct
+    # exponential of its explicit generator theta (a b+ - a+ b); the
+    # eigenvalues reach the sector, so the phases round to ~theta sector eps
+    for sector, low, high in ((5, 0, 5), (30, 10, 20), (40, 20, 20), (40, 19, 21), (69, 0, 69)):
+        n_first = np.arange(low + 1, high + 1)
+        coupling = np.sqrt(n_first * (sector - n_first + 1.0))
+        gen = np.diag(coupling, k=1) - np.diag(coupling, k=-1)
+        for theta in (0.0, 0.7, math.pi / 2):
+            block = fock._splitter_block(theta, sector, low, high)
+            diff = np.max(np.abs(block - _expm_antihermitian(theta * gen)))
+            assert diff < 10 * np.finfo(float).eps * (1 + theta * sector), (sector, theta)
 
 
 def _cut_coherent_three(n):
@@ -154,15 +167,22 @@ def test_beam_splitter_matches_sector_loop(size):
 
 
 def _vacuum_kernel_inputs(size):
+    # each input's last entry is 0: only level size - 1 reaches the
+    # output's last row or column, so its boundary mass is exactly 0
     rng = np.random.default_rng(1900 + size)
     noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    noise[-1] = 0.0
     noise /= np.linalg.norm(noise)
     yield noise
-    yield fock.coherent_vector(1.3, max(size - 1, 40))[:size]
+    coherent = fock.coherent_vector(1.3, max(size - 1, 40))[:size]
+    coherent[-1] = 0.0
+    yield coherent
     # a row of a Fortran-ordered array and every other entry of a longer
     # one: two strided views
     wide = np.asfortranarray(rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size)))
-    yield wide[1] / np.linalg.norm(wide[1])
+    wide[:, -1] = 0.0
+    wide /= np.linalg.norm(wide[1])
+    yield wide[1]
     yield np.repeat(noise, 2)[::2]
 
 
@@ -173,11 +193,11 @@ def test_vacuum_kernel_matches_beam_splitter(size):
     worst = 0.0
     for vec_a in _vacuum_kernel_inputs(size):
         for eta in (0.0, 0.3, 0.5, 1.0):
-            out = fock._splitter_on_vacuum(vec_a, eta, check_tail=False)
+            out = fock._splitter_on_vacuum(vec_a, eta)
             dense = fock.beam_splitter(np.outer(vec_a, _vacuum(size)), eta, check_tail=False)
             assert out.shape == (size, size) and out.flags.c_contiguous
             worst = max(worst, np.max(np.abs(out - dense)))
-            flipped = fock._splitter_on_vacuum(fock._parity(vec_a), eta, check_tail=False)
+            flipped = fock._splitter_on_vacuum(fock._parity(vec_a), eta)
             assert np.array_equal(flipped, fock._parity(out)), (size, eta)
     assert worst < 1e-15, worst
 
