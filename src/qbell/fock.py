@@ -12,8 +12,10 @@ square 2-D arrays over the flattened kept modes.  A two-mode state may
 also be kept as product terms: two stacks ``terms_a`` (T x Na) and
 ``terms_b`` (T x Nb) of mode vectors standing for the state
 psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b, which the
-private kernels (_char_traces, _reduced_density) take without forming
-psi; a quasi-Bell state is two such terms (_quasi_bell_terms).
+private kernels (_char_traces, _reduced_density, _reduced_core) take
+without forming psi; a quasi-Bell state is two such terms
+(_quasi_bell_terms), so its reduced spectra come from the 2 x 2 core of
+_reduced_core, not from an (N+1)-square density.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems; beam_splitter takes any two-mode vector, and the private
@@ -367,6 +369,24 @@ def _reduced_density(terms_a, terms_b, mode):
     partial_trace of the dense state without forming it, in O(T N^2)."""
     kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
     return kept.T @ (traced @ traced.conj().T) @ kept.conj()
+
+
+def _reduced_core(terms_a, terms_b, mode):
+    """The T x T Hermitian core of _reduced_density's rho, for one state
+    or a stack of states kept as product terms (shape (..., T, N)).
+    With the thin QR kept^T = Q R of the kept mode's terms and G =
+    traced traced^+ the traced mode's Gram matrix,
+
+        rho = kept^T G kept* = Q (R G R^+) Q^+,
+
+    and Q has orthonormal columns, so the core R G R^+ has exactly rho's
+    nonzero spectrum, at most T eigenvalues (two for a quasi-Bell
+    state), in O(T^2 N) without forming rho.
+    """
+    kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
+    r = np.linalg.qr(np.swapaxes(kept, -1, -2), mode="r")
+    gram = traced @ np.swapaxes(traced, -1, -2).conj()
+    return r @ gram @ np.swapaxes(r, -1, -2).conj()
 
 
 def von_neumann_entropy(rho):

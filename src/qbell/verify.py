@@ -3,13 +3,15 @@
 Each check builds states explicitly in the truncated number basis (via
 the fock module, as product terms: no check forms a dense two-mode or
 three-mode state) and compares a closed-form quantity against its
-brute-force counterpart, reporting the largest deviation.  The loss
-checks read one normalized lossy pair (_lossy_pair) through one
-environment contraction (_environment_amplitudes).  The optimal-beta
-check reports the independent maximizer search against the closed form
-as a deviation; the runtime check that fails a sweep point on a
-mismatch belongs to decoherence.figure1_sweep.  The CLI ``verify``
-subcommand runs the whole battery.
+brute-force counterpart, reporting the largest deviation.  The spectra
+and entropy checks solve each reduced density's 2 x 2 term core
+(fock._reduced_core), which has its nonzero spectrum.  The loss checks
+read one normalized lossy pair (_lossy_pair) through one environment
+contraction (_environment_amplitudes).  The optimal-beta check reports
+the independent maximizer search against the closed form as a
+deviation; the runtime check that fails a sweep point on a mismatch
+belongs to decoherence.figure1_sweep.  The CLI ``verify`` subcommand
+runs the whole battery.
 """
 
 import math
@@ -51,14 +53,6 @@ def _loss_amplitude(alpha):
     return alpha
 
 
-def _splitter_output(alpha, eta, n):
-    """|alpha> and the (B, E) output BS(|alpha>|0>) of the loss beam
-    splitter, at truncation n, from fock's vacuum-input kernel
-    (fock._splitter_on_vacuum): the environment enters in its vacuum."""
-    plus = fock.coherent_vector(alpha, n)
-    return plus, fock._splitter_on_vacuum(plus, eta)
-
-
 def _lossy_pair(alpha, eta, n):
     """The lossy pair psi = (plus (x) BS(minus, 0) - minus (x) BS(plus, 0))
     / |psi| on modes (A, B, E), plus and minus = |+/-alpha>, as stacked
@@ -70,8 +64,11 @@ def _lossy_pair(alpha, eta, n):
     and the splitter commutes with the total parity, so BS(minus, 0) is
     BS(plus, 0) with entry (b, e) times (-1)^(b+e), bit for bit; one
     splitter call serves both.  |psi|^2 = sum_kl <A_k|A_l> <T_k|T_l>
-    over the two 2 x 2 term Grams."""
-    plus, be_of_plus = _splitter_output(alpha, eta, n)
+    over the two 2 x 2 term Grams.  The splitter is fock's vacuum-input
+    kernel (fock._splitter_on_vacuum): the environment enters in its
+    vacuum."""
+    plus = fock.coherent_vector(alpha, n)
+    be_of_plus = fock._splitter_on_vacuum(plus, eta)
     pair_a = np.array((plus, -fock._parity(plus)))
     pair_be = np.array((fock._parity(be_of_plus), be_of_plus))
     gram_be = np.array([[np.vdot(k, l) for l in pair_be] for k in pair_be])
@@ -92,18 +89,11 @@ def _environment_amplitudes(pair, probe_a, probe_b):
     return on_b.reshape(len(on_b), -1) @ pair_be.reshape(-1, pair_be.shape[-1])
 
 
-def family_overlap_curve(alpha, eta, betas, truncation=None):
-    """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
-    computed entirely in the number basis: the squared norm of the
-    environment amplitudes (_environment_amplitudes) of each probe,
-    kept as its two product terms (fock._quasi_bell_terms) with the
-    1/norm on mode A."""
-    alpha = _loss_amplitude(alpha)
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if betas.size == 0 or not np.all(np.isfinite(betas)):
-        raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
-    if truncation is None:
-        truncation = fock.adequate_truncation(max(abs(alpha), betas.max()))
+def _family_probes(betas, truncation):
+    """The |B2(beta)> probe of each comparison amplitude beta as stacked
+    product terms (probe_a, probe_b) for _environment_amplitudes, each
+    kept as its two terms (fock._quasi_bell_terms) with the 1/norm on
+    mode A."""
     probes = [
         fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, beta), truncation)
         for beta in betas
@@ -111,8 +101,26 @@ def family_overlap_curve(alpha, eta, betas, truncation=None):
     norms = np.array([norm for _, norm in probes])
     probe_a = np.array([terms_a for (terms_a, _), _ in probes]) / norms[:, None, None]
     probe_b = np.array([terms_b for (_, terms_b), _ in probes])
-    weights = _environment_amplitudes(_lossy_pair(alpha, eta, truncation), probe_a, probe_b)
-    return np.sum(np.abs(weights) ** 2, axis=1)
+    return probe_a, probe_b
+
+
+def _probe_overlaps(pair, probes):
+    """<probe| rho_AB |probe> of the _lossy_pair ``pair`` for each probe
+    of a _family_probes stack: the squared norm of its environment
+    amplitudes."""
+    return np.sum(np.abs(_environment_amplitudes(pair, *probes)) ** 2, axis=1)
+
+
+def family_overlap_curve(alpha, eta, betas, truncation=None):
+    """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
+    computed entirely in the number basis (_probe_overlaps)."""
+    alpha = _loss_amplitude(alpha)
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if betas.size == 0 or not np.all(np.isfinite(betas)):
+        raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
+    if truncation is None:
+        truncation = fock.adequate_truncation(max(abs(alpha), betas.max()))
+    return _probe_overlaps(_lossy_pair(alpha, eta, truncation), _family_probes(betas, truncation))
 
 
 _ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)
@@ -155,16 +163,17 @@ def check_gram_matrix(truncation):
 
 
 def check_reduced_spectra(truncation):
-    dev = 0.0
+    # rho_A of each state has rank 2, so its spectrum is that of its 2 x 2
+    # core (fock._reduced_core), taken over the stacked terms of a grid
+    # point's four states; the 20 cores take one stacked eigvalsh
+    closed, cores = [], []
     for alpha in _ALPHA_GRID:
         quasi_bells = [coherent.CoherentQuasiBell(index, alpha) for index in (1, 2, 3, 4)]
-        closed = np.array([coherent.coherent_spectrum(state) for state in quasi_bells])
-        rhos = np.stack([
-            fock._reduced_density(*_state_terms(state, truncation), 0) for state in quasi_bells
-        ])
-        lam = np.linalg.eigvalsh(rhos)[:, ::-1][:, :2]
-        dev = max(dev, float(np.max(np.abs(lam - closed))))
-    return CheckResult("reduced_spectra", dev, 1e-9)
+        closed.extend(coherent.coherent_spectrum(state) for state in quasi_bells)
+        terms_a, terms_b = zip(*(_state_terms(state, truncation) for state in quasi_bells))
+        cores.extend(fock._reduced_core(np.stack(terms_a), np.stack(terms_b), 0))
+    lam = np.linalg.eigvalsh(np.array(cores))[:, ::-1]
+    return CheckResult("reduced_spectra", np.max(np.abs(lam - np.array(closed))), 1e-9)
 
 
 def check_unit_entropy(truncation):
@@ -172,7 +181,7 @@ def check_unit_entropy(truncation):
     for alpha in _ALPHA_GRID:
         for index in (2, 4):
             terms = _state_terms(coherent.CoherentQuasiBell(index, alpha), truncation)
-            entropy = fock.von_neumann_entropy(fock._reduced_density(*terms, 0))
+            entropy = fock.von_neumann_entropy(fock._reduced_core(*terms, 0))
             dev = max(dev, abs(entropy - 1.0))
     return CheckResult("unit_entropy", dev, 1e-9)
 
@@ -196,7 +205,7 @@ def check_asymmetric_spectra(truncation):
     for alpha, beta in pairs:
         closed = coherent.asymmetric_spectrum(alpha, beta, 2)
         terms = _state_terms(coherent.CoherentQuasiBell(2, alpha, beta), truncation)
-        lam = np.linalg.eigvalsh(fock._reduced_density(*terms, 0))[::-1][:2]
+        lam = np.linalg.eigvalsh(fock._reduced_core(*terms, 0))[::-1]
         dev = max(dev, float(np.max(np.abs(lam - closed))))
     return CheckResult("asymmetric_spectra", dev, 1e-10)
 
@@ -223,16 +232,17 @@ def check_char_function(truncation):
 
 
 def check_beam_splitter_rule(truncation):
+    # the grid is symmetric about 1/2 with exact complements 1 - eta, so
+    # |sqrt(1 - eta) alpha> is the target vector of the mirrored eta, and
+    # the one at eta = 1 is |alpha>, the input: five vectors per amplitude
+    etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     dev = 0.0
     for alpha in _ALPHA_GRID:
-        for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            n = truncation or fock.adequate_truncation(alpha)
-            _, sent = _splitter_output(alpha, eta, n)
-            target = np.outer(
-                fock.coherent_vector(np.sqrt(eta) * alpha, n),
-                fock.coherent_vector(np.sqrt(1.0 - eta) * alpha, n),
-            )
-            fidelity = abs(np.vdot(target, sent)) ** 2
+        n = truncation or fock.adequate_truncation(alpha)
+        targets = [fock.coherent_vector(np.sqrt(eta) * alpha, n) for eta in etas]
+        for eta, kept, lost in zip(etas, targets, targets[::-1]):
+            sent = fock._splitter_on_vacuum(targets[-1], eta)
+            fidelity = abs(np.vdot(np.outer(kept, lost), sent)) ** 2
             dev = max(dev, 1.0 - fidelity)
     return CheckResult("beam_splitter_rule", dev, 1e-9)
 
@@ -310,13 +320,17 @@ def check_loss_purity(truncation):
 
 
 def check_family_overlap(truncation):
+    # family_overlap_curve with each amplitude's seven probes built once
+    # and read by all three lossy pairs
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0):
+        betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
+        n = truncation or fock.adequate_truncation(betas.max())
+        probes = _family_probes(betas, n)
         for eta in (0.1, 0.5, 0.9):
             state = decoherence.apply_loss(alpha, decoherence.LossChannel(eta))
-            betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
             closed = decoherence.fraction_over_family(state, betas)
-            numeric = family_overlap_curve(alpha, eta, betas, truncation)
+            numeric = _probe_overlaps(_lossy_pair(alpha, eta, n), probes)
             dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("family_overlap", dev, 1e-9)
 

@@ -346,6 +346,23 @@ def test_term_kernels_match_the_dense_state():
     assert worst < 1e-13
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (3.0, 3.0), (1.0, 0.6), (0.3, 1.7), (1.0, 0.0)])
+def test_reduced_core_has_the_dense_spectrum(alpha, beta):
+    # the 2 x 2 core's spectrum against the dense partial trace's, whose
+    # other eigenvalues vanish: each reduced density has rank 2
+    for index in (1, 2, 3, 4):
+        state = coherent.CoherentQuasiBell(index, alpha, beta)
+        n = fock.adequate_truncation(max(alpha, beta))
+        (terms_a, terms_b), norm = fock._quasi_bell_terms(state, n)
+        vec = fock.quasi_bell_fock(state, n)
+        for mode in (0, 1):
+            core = fock._reduced_core(terms_a / norm, terms_b, mode)
+            assert core.shape == (2, 2)
+            dense = np.linalg.eigvalsh(fock.partial_trace(vec, keep=(mode,)))[::-1]
+            assert np.max(np.abs(np.linalg.eigvalsh(core)[::-1] - dense[:2])) <= 1e-13
+            assert np.max(np.abs(dense[2:])) < 1e-14, (index, mode)
+
+
 def test_term_traces_keep_the_boundary_rule():
     # a displacement that moves the state onto the truncation boundary is
     # named with the mass of the explicit displaced dense state

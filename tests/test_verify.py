@@ -114,12 +114,14 @@ def test_stacked_eigensolves_report_the_per_matrix_maxima():
             numeric = np.sort(np.linalg.eigvalsh(werner.build_quasi_werner(spec)))[::-1]
             dev = max(dev, float(np.max(np.abs(werner.quasi_werner_spectrum(spec) - numeric))))
     assert verify.check_werner_spectrum().deviation == dev
+    # each state's 2 x 2 core alone (tests/test_fock.py compares the
+    # cores' spectra with the dense partial traces)
     dev = 0.0
     for alpha in verify._ALPHA_GRID:
         for index in (1, 2, 3, 4):
             state = coherent.CoherentQuasiBell(index, alpha)
-            rho = fock._reduced_density(*verify._state_terms(state, None), 0)
-            lam = np.sort(np.linalg.eigvalsh(rho))[::-1][:2]
+            core = fock._reduced_core(*verify._state_terms(state, None), 0)
+            lam = np.sort(np.linalg.eigvalsh(core))[::-1]
             dev = max(dev, float(np.max(np.abs(lam - coherent.coherent_spectrum(state)))))
     assert verify.check_reduced_spectra(None).deviation == dev
 
@@ -192,6 +194,49 @@ def test_loss_checks_take_the_vacuum_kernel(monkeypatch):
         verify.check_loss_purity,
     ):
         assert check(None).passed, check
+
+
+def test_spectra_checks_take_the_term_cores(monkeypatch):
+    # the spectra and entropy checks solve only the 2 x 2 cores of
+    # fock._reduced_core, never an (N+1)-square reduced density
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    for check in (
+        verify.check_reduced_spectra,
+        verify.check_unit_entropy,
+        verify.check_asymmetric_spectra,
+    ):
+        assert check(None).passed, check
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 2, shapes
+
+
+def _count_calls(monkeypatch, name, check):
+    calls = []
+    original = getattr(fock, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, name, counted)
+    assert check(None).passed
+    return calls
+
+
+def test_oracle_checks_build_each_vector_once(monkeypatch):
+    # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
+    # family overlap's 21 probes are each built once per battery
+    calls = _count_calls(monkeypatch, "coherent_vector", verify.check_beam_splitter_rule)
+    assert len(calls) == len({(float(alpha), n) for alpha, n in calls}) == 25
+    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_family_overlap)
+    assert len(calls) == len({(state.alpha, n) for state, n in calls}) == 21
 
 
 def test_zero_loss_amplitude_is_domain_error():
