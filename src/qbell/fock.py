@@ -11,11 +11,15 @@ mode, each of length N+1 where N is the truncation; densities are
 square 2-D arrays over the flattened kept modes.  A two-mode state may
 also be kept as product terms: two stacks ``terms_a`` (T x Na) and
 ``terms_b`` (T x Nb) of mode vectors standing for the state
-psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b, which the
-private kernels (_char_traces, _reduced_density, _reduced_core) take
-without forming psi; a quasi-Bell state is two such terms
-(_quasi_bell_terms), so its reduced spectra come from the 2 x 2 core of
-_reduced_core, not from an (N+1)-square density.
+psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b.  A
+quasi-Bell state is two normalized terms (_quasi_bell_terms), and the
+private term kernels (_char_traces, _reduced_core, _mean_photon) read
+it without forming psi or a reduced density.  Still formed densely:
+the splitter outputs and vacuum tables, the displacement eigensystems,
+and in verify the 4 x 4 projected loss density and the purity check's
+(N+1)-square environment density.  No check calls quasi_bell_fock,
+partial_trace, operator_trace_charfunc or mean_photon, the tests'
+dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems; beam_splitter takes any two-mode vector, and the private
@@ -131,9 +135,9 @@ _SIGN_PATTERNS = {
 
 
 def _quasi_bell_terms(state, truncation=None):
-    """The quasi-Bell state as two stacked product terms and their norm:
-    (terms_a, terms_b), norm with the state terms_a^T terms_b / norm,
-    terms_a = [a, c] and terms_b = [b, d], so a (x) b + c (x) d.
+    """The quasi-Bell state as two stacked product terms (terms_a,
+    terms_b), terms_a = [a, c] / norm and terms_b = [b, d], so the
+    normalized state terms_a^T terms_b, with the 1/norm on mode A.
 
     a = |alpha> and b the first mode-B vector; the second term is
     sign (P a) (x) (P b) with P the parity (_parity), so two coherent
@@ -177,14 +181,15 @@ def _quasi_bell_terms(state, truncation=None):
     terms_a = np.array((a, _parity(a)))
     if sign < 0:
         np.negative(terms_a[1], out=terms_a[1])
-    return (terms_a, np.array((b, _parity(b)))), math.sqrt(norm_sq)
+    terms_a /= math.sqrt(norm_sq)
+    return terms_a, np.array((b, _parity(b)))
 
 
 def quasi_bell_fock(state, truncation=None):
-    """Two-mode quasi-Bell state built explicitly from coherent vectors
-    (see _quasi_bell_terms), normalized numerically."""
-    ((a, c), (b, d)), norm = _quasi_bell_terms(state, truncation)
-    return (np.outer(a, b) + np.outer(c, d)) / norm
+    """Two-mode quasi-Bell state a (x) b + c (x) d from the normalized
+    terms of _quasi_bell_terms; the entries where they cancel are 0."""
+    (a, c), (b, d) = _quasi_bell_terms(state, truncation)
+    return np.outer(a, b) + np.outer(c, d)
 
 
 # keyed on the sector alone, theta-free; a default verify battery uses
@@ -358,24 +363,12 @@ def partial_trace(psi, keep):
     return mat @ mat.conj().T
 
 
-def _reduced_density(terms_a, terms_b, mode):
-    """Reduced density matrix of mode ``mode`` (0 for A, 1 for B) of the
-    two-mode state terms_a^T terms_b, through the T x T Gram matrix of
-    the traced mode's terms:
-
-        rho_A = terms_a^T (terms_b terms_b^+) terms_a*,
-        rho_B = terms_b^T (terms_a terms_a^+) terms_b*,
-
-    partial_trace of the dense state without forming it, in O(T N^2)."""
-    kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
-    return kept.T @ (traced @ traced.conj().T) @ kept.conj()
-
-
 def _reduced_core(terms_a, terms_b, mode):
-    """The T x T Hermitian core of _reduced_density's rho, for one state
-    or a stack of states kept as product terms (shape (..., T, N)).
-    With the thin QR kept^T = Q R of the kept mode's terms and G =
-    traced traced^+ the traced mode's Gram matrix,
+    """The T x T Hermitian core of the reduced density rho of mode
+    ``mode`` (0 for A, 1 for B), for one state or a stack of states kept
+    as product terms (shape (..., T, N)).  With the thin QR kept^T = Q R
+    of the kept mode's terms and G = traced traced^+ the traced mode's
+    Gram matrix,
 
         rho = kept^T G kept* = Q (R G R^+) Q^+,
 
@@ -387,6 +380,16 @@ def _reduced_core(terms_a, terms_b, mode):
     r = np.linalg.qr(np.swapaxes(kept, -1, -2), mode="r")
     gram = traced @ np.swapaxes(traced, -1, -2).conj()
     return r @ gram @ np.swapaxes(r, -1, -2).conj()
+
+
+def _mean_photon(terms_a, terms_b, mode):
+    """Tr(rho n) of _reduced_core's rho = kept^T G kept*, for one state
+    or a stack: with M_st = sum_n n kept_s[n] conj(kept_t[n]) it is
+    Re sum_st G_st M_st, O(T^2 N) without forming rho."""
+    kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
+    gram = traced @ np.swapaxes(traced, -1, -2).conj()
+    number = (kept * np.arange(kept.shape[-1])) @ np.swapaxes(kept, -1, -2).conj()
+    return np.sum(gram * number, axis=(-2, -1)).real
 
 
 def von_neumann_entropy(rho):

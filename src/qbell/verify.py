@@ -1,17 +1,18 @@
 """Closed-form versus Fock-space cross-checks.
 
-Each check builds states explicitly in the truncated number basis (via
-the fock module, as product terms: no check forms a dense two-mode or
-three-mode state) and compares a closed-form quantity against its
-brute-force counterpart, reporting the largest deviation.  The spectra
-and entropy checks solve each reduced density's 2 x 2 term core
-(fock._reduced_core), which has its nonzero spectrum.  The loss checks
-read one normalized lossy pair (_lossy_pair) through one environment
-contraction (_environment_amplitudes).  The optimal-beta check reports
-the independent maximizer search against the closed form as a
-deviation; the runtime check that fails a sweep point on a mismatch
-belongs to decoherence.figure1_sweep.  The CLI ``verify`` subcommand
-runs the whole battery.
+Each check builds states explicitly in the truncated number basis via
+the fock module and compares a closed-form quantity against its
+brute-force counterpart, reporting the largest deviation.  The
+quasi-Bell checks read each state's two normalized product terms
+(fock._quasi_bell_terms) through fock's term kernels and form no
+two-mode vector or reduced density.  The loss checks read one
+normalized lossy pair (_lossy_pair) through one environment contraction
+(_environment_amplitudes); the splitter output and the purity check's
+environment density are (N+1)-square, and no three-mode state is
+formed.  The optimal-beta check reports the independent maximizer
+search against the closed form as a deviation; the runtime check that
+fails a sweep point on a mismatch belongs to decoherence.figure1_sweep.
+The CLI ``verify`` subcommand runs the whole battery.
 """
 
 import math
@@ -71,8 +72,8 @@ def _lossy_pair(alpha, eta, n):
     be_of_plus = fock._splitter_on_vacuum(plus, eta)
     pair_a = np.array((plus, -fock._parity(plus)))
     pair_be = np.array((fock._parity(be_of_plus), be_of_plus))
-    gram_be = np.array([[np.vdot(k, l) for l in pair_be] for k in pair_be])
-    pair_a /= math.sqrt(((pair_a.conj() @ pair_a.T) * gram_be).sum().real)
+    flat_be = pair_be.reshape(2, -1)
+    pair_a /= math.sqrt(((pair_a.conj() @ pair_a.T) * (flat_be.conj() @ flat_be.T)).sum().real)
     return pair_a, pair_be
 
 
@@ -92,16 +93,12 @@ def _environment_amplitudes(pair, probe_a, probe_b):
 def _family_probes(betas, truncation):
     """The |B2(beta)> probe of each comparison amplitude beta as stacked
     product terms (probe_a, probe_b) for _environment_amplitudes, each
-    kept as its two terms (fock._quasi_bell_terms) with the 1/norm on
-    mode A."""
+    kept as its two normalized terms (fock._quasi_bell_terms)."""
     probes = [
         fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, beta), truncation)
         for beta in betas
     ]
-    norms = np.array([norm for _, norm in probes])
-    probe_a = np.array([terms_a for (terms_a, _), _ in probes]) / norms[:, None, None]
-    probe_b = np.array([terms_b for (_, terms_b), _ in probes])
-    return probe_a, probe_b
+    return tuple(np.array(mode) for mode in zip(*probes))
 
 
 def _probe_overlaps(pair, probes):
@@ -136,28 +133,20 @@ def check_coherent_overlap(truncation):
     return CheckResult("coherent_overlap", dev, 1e-12)
 
 
-def _state_terms(state, truncation):
-    """The quasi-Bell ``state`` as its two stacked product terms with the
-    1/norm on mode A (fock._quasi_bell_terms): the two-mode vector is
-    terms_a^T terms_b, which no check forms."""
-    (terms_a, terms_b), norm = fock._quasi_bell_terms(state, truncation)
-    return terms_a / norm, terms_b
-
-
 def check_gram_matrix(truncation):
-    # <B_i|B_j> = sum_st <a_s|a_t> <b_s|b_t> / (norm_i norm_j) over the
-    # two terms s of state i and t of state j, from one 8 x 8 Gram per mode
+    # <B_i|B_j> = sum_st <a_s|a_t> <b_s|b_t> over the two normalized
+    # terms s of state i and t of state j, from one 8 x 8 Gram per mode
     dev = 0.0
     for alpha in _ALPHA_GRID:
         kappa = coherent.overlap_of_amplitude(alpha)
         closed = states.gram_matrix(kappa)
-        terms, norms = zip(*(
+        terms = [
             fock._quasi_bell_terms(coherent.CoherentQuasiBell(i, alpha), truncation)
             for i in (1, 2, 3, 4)
-        ))
+        ]
         stack_a, stack_b = (np.concatenate(mode) for mode in zip(*terms))
         products = (stack_a.conj() @ stack_a.T) * (stack_b.conj() @ stack_b.T)
-        numeric = np.abs(products.reshape(4, 2, 4, 2).sum(axis=(1, 3)) / np.outer(norms, norms))
+        numeric = np.abs(products.reshape(4, 2, 4, 2).sum(axis=(1, 3)))
         dev = max(dev, float(np.max(np.abs(numeric - closed))))
     return CheckResult("gram_matrix", dev, 1e-10)
 
@@ -170,7 +159,7 @@ def check_reduced_spectra(truncation):
     for alpha in _ALPHA_GRID:
         quasi_bells = [coherent.CoherentQuasiBell(index, alpha) for index in (1, 2, 3, 4)]
         closed.extend(coherent.coherent_spectrum(state) for state in quasi_bells)
-        terms_a, terms_b = zip(*(_state_terms(state, truncation) for state in quasi_bells))
+        terms_a, terms_b = zip(*(fock._quasi_bell_terms(s, truncation) for s in quasi_bells))
         cores.extend(fock._reduced_core(np.stack(terms_a), np.stack(terms_b), 0))
     lam = np.linalg.eigvalsh(np.array(cores))[:, ::-1]
     return CheckResult("reduced_spectra", np.max(np.abs(lam - np.array(closed))), 1e-9)
@@ -180,7 +169,7 @@ def check_unit_entropy(truncation):
     dev = 0.0
     for alpha in _ALPHA_GRID:
         for index in (2, 4):
-            terms = _state_terms(coherent.CoherentQuasiBell(index, alpha), truncation)
+            terms = fock._quasi_bell_terms(coherent.CoherentQuasiBell(index, alpha), truncation)
             entropy = fock.von_neumann_entropy(fock._reduced_core(*terms, 0))
             dev = max(dev, abs(entropy - 1.0))
     return CheckResult("unit_entropy", dev, 1e-9)
@@ -192,10 +181,9 @@ def check_mean_photons(truncation):
     for alpha, beta in pairs:
         for index in (1, 2):
             state = coherent.CoherentQuasiBell(index, alpha, beta)
-            terms = _state_terms(state, truncation)
+            terms = fock._quasi_bell_terms(state, truncation)
             for mode, closed in enumerate(coherent.mean_photon_numbers(state)):
-                numeric = fock.mean_photon(fock._reduced_density(*terms, mode))
-                dev = max(dev, abs(numeric - closed))
+                dev = max(dev, abs(fock._mean_photon(*terms, mode) - closed))
     return CheckResult("mean_photons", dev, 1e-9)
 
 
@@ -204,7 +192,7 @@ def check_asymmetric_spectra(truncation):
     pairs = [(a, b) for a in (0.3, 1.0, 2.0) for b in (0.5, 1.0, 1.5)]
     for alpha, beta in pairs:
         closed = coherent.asymmetric_spectrum(alpha, beta, 2)
-        terms = _state_terms(coherent.CoherentQuasiBell(2, alpha, beta), truncation)
+        terms = fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha, beta), truncation)
         lam = np.linalg.eigvalsh(fock._reduced_core(*terms, 0))[::-1]
         dev = max(dev, float(np.max(np.abs(lam - closed))))
     return CheckResult("asymmetric_spectra", dev, 1e-10)
@@ -226,7 +214,7 @@ def check_char_function(truncation):
             state = coherent.CoherentQuasiBell(index, alpha, beta)
             za, zb = _char_points(rng)
             closed = coherent._char_values(state, za, zb)
-            numeric = fock._char_traces(*_state_terms(state, truncation), za, zb)
+            numeric = fock._char_traces(*fock._quasi_bell_terms(state, truncation), za, zb)
             dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("char_function", dev, 1e-8)
 

@@ -284,12 +284,25 @@ def test_quasi_bell_terms_match_the_dense_build():
             state = coherent.CoherentQuasiBell(index, alpha, beta)
             got = fock.quasi_bell_fock(state, 50)
             assert np.max(np.abs(got - _dense_quasi_bell(state, 50))) < 1e-15, (index, alpha, beta)
-            ((a, c), (b, d)), norm = fock._quasi_bell_terms(state, 50)
-            assert np.array_equal(got, (np.outer(a, b) + np.outer(c, d)) / norm)
-    # the parity-class sums do not cancel where 1 - ka kb does
+            (a, c), (b, d) = fock._quasi_bell_terms(state, 50)
+            assert np.array_equal(got, np.outer(a, b) + np.outer(c, d))
+    # the parity-class sums do not cancel where 1 - ka kb does: the first
+    # mode-A term is the unit |alpha> over the norm
     tiny = coherent.CoherentQuasiBell(2, 1e-5)
-    _, norm = fock._quasi_bell_terms(tiny, 31)
-    assert norm**2 == pytest.approx(-2.0 * math.expm1(-4e-10), rel=1e-9)
+    terms_a, _ = fock._quasi_bell_terms(tiny, 31)
+    norm_sq = 1.0 / np.vdot(terms_a[0], terms_a[0]).real
+    assert norm_sq == pytest.approx(-2.0 * math.expm1(-4e-10), rel=1e-9)
+
+
+def _parity_norm(a, b, sign):
+    # the documented norm of a (x) b + sign (P a) (x) (P b) from the
+    # even-n and odd-n sums of each vector
+    even_a, odd_a, even_b, odd_b = (
+        float(np.vdot(part, part).real) for part in (a[0::2], a[1::2], b[0::2], b[1::2])
+    )
+    if sign > 0:
+        return math.sqrt(4.0 * (even_a * even_b + odd_a * odd_b))
+    return math.sqrt(4.0 * (even_a * odd_b + odd_a * even_b))
 
 
 def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
@@ -307,13 +320,15 @@ def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
         for index in (1, 2, 3, 4):
             calls.clear()
             state = coherent.CoherentQuasiBell(index, alpha, beta)
-            (terms_a, terms_b), _ = fock._quasi_bell_terms(state, 45)
+            terms_a, terms_b = fock._quasi_bell_terms(state, 45)
             amp_b = -beta if index in (1, 2) else beta
-            second_a = fresh(-alpha, 45)
+            sign = -1.0 if index in (2, 4) else 1.0
+            first_a, first_b = fresh(alpha, 45), fresh(amp_b, 45)
+            norm = _parity_norm(first_a, first_b, sign)
             expected = (
-                fresh(alpha, 45),
-                -second_a if index in (2, 4) else second_a,
-                fresh(amp_b, 45),
+                first_a / norm,
+                sign * fresh(-alpha, 45) / norm,
+                first_b,
                 fresh(-amp_b, 45),
             )
             for got, want in zip((*terms_a, *terms_b), expected):
@@ -323,27 +338,32 @@ def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
 
 def _term_inputs():
     for index in (1, 2, 3, 4):
-        for alpha, beta in ((0.5, 0.5), (1.0, 0.6), (0.3, 1.7)):
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.6), (0.3, 1.7), (1.0, 0.0)):
             state = coherent.CoherentQuasiBell(index, alpha, beta)
-            (terms_a, terms_b), norm = fock._quasi_bell_terms(state, 60)
-            yield state, terms_a / norm, terms_b
+            yield state, *fock._quasi_bell_terms(state, 60)
 
 
 def test_term_kernels_match_the_dense_state():
-    # the product-term traces and reduced densities against the dense
+    # the product-term traces and mean photon numbers against the dense
     # quasi_bell_fock state's operator_trace_charfunc and partial_trace
     rng = np.random.default_rng(1602)
     za = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
     zb = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
     worst = 0.0
+    per_state = []
     for state, terms_a, terms_b in _term_inputs():
         vec = fock.quasi_bell_fock(state, 60)
         dense = [fock.operator_trace_charfunc(vec, coherent.CharFuncPoint(a, b)) for a, b in zip(za, zb)]
         worst = max(worst, np.max(np.abs(fock._char_traces(terms_a, terms_b, za, zb) - dense)))
-        for mode in (0, 1):
-            rho = fock._reduced_density(terms_a, terms_b, mode)
-            worst = max(worst, np.max(np.abs(rho - fock.partial_trace(vec, keep=(mode,)))))
+        per_state.append([fock._mean_photon(terms_a, terms_b, mode) for mode in (0, 1)])
+        for mode, numeric in enumerate(per_state[-1]):
+            dense = fock.mean_photon(fock.partial_trace(vec, keep=(mode,)))
+            worst = max(worst, abs(numeric - dense))
     assert worst < 1e-13
+    # one stacked call per mode gives the per-state values bit for bit
+    _, stack_a, stack_b = (np.array(column) for column in zip(*_term_inputs()))
+    stacked = [fock._mean_photon(stack_a, stack_b, mode) for mode in (0, 1)]
+    assert np.array_equal(np.transpose(stacked), per_state)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (3.0, 3.0), (1.0, 0.6), (0.3, 1.7), (1.0, 0.0)])
@@ -353,10 +373,10 @@ def test_reduced_core_has_the_dense_spectrum(alpha, beta):
     for index in (1, 2, 3, 4):
         state = coherent.CoherentQuasiBell(index, alpha, beta)
         n = fock.adequate_truncation(max(alpha, beta))
-        (terms_a, terms_b), norm = fock._quasi_bell_terms(state, n)
+        terms_a, terms_b = fock._quasi_bell_terms(state, n)
         vec = fock.quasi_bell_fock(state, n)
         for mode in (0, 1):
-            core = fock._reduced_core(terms_a / norm, terms_b, mode)
+            core = fock._reduced_core(terms_a, terms_b, mode)
             assert core.shape == (2, 2)
             dense = np.linalg.eigvalsh(fock.partial_trace(vec, keep=(mode,)))[::-1]
             assert np.max(np.abs(np.linalg.eigvalsh(core)[::-1] - dense[:2])) <= 1e-13
@@ -368,12 +388,12 @@ def test_term_traces_keep_the_boundary_rule():
     # named with the mass of the explicit displaced dense state
     state = coherent.CoherentQuasiBell(2, 1.0, 0.6)
     n = fock.adequate_truncation(1.0)
-    (terms_a, terms_b), norm = fock._quasi_bell_terms(state, n)
+    terms = fock._quasi_bell_terms(state, n)
     za = np.array([0.5, 4.0 + 1.0j])
     moved = _direct_displacement(za[1], n + 1) @ fock.quasi_bell_fock(state, n)
     mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
     with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
-        fock._char_traces(terms_a / norm, terms_b, za, np.zeros(2))
+        fock._char_traces(*terms, za, np.zeros(2))
     with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
         fock._quasi_bell_terms(state, n - 1)
 

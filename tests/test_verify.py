@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,18 +69,36 @@ def test_loss_checks_never_form_the_joint_density():
 def test_quasi_bell_checks_never_form_the_dense_state():
     # the dense build's stacked traces held one (20, 61, 61) complex array
     # per state, 20 * 61^2 * 16 B = 1.2 MB; the product terms stay below it.
-    # 61 is the smallest truncation the spectra check's alpha = 3 admits
-    checks = ((verify.check_char_function, 60), (verify.check_reduced_spectra, 61))
-    for check, n in checks:
+    # The mean photon numbers come from 2 x 2 term Grams, below even one
+    # (N+1)-square complex density, 62^2 * 16 B.  61 is the smallest
+    # truncation the checks' alpha = 3 admits
+    checks = (
+        (verify.check_char_function, 60, 20 * 61**2 * 16),
+        (verify.check_reduced_spectra, 61, 20 * 61**2 * 16),
+        (verify.check_mean_photons, 61, 62**2 * 16),
+    )
+    for check, n, _ in checks:
         check(n)  # fill the displacement and number-level caches
-    for check, n in checks:
+    for check, n, bound in checks:
         tracemalloc.start()
         try:
             check(n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 61**2 * 16, (check.__name__, peak)
+        assert peak < bound, (check.__name__, peak)
+
+
+def test_verify_calls_no_dense_fock_helper():
+    # every check works from product terms: the dense helpers serve only
+    # the tests and the benchmark's traced run
+    dense = {"partial_trace", "quasi_bell_fock", "operator_trace_charfunc", "mean_photon"}
+    path = Path(verify.__file__)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id == "fock" and node.attr in dense), (
+                f"verify.py:{node.lineno} calls fock.{node.attr}"
+            )
 
 
 def test_too_small_truncation_is_named_by_the_term_checks():
@@ -120,7 +140,7 @@ def test_stacked_eigensolves_report_the_per_matrix_maxima():
     for alpha in verify._ALPHA_GRID:
         for index in (1, 2, 3, 4):
             state = coherent.CoherentQuasiBell(index, alpha)
-            core = fock._reduced_core(*verify._state_terms(state, None), 0)
+            core = fock._reduced_core(*fock._quasi_bell_terms(state, None), 0)
             lam = np.sort(np.linalg.eigvalsh(core))[::-1]
             dev = max(dev, float(np.max(np.abs(lam - coherent.coherent_spectrum(state)))))
     assert verify.check_reduced_spectra(None).deviation == dev
