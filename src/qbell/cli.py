@@ -7,10 +7,11 @@ Subcommands: ``measures`` (single-state report), ``werner``
 
 Reports are JSON objects with snake_case keys on stdout.  Domain errors,
 arithmetic faults (Python float overflow; numpy divide by zero,
-overflow, invalid), failed sweep points and non-finite results print a
-JSON error object on stderr and exit with code 2; an unwritable sweep
-output path exits with code 3.  Data files carry no timestamps and use fixed float formatting,
-so identical invocations produce identical bytes.
+overflow, invalid), failed sweep points, non-finite results and running
+out of memory print a JSON error object on stderr and exit with code 2;
+an unwritable sweep output path exits with code 3.  Data files carry no
+timestamps and use fixed float formatting, so identical invocations
+produce identical bytes.
 """
 
 import argparse
@@ -87,6 +88,9 @@ def cmd_werner(args):
 
 
 def _sweep_rows(args):
+    for option, value in (("alpha-min", args.alpha_min), ("alpha-max", args.alpha_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     if args.alpha_min <= 0.0:
         raise ValueError("alpha-min must be positive")
     if args.steps < 2:
@@ -213,6 +217,8 @@ def main(argv=None):
             args.func(args)
     except (ValueError, ArithmeticError, decoherence.SweepError) as exc:
         _fail(exc)
+    except MemoryError as exc:
+        _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,15 @@ square 2-D arrays over the flattened kept modes.  A two-mode state may
 also be kept as product terms: two stacks ``terms_a`` (T x Na) and
 ``terms_b`` (T x Nb) of mode vectors standing for the state
 psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b.  A
-quasi-Bell state is two normalized terms (_quasi_bell_terms), and the
-private term kernels (_char_traces, _reduced_core, _mean_photon) read
-it without forming psi or a reduced density.  Still formed densely:
-the splitter outputs and vacuum tables, the displacement eigensystems,
-and in verify the 4 x 4 projected loss density and the purity check's
-(N+1)-square environment density.  No check calls quasi_bell_fock,
-partial_trace, operator_trace_charfunc or mean_photon, the tests'
-dense references.
+quasi-Bell state is two normalized terms (_quasi_bell_terms), the
+one constructor of every quasi-Bell state the oracle uses, verify's
+lossy pair included, and the private term kernels (_char_traces,
+_reduced_core, _mean_photon) read it without forming psi or a reduced
+density.  Still formed densely: the splitter outputs and vacuum
+tables, the displacement eigensystems, and in verify the 4 x 4
+projected loss density and the purity check's (N+1)-square environment
+density.  No check calls quasi_bell_fock, partial_trace,
+operator_trace_charfunc or mean_photon, the tests' dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems; beam_splitter takes any two-mode vector, and the private
@@ -100,27 +101,18 @@ def coherent_vector(alpha, truncation=None):
     return _parity(vec) if alpha < 0.0 else vec
 
 
-# keyed on the shape only; a default verify battery uses 13, nine
-# one-mode sizes and four two-mode shapes
-@lru_cache(maxsize=32)
-def _odd_entries(shape):
-    """Mask of the entries of a ``shape`` array whose photon numbers,
-    one per axis, have an odd sum; read-only because every state of that
-    shape shares it."""
-    odd = np.indices(shape).sum(axis=0) % 2 == 1
-    odd.flags.writeable = False
-    return odd
-
-
 def _parity(vec):
     """The photon-number parity (-1)^(n_1 + ... + n_m) applied to a pure
-    state with one axis per mode: a copy with the odd-total entries
-    negated.  Negation is exact, so the magnitudes and the norm keep
-    every bit.  It takes |alpha> to |-alpha>, and a beam splitter, which
-    conserves the total photon number, commutes with it:
-    beam_splitter(_parity(psi)) is _parity(beam_splitter(psi))."""
+    state with one axis per mode: a copy with each axis's odd-index slice
+    negated in turn, so the odd-total entries end negated.  Negation is
+    exact, so the magnitudes and the norm keep every bit.  It takes
+    |alpha> to |-alpha>, and a beam splitter, which conserves the total
+    photon number, commutes with it: beam_splitter(_parity(psi)) is
+    _parity(beam_splitter(psi))."""
     out = np.array(vec, dtype=complex)
-    np.negative(out, out=out, where=_odd_entries(out.shape))
+    for axis in range(out.ndim):
+        odd = out[(slice(None),) * axis + (slice(1, None, 2),)]
+        np.negative(odd, out=odd)
     return out
 
 
@@ -255,7 +247,8 @@ def _splitter_angle(eta):
     return math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
 
 
-# keyed on the two-mode size only; a default verify battery uses nine
+# keyed on the two-mode size only; a default verify battery uses one,
+# the unitarity check's size 21, once per angle
 @lru_cache(maxsize=16)
 def _sector_order(size):
     """Flat C-order indices of a size x size array sorted by photon-number

@@ -65,24 +65,29 @@ def concurrence_pure(coeffs):
     entanglement of the same state is H((1 + sqrt(1 - C^2))/2).
     """
     c = np.asarray(coeffs, dtype=complex).reshape(4)
+    if np.count_nonzero(np.isfinite(c)) < c.size:
+        raise ValueError(f"state has non-finite amplitudes {c}")
     norm = np.linalg.norm(c)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state must be normalized, |psi| = {norm}")
     return min(1.0, float(abs(np.conj(c) @ _SPIN_FLIP @ np.conj(c))))
 
 
 def _density_eigh(rho):
-    """Check a 4x4 density matrix and return its eigensystem (w, v),
-    with tiny negative eigenvalues clipped to zero."""
+    """Check a 4x4 density matrix, non-finite entries first, and return
+    its eigensystem (w, v), with tiny negative eigenvalues clipped to
+    zero.  Each tolerance test is written so that a NaN fails it."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
+    if np.count_nonzero(np.isfinite(rho)) < rho.size:
+        raise ValueError("density matrix has non-finite entries")
+    if not np.max(np.abs(rho - rho.conj().T)) <= _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _HERM_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= _HERM_TOL:
         raise ValueError(f"density matrix trace is {np.trace(rho).real}, not 1")
     w, v = np.linalg.eigh(rho)
-    if w.min() < _EIG_FLOOR - _HERM_TOL:
+    if not w.min() >= _EIG_FLOOR - _HERM_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {w.min()}")
     return np.clip(w, 0.0, None), v
 

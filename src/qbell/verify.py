@@ -5,13 +5,15 @@ the fock module and compares a closed-form quantity against its
 brute-force counterpart, reporting the largest deviation.  The
 quasi-Bell checks read each state's two normalized product terms
 (fock._quasi_bell_terms) through fock's term kernels and form no
-two-mode vector or reduced density.  The loss checks read one
-normalized lossy pair (_lossy_pair) through one environment contraction
-(_environment_amplitudes); the splitter output and the purity check's
-environment density are (N+1)-square, and no three-mode state is
-formed.  The optimal-beta check reports the independent maximizer
-search against the closed form as a deviation; the runtime check that
-fails a sweep point on a mismatch belongs to decoherence.figure1_sweep.
+two-mode vector or reduced density.  The loss checks read one lossy
+pair (_lossy_pair), the terms of |B2(alpha)> from the same constructor
+with mode B sent through fock's vacuum-input splitter, through one
+environment contraction (_environment_amplitudes); the splitter output
+and the purity check's environment density are (N+1)-square, and no
+three-mode state is formed.  The optimal-beta check reports the
+independent maximizer search against the closed form as a deviation;
+the runtime check that fails a sweep point on a mismatch belongs to
+decoherence.figure1_sweep.
 The CLI ``verify`` subcommand runs the whole battery.
 """
 
@@ -55,26 +57,15 @@ def _loss_amplitude(alpha):
 
 
 def _lossy_pair(alpha, eta, n):
-    """The lossy pair psi = (plus (x) BS(minus, 0) - minus (x) BS(plus, 0))
-    / |psi| on modes (A, B, E), plus and minus = |+/-alpha>, as stacked
-    product terms (pair_a, pair_be) with psi = sum_t pair_a[t] (x)
-    pair_be[t]: pair_a = (plus, -minus) / |psi| over mode A, so the sign
-    and the norm sit on the small side, and pair_be = (BS(minus, 0),
-    BS(plus, 0)) over (B, E).  Photon-number parity gives both minus
-    terms from the plus ones: |-alpha> is the parity image of |alpha>,
-    and the splitter commutes with the total parity, so BS(minus, 0) is
-    BS(plus, 0) with entry (b, e) times (-1)^(b+e), bit for bit; one
-    splitter call serves both.  |psi|^2 = sum_kl <A_k|A_l> <T_k|T_l>
-    over the two 2 x 2 term Grams.  The splitter is fock's vacuum-input
-    kernel (fock._splitter_on_vacuum): the environment enters in its
-    vacuum."""
-    plus = fock.coherent_vector(alpha, n)
-    be_of_plus = fock._splitter_on_vacuum(plus, eta)
-    pair_a = np.array((plus, -fock._parity(plus)))
-    pair_be = np.array((fock._parity(be_of_plus), be_of_plus))
-    flat_be = pair_be.reshape(2, -1)
-    pair_a /= math.sqrt(((pair_a.conj() @ pair_a.T) * (flat_be.conj() @ flat_be.T)).sum().real)
-    return pair_a, pair_be
+    """The lossy pair: |B2(alpha)> = a (x) b + c (x) d with mode B sent
+    through the loss splitter, as stacked product terms (pair_a,
+    pair_be) with psi = sum_t pair_a[t] (x) pair_be[t].  pair_a is the
+    normalized mode-A terms of fock._quasi_bell_terms and pair_be the
+    (B, E) outputs of its mode-B terms from fock's vacuum-input splitter
+    (fock._splitter_on_vacuum): the environment enters in its vacuum,
+    and the splitter is unitary, so psi keeps the norm of |B2(alpha)>."""
+    pair_a, terms_b = fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha), n)
+    return pair_a, np.array([fock._splitter_on_vacuum(b, eta) for b in terms_b])
 
 
 def _environment_amplitudes(pair, probe_a, probe_b):
@@ -108,15 +99,15 @@ def _probe_overlaps(pair, probes):
     return np.sum(np.abs(_environment_amplitudes(pair, *probes)) ** 2, axis=1)
 
 
-def family_overlap_curve(alpha, eta, betas, truncation=None):
+def family_overlap_curve(alpha, eta, betas):
     """<B2(beta)| rho_AB |B2(beta)> at each comparison amplitude beta,
-    computed entirely in the number basis (_probe_overlaps)."""
+    computed entirely in the number basis (_probe_overlaps) at the
+    truncation the adequacy rule gives the largest |amplitude|."""
     alpha = _loss_amplitude(alpha)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if betas.size == 0 or not np.all(np.isfinite(betas)):
         raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
-    if truncation is None:
-        truncation = fock.adequate_truncation(max(abs(alpha), betas.max()))
+    truncation = fock.adequate_truncation(max(abs(alpha), np.abs(betas).max()))
     return _probe_overlaps(_lossy_pair(alpha, eta, truncation), _family_probes(betas, truncation))
 
 

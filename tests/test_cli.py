@@ -250,6 +250,23 @@ def test_decohere_failed_sweep_is_json_error(run_cli, monkeypatch):
     assert error.count("disagrees with closed form") == 5
 
 
+def test_out_of_memory_is_json_error(run_cli, monkeypatch):
+    # numpy reports a too-large array as a MemoryError subclass; it leaves
+    # as a JSON error, not a traceback.  A small grid, so nothing large is
+    # allocated: only the stand-in sweep raises
+    from qbell import decoherence
+
+    def exhausted(alphas, etas):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(decoherence, "figure1_sweep", exhausted)
+    proc = run_cli("decohere", "--steps", "3", "--etas", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "out of memory: Unable to allocate 745. GiB for an array"
+    }
+
+
 def test_charfunc_tiny_amplitude_value(run_cli):
     # 1 - kappa^2 rounds to 0 at this amplitude; the value still exists
     proc = run_cli("charfunc", "--alpha", "1e-9", "--index", "2", "--zeta-a-im", "0.3")
@@ -381,6 +398,25 @@ def test_package_reads_no_environment():
             )
 
 
+def test_package_caches_are_bounded():
+    # every lru_cache in the package has a finite maxsize, so a
+    # long-lived process that visits many keys cannot grow without bound
+    import importlib
+    import pkgutil
+
+    import qbell
+
+    caches = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(qbell.__path__)
+        for name, value in vars(importlib.import_module(f"qbell.{info.name}")).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert {"fock._number_levels", "fock._sector_order", "decoherence._bracket_ends"} <= set(caches)
+    unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
+    assert unbounded == []
+
+
 def test_package_exports():
     # the names ``qbell`` re-exports from its submodules
     import qbell
@@ -432,6 +468,12 @@ def test_cli_options():
          "zeta_a must be finite"),
         (("charfunc", "--alpha", "1", "--index", "1", "--zeta-b-re", "inf"),
          "zeta_b must be finite"),
+        (("decohere", "--alpha-min", "1", "--alpha-max", "inf", "--steps", "2", "--etas", "0.5"),
+         "alpha-max must be finite, got inf"),
+        (("decohere", "--alpha-min", "1", "--alpha-max", "nan", "--steps", "2", "--etas", "0.5"),
+         "alpha-max must be finite, got nan"),
+        (("decohere", "--alpha-min", "nan", "--steps", "2", "--etas", "0.5"),
+         "alpha-min must be finite, got nan"),
     ],
 )
 def test_non_finite_input_names_itself(run_cli, args, message):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -145,6 +147,26 @@ def test_eof_lower_bound():
     # the fraction's own check names NaN, not binary_entropy's
     with pytest.raises(ValueError, match="entangled fraction"):
         measures.eof_lower_bound(float("nan"))
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (measures.concurrence_pure, [np.nan, 0, 0, 0], "state has non-finite amplitudes"),
+        (measures.concurrence_pure, [np.inf, 0, 0, 0], "state has non-finite amplitudes"),
+        (measures.validate_density, np.diag([np.nan, 1, 0, 0]), "non-finite entries"),
+        (measures.validate_density, np.full((4, 4), np.nan), "non-finite entries"),
+        (measures.validate_density, np.diag([np.inf, 1, 0, 0]), "non-finite entries"),
+        (measures.eof_wootters, np.full((4, 4), np.nan), "non-finite entries"),
+        (measures.fully_entangled_fraction, np.diag([np.inf, 1, 0, 0]), "non-finite entries"),
+    ],
+)
+def test_non_finite_input_is_named_before_any_arithmetic(check, value, message):
+    # named as a domain error, never a value, a LinAlgError or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check(value)
 
 
 def test_fef_examples():

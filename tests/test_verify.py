@@ -109,6 +109,9 @@ def test_too_small_truncation_is_named_by_the_term_checks():
         verify.check_mean_photons,
         verify.check_asymmetric_spectra,
         verify.check_char_function,
+        verify.check_loss_density,
+        verify.check_loss_purity,
+        verify.check_family_overlap,
     ):
         with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
             check(20)
@@ -181,7 +184,7 @@ def test_family_overlap_curve_matches_dense_probes():
         for eta in (0.0, 0.1, 0.5, 0.9, 1.0):
             betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
             n = fock.adequate_truncation(betas.max())
-            curve = verify.family_overlap_curve(alpha, eta, betas, n)
+            curve = verify.family_overlap_curve(alpha, eta, betas)
             worst = max(worst, np.max(np.abs(curve - _dense_probe_curve(alpha, eta, betas, n))))
     assert worst < 1e-13
 
@@ -252,11 +255,16 @@ def _count_calls(monkeypatch, name, check):
 
 def test_oracle_checks_build_each_vector_once(monkeypatch):
     # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
-    # family overlap's 21 probes are each built once per battery
+    # family overlap's 21 probes are each built once per battery; the
+    # lossy pair of each (alpha, eta) is |B2(alpha)>'s own terms, so each
+    # loss amplitude, also the middle probe, adds one call per eta
     calls = _count_calls(monkeypatch, "coherent_vector", verify.check_beam_splitter_rule)
     assert len(calls) == len({(float(alpha), n) for alpha, n in calls}) == 25
     calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_family_overlap)
-    assert len(calls) == len({(state.alpha, n) for state, n in calls}) == 21
+    keys = [(state.index, state.alpha, state.beta, n) for state, n in calls]
+    assert len(keys) == 21 + 3 * 3 and len(set(keys)) == 21
+    for alpha in (0.5, 1.0, 2.0):
+        assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1 + 3
 
 
 def test_zero_loss_amplitude_is_domain_error():
@@ -283,12 +291,15 @@ def test_comparison_amplitudes_are_checked(betas):
 
 
 def test_negative_loss_amplitude_flips_only_the_sign():
-    # |B2(-alpha)> = -|B2(alpha)>, so every overlap is unchanged
-    betas = [0.5, 1.0, 1.5]
+    # |B2(-alpha)> = -|B2(alpha)>, so every overlap is unchanged; a
+    # negative comparison amplitude takes the truncation of its magnitude
+    betas = np.array([0.5, 1.0, 1.5, 5.0])
     for eta in (0.3, 0.8):
         positive = verify.family_overlap_curve(1.0, eta, betas)
         negative = verify.family_overlap_curve(-1.0, eta, betas)
         assert np.max(np.abs(positive - negative)) < 1e-14
+        flipped = verify.family_overlap_curve(1.0, eta, -betas)
+        assert np.max(np.abs(positive - flipped)) < 1e-14
 
 
 def _counting_search(monkeypatch, transform=lambda beta, f: (beta, f)):
