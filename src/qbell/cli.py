@@ -16,6 +16,7 @@ produce identical bytes.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -161,8 +162,23 @@ def cmd_verify(args):
     print(f"all {len(results)} checks passed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with negative numbers in scientific notation
+    read as values.  argparse's own negative-number pattern has no
+    exponent, so it takes a value such as -7.9e-05 for an option flag
+    and exits with its usage text; this one also reads -inf and -nan,
+    so every float option reaches its domain check.  Subparsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbell",
         description="Quasi-Bell states: measures, mixtures, decoherence, verification",
     )

@@ -23,9 +23,13 @@ density.  No check calls quasi_bell_fock, partial_trace,
 operator_trace_charfunc or mean_photon, the tests' dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
-eigensystems; beam_splitter takes any two-mode vector, and the private
-_splitter_on_vacuum takes the one-mode g of g (x) |0>, the loss model's
-input, through one cached table of vacuum columns.
+eigensystems, each from one real symmetric eigensolve; beam_splitter
+takes any two-mode vector, and the private _splitter_on_vacuum takes the
+one-mode g of g (x) |0>, the loss model's input, through one cached
+table of vacuum columns per (theta, size), assembled from one cached
+column per (theta, sector).  A default verify battery makes 90
+eigensystems, 532 columns, 36 tables and 123 sector blocks, and never
+recomputes one.
 """
 
 import math
@@ -184,8 +188,11 @@ def quasi_bell_fock(state, truncation=None):
     return np.outer(a, b) + np.outer(c, d)
 
 
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^j at j mod 4, exactly
+
+
 # keyed on the sector alone, theta-free; a default verify battery uses
-# 90: the full sectors 0..69 of the loss checks' tables and the 20
+# 90: the full sectors 0..69 of the loss checks' columns and the 20
 # partial sectors of the unitarity check's 21-level pair
 @lru_cache(maxsize=128)
 def _sector_eigensystem(sector, low, high):
@@ -193,11 +200,17 @@ def _sector_eigensystem(sector, low, high):
     n_first = low..high of total photon number ``sector``, with K the
     coupling generator a b+ - a+ b there.  The splitter of angle theta
     has the generator theta K, so every theta shares V and the block is
-    V diag(e^{-i theta w}) V+.  Read-only because every splitter through
+    V diag(e^{-i theta w}) V+.
+
+    i K is tridiagonal with i c_j above the diagonal and -i c_j below, so
+    i K = D S D+ with D = diag(i^j) and S the real symmetric tridiagonal
+    matrix with -c_j on both off-diagonals: w and V_S come from a real
+    eigensolve, and V = D V_S.  Read-only because every splitter through
     that sector shares it."""
     n_first = np.arange(low + 1, high + 1)  # coupling between n_first-1 and n_first
     coupling = np.sqrt(n_first * (sector - n_first + 1.0))
-    w, v = np.linalg.eigh(1j * (np.diag(coupling, k=1) - np.diag(coupling, k=-1)))
+    w, v_s = np.linalg.eigh(-np.diag(coupling, k=1) - np.diag(coupling, k=-1))
+    v = _I_POWERS[np.arange(high - low + 1) % 4, None] * v_s
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
@@ -218,23 +231,35 @@ def _splitter_block(theta, sector, low, high):
     return block
 
 
+# keyed on (angle, sector), the table's sector n for every size above n;
+# a default verify battery reads 1587 columns for its 36 tables but
+# computes only the 532 distinct ones, of at most 70 complex entries each
+@lru_cache(maxsize=1024)
+def _vacuum_column(theta, sector):
+    """<k, sector - k| U |sector, 0> for k = 0..sector, U the splitter of
+    angle theta: |n>|0> is the last state of the full sector n (low 0,
+    high n), so its image is that block's last column.  Read-only because
+    it is cached."""
+    w, v = _sector_eigensystem(sector, 0, sector)
+    column = v @ (np.exp(-1j * theta * w) * v[-1].conj())
+    column.flags.writeable = False
+    return column
+
+
 # keyed on (angle, size); a default verify battery makes 36 tables of at
-# most 70 x 70 complex entries (78 KB) each
+# most 70 x 70 complex entries (78 KB) each, for 9 angles at 8 sizes
 @lru_cache(maxsize=64)
 def _vacuum_columns(theta, size):
     """T[k, m] = <k, m| U |k+m, 0>, the splitter of angle theta on the
-    vacuum-input states of a ``size``-level first mode: |n>|0> is the
-    last state of the full sector n (low 0, high n), so its image is that
-    block's last column, laid out on the sector's anti-diagonal k + m = n.
+    vacuum-input states of a ``size``-level first mode: sector n's
+    column (_vacuum_column) laid out on the anti-diagonal k + m = n.
     Entries with k + m >= size are 0.  Read-only because it is cached."""
     table = np.zeros((size, size), dtype=complex)
     flat = table.reshape(-1)
     for sector in range(size):
-        w, v = _sector_eigensystem(sector, 0, sector)
-        column = v @ (np.exp(-1j * theta * w) * v[-1].conj())
         # (k, sector - k) for k = 0..sector, at flat index k (size - 1) +
         # sector; a one-level table's single entry takes any positive step
-        flat[sector : sector * size + 1 : size - 1 or 1] = column
+        flat[sector : sector * size + 1 : size - 1 or 1] = _vacuum_column(theta, sector)
     table.flags.writeable = False
     return table
 

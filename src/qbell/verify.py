@@ -56,15 +56,21 @@ def _loss_amplitude(alpha):
     return alpha
 
 
-def _lossy_pair(alpha, eta, n):
-    """The lossy pair: |B2(alpha)> = a (x) b + c (x) d with mode B sent
-    through the loss splitter, as stacked product terms (pair_a,
-    pair_be) with psi = sum_t pair_a[t] (x) pair_be[t].  pair_a is the
-    normalized mode-A terms of fock._quasi_bell_terms and pair_be the
-    (B, E) outputs of its mode-B terms from fock's vacuum-input splitter
+def _b2_terms(alpha, n):
+    """|B2(alpha)> at truncation n as its two normalized product terms
+    (fock._quasi_bell_terms)."""
+    return fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha), n)
+
+
+def _lossy_pair(terms, eta):
+    """The lossy pair: |B2(alpha)> = a (x) b + c (x) d, given as its
+    _b2_terms, with mode B sent through the loss splitter, as stacked
+    product terms (pair_a, pair_be) with psi = sum_t pair_a[t] (x)
+    pair_be[t].  pair_a is the normalized mode-A terms and pair_be the
+    (B, E) outputs of the mode-B terms from fock's vacuum-input splitter
     (fock._splitter_on_vacuum): the environment enters in its vacuum,
     and the splitter is unitary, so psi keeps the norm of |B2(alpha)>."""
-    pair_a, terms_b = fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha), n)
+    pair_a, terms_b = terms
     return pair_a, np.array([fock._splitter_on_vacuum(b, eta) for b in terms_b])
 
 
@@ -84,11 +90,8 @@ def _environment_amplitudes(pair, probe_a, probe_b):
 def _family_probes(betas, truncation):
     """The |B2(beta)> probe of each comparison amplitude beta as stacked
     product terms (probe_a, probe_b) for _environment_amplitudes, each
-    kept as its two normalized terms (fock._quasi_bell_terms)."""
-    probes = [
-        fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, beta), truncation)
-        for beta in betas
-    ]
+    kept as its two normalized terms (_b2_terms)."""
+    probes = [_b2_terms(beta, truncation) for beta in betas]
     return tuple(np.array(mode) for mode in zip(*probes))
 
 
@@ -108,7 +111,8 @@ def family_overlap_curve(alpha, eta, betas):
     if betas.size == 0 or not np.all(np.isfinite(betas)):
         raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
     truncation = fock.adequate_truncation(max(abs(alpha), np.abs(betas).max()))
-    return _probe_overlaps(_lossy_pair(alpha, eta, truncation), _family_probes(betas, truncation))
+    pair = _lossy_pair(_b2_terms(alpha, truncation), eta)
+    return _probe_overlaps(pair, _family_probes(betas, truncation))
 
 
 _ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)
@@ -189,24 +193,40 @@ def check_asymmetric_spectra(truncation):
     return CheckResult("asymmetric_spectra", dev, 1e-10)
 
 
-def _char_points(rng):
-    """A state's 20 random points (za, zb), every real and imaginary
-    part uniform on [-1.5, 1.5), from one draw that takes, point by
-    point, the real parts of za and zb, then their imaginary parts."""
-    draws = rng.uniform(-1.5, 1.5, (20, 2, 2))
-    return (draws[:, 0] + 1j * draws[:, 1]).T
+# the real root of x^5 = x + 1: 1/g, ..., 1/g^4 and 1 are linearly
+# independent over the rationals, so the lattice below fills [0, 1)^4
+# evenly (the Kronecker sequence of Roberts's R_4 construction)
+_LATTICE_ROOT = 1.1673039782614187
+
+
+def _lattice(count):
+    """The first ``count`` points of the Kronecker lattice frac(1/2 +
+    k g^-j), k = 1..count, j = 1..4, with g = _LATTICE_ROOT, shape
+    (count, 4): fixed sample points in [0, 1)^4 that need no random
+    number generator."""
+    k = np.arange(1.0, count + 1.0)[:, None]
+    return np.modf(0.5 + k * _LATTICE_ROOT ** -np.arange(1.0, 5.0))[0]
+
+
+def _char_points():
+    """The 8 states' 20 points (za, zb) each, shape (8, 2, 20): the
+    lattice's 160 points scaled to [-1.5, 1.5)^4 and read as (Re za,
+    Im za, Re zb, Im zb), 20 consecutive points per state."""
+    parts = 3.0 * _lattice(160).reshape(8, 20, 2, 2) - 1.5
+    return (parts[..., 0] + 1j * parts[..., 1]).transpose(0, 2, 1)
 
 
 def check_char_function(truncation):
-    rng = np.random.default_rng(11)
+    quasi_bells = [
+        coherent.CoherentQuasiBell(index, alpha, beta)
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.6))
+        for index in (1, 2, 3, 4)
+    ]
     dev = 0.0
-    for alpha, beta in ((0.5, 0.5), (1.0, 0.6)):
-        for index in (1, 2, 3, 4):
-            state = coherent.CoherentQuasiBell(index, alpha, beta)
-            za, zb = _char_points(rng)
-            closed = coherent._char_values(state, za, zb)
-            numeric = fock._char_traces(*fock._quasi_bell_terms(state, truncation), za, zb)
-            dev = max(dev, float(np.max(np.abs(closed - numeric))))
+    for state, (za, zb) in zip(quasi_bells, _char_points()):
+        closed = coherent._char_values(state, za, zb)
+        numeric = fock._char_traces(*fock._quasi_bell_terms(state, truncation), za, zb)
+        dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("char_function", dev, 1e-8)
 
 
@@ -227,8 +247,11 @@ def check_beam_splitter_rule(truncation):
 
 
 def check_beam_splitter_unitary():
-    rng = np.random.default_rng(3)
-    vec = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
+    # a 21-level pair with a nonzero entry in each of its 41 sectors, so
+    # every sector block is applied: the lattice's first two coordinates,
+    # centred, as real and imaginary parts (k >= 1 keeps them off 1/2)
+    parts = _lattice(21 * 21)[:, :2] - 0.5
+    vec = (parts[:, 0] + 1j * parts[:, 1]).reshape(21, 21)
     vec /= np.linalg.norm(vec)
     dev = 0.0
     for eta in (0.2, 0.5, 0.8):
@@ -254,7 +277,7 @@ def _projected_loss_density(alpha, eta, n):
     basis_a = np.stack(_orthonormal_pair(alpha, n))
     basis_b = np.stack(_orthonormal_pair(np.sqrt(eta) * alpha, n))
     phi = _environment_amplitudes(
-        _lossy_pair(alpha, eta, n),
+        _lossy_pair(_b2_terms(alpha, n), eta),
         np.repeat(basis_a, 2, axis=0)[:, None],
         np.tile(basis_b, (2, 1))[:, None],
     )
@@ -277,7 +300,7 @@ def _loss_purity(alpha, eta, n):
     sum_t A_t (x) T_t is pure, so Tr rho_AB^2 = Tr rho_E^2 (Schmidt
     decomposition), and the (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T
     conj(T_u) is Hermitian, so that is the Frobenius sum |rho_E_ij|^2."""
-    pair_a, pair_be = _lossy_pair(alpha, eta, n)
+    pair_a, pair_be = _lossy_pair(_b2_terms(alpha, n), eta)
     # conj(sum_t <A_t|A_u> T_t), conjugated in place, not through a copy
     mixed = (pair_a.conj() @ pair_a.T) @ pair_be.reshape(2, -1)
     np.conjugate(mixed, out=mixed)
@@ -300,16 +323,17 @@ def check_loss_purity(truncation):
 
 def check_family_overlap(truncation):
     # family_overlap_curve with each amplitude's seven probes built once
-    # and read by all three lossy pairs
+    # and read by all three lossy pairs; the middle probe, beta = 1.0 alpha
+    # exactly, is |B2(alpha)> itself, so its terms are the pairs' input
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0):
-        betas = np.linspace(0.25 * alpha, 1.75 * alpha, 7)
+        betas = alpha * np.linspace(0.25, 1.75, 7)
         n = truncation or fock.adequate_truncation(betas.max())
-        probes = _family_probes(betas, n)
+        probe_a, probe_b = probes = _family_probes(betas, n)
         for eta in (0.1, 0.5, 0.9):
             state = decoherence.apply_loss(alpha, decoherence.LossChannel(eta))
             closed = decoherence.fraction_over_family(state, betas)
-            numeric = _probe_overlaps(_lossy_pair(alpha, eta, n), probes)
+            numeric = _probe_overlaps(_lossy_pair((probe_a[3], probe_b[3]), eta), probes)
             dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("family_overlap", dev, 1e-9)
 

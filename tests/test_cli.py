@@ -178,6 +178,47 @@ def test_charfunc_report(run_cli):
     assert json.loads(proc.stdout)["real"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_negative_scientific_values_are_values(run_cli):
+    # argparse's own negative-number pattern has no exponent and reads
+    # such a value as an option flag; every float option takes it
+    proc = run_cli_process(
+        "charfunc", "--alpha", "1", "--index", "2", "--zeta-b-im", "-7.855745641904832e-05"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["zeta_b"] == [0.0, -7.855745641904832e-05]
+    proc = run_cli("decohere", "--alpha-min", "-1e-3", "--steps", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "alpha-min must be positive"}
+    proc = run_cli("decohere", "--steps", "2", "--etas", "0.5", "-1E-3")
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {"error": "transmissivity must lie in [0, 1], got -0.001"}
+    proc = run_cli("decohere", "--alpha-min", "-inf", "--steps", "2")
+    assert json.loads(proc.stderr) == {"error": "alpha-min must be finite, got -inf"}
+    required = {
+        "measures": ["--index", "1"],
+        "werner": ["-F", "0.5", "--kappa", "0.1"],
+        "decohere": [],
+        "charfunc": ["--alpha", "1", "--index", "1"],
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        (name, action)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+    assert len(options) == 12
+    for name, action in options:
+        for text, value in (("-2.5e-01", -0.25), ("-.5E+1", -5.0), ("-3.", -3.0)):
+            args = parser.parse_args([name, *required[name], action.option_strings[0], text])
+            got = getattr(args, action.dest)
+            assert (got if action.nargs is None else got[0]) == value, (name, action.dest)
+    # a word that only starts like a number is still an unknown flag
+    with pytest.raises(SystemExit):
+        parser.parse_args(["decohere", "--etas", "0.5", "-1e"])
+
+
 def test_help_everywhere(run_cli):
     assert run_cli_process("--help").returncode == 0
     assert run_cli("--help").returncode == 0

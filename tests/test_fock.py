@@ -217,6 +217,32 @@ def test_vacuum_kernel_keeps_the_boundary_rule():
             fock._splitter_on_vacuum(bad, 0.5)
 
 
+def test_sector_eigensystem_is_the_real_form():
+    # V diag(w) V+ is i K and V+ V is I, for the full sectors 0..80 and
+    # the partial sectors of a 21-level pair; i K's rounding grows with
+    # its norm, the largest |w|, so that residual is taken relative to it
+    sectors = [(n, 0, n) for n in range(81)] + [(n, n - 20, 20) for n in range(21, 41)]
+    for sector, low, high in sectors:
+        w, v = fock._sector_eigensystem(sector, low, high)
+        n_first = np.arange(low + 1, high + 1)
+        coupling = np.sqrt(n_first * (sector - n_first + 1.0))
+        ik = 1j * (np.diag(coupling, k=1) - np.diag(coupling, k=-1))
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert np.max(np.abs((v * w) @ v.conj().T - ik)) <= 1e-14 * scale, sector
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-13, sector
+
+
+def test_vacuum_tables_of_two_sizes_agree():
+    # a sector's column does not depend on the table size: the sectors a
+    # 21-level and a 62-level table share hold the same bits
+    shared = np.add.outer(np.arange(21), np.arange(21)) < 21
+    for eta in (0.0, 0.3, 0.5, 1.0):
+        theta = fock._splitter_angle(eta)
+        small, large = fock._vacuum_columns(theta, 21), fock._vacuum_columns(theta, 62)
+        assert np.array_equal(small[shared], large[:21, :21][shared]), eta
+        assert not np.any(small[~shared])
+
+
 def test_vacuum_columns_are_the_block_columns():
     # sector n of the table, T[k, n - k] for k = 0..n, is the last column
     # of the full sector block; nothing lies past the last input sector
@@ -487,7 +513,12 @@ def test_densities_are_physical():
 
 
 def test_splitter_cache_is_bounded():
-    caches = (fock._splitter_block, fock._sector_eigensystem, fock._vacuum_columns)
+    caches = (
+        fock._splitter_block,
+        fock._sector_eigensystem,
+        fock._vacuum_column,
+        fock._vacuum_columns,
+    )
     assert all(cache.cache_info().maxsize is not None for cache in caches)
     verify.run_all()
     # sixty angles: more tables than the bound, and with every sector of
@@ -503,6 +534,7 @@ def test_splitter_cache_is_bounded():
     cached = (
         *fock._sector_eigensystem(5, 0, 5),
         fock._splitter_block(0.4, 5, 0, 5),
+        fock._vacuum_column(0.4, 5),
         fock._vacuum_columns(0.4, 6),
     )
     assert not any(array.flags.writeable for array in cached)

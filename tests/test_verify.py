@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -117,16 +119,48 @@ def test_too_small_truncation_is_named_by_the_term_checks():
             check(20)
 
 
-def test_char_points_are_the_per_point_draws():
-    # one (20, 2, 2) draw consumes the generator in the order of the
-    # per-point draws, real parts (za, zb) then imaginary parts
-    batched, per_point = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(8):
-        za, zb = verify._char_points(batched)
-        want_a, want_b = np.array([
-            per_point.uniform(-1.5, 1.5, 2) + 1j * per_point.uniform(-1.5, 1.5, 2) for _ in range(20)
-        ]).T
-        assert np.array_equal(za, want_a) and np.array_equal(zb, want_b)
+def test_check_points_are_a_fixed_lattice(monkeypatch):
+    # the char-function points and the unitarity vector come from a fixed
+    # Kronecker lattice, not a random number generator
+    assert abs(verify._LATTICE_ROOT**5 - verify._LATTICE_ROOT - 1.0) < 1e-14
+    points = verify._char_points()
+    assert points.shape == (8, 2, 20)
+    assert np.array_equal(points, verify._char_points())
+    parts = np.stack([points.real, points.imag])
+    assert parts.min() >= -1.5 and parts.max() < 1.5
+    pairs = points.transpose(0, 2, 1).reshape(-1, 2)
+    assert len({(complex(za), complex(zb)) for za, zb in pairs}) == 160
+    # the 21-level unitarity vector has a nonzero entry in each of its 41
+    # sectors, so the check multiplies all 41 blocks at each of 3 angles
+    vectors, blocks = [], []
+    beam_splitter, splitter_block = fock.beam_splitter, fock._splitter_block
+
+    def recorded(vec, *args, **kwargs):
+        vectors.append(np.array(vec))
+        return beam_splitter(vec, *args, **kwargs)
+
+    def counted(*args):
+        blocks.append(args)
+        return splitter_block(*args)
+
+    monkeypatch.setattr(fock, "beam_splitter", recorded)
+    monkeypatch.setattr(fock, "_splitter_block", counted)
+    assert verify.check_beam_splitter_unitary().passed
+    assert len(vectors) == 3 and all(np.array_equal(v, vectors[0]) for v in vectors)
+    sectors = np.add.outer(np.arange(21), np.arange(21))
+    assert all(np.any(vectors[0][sectors == n] != 0.0) for n in range(41))
+    assert len(blocks) == len(set(blocks)) == 123
+
+
+def test_battery_imports_no_random_module():
+    probe = (
+        "import sys\n"
+        "from qbell import verify\n"
+        "assert all(r.passed for r in verify.run_all())\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stacked_eigensolves_report_the_per_matrix_maxima():
@@ -256,15 +290,15 @@ def _count_calls(monkeypatch, name, check):
 def test_oracle_checks_build_each_vector_once(monkeypatch):
     # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
     # family overlap's 21 probes are each built once per battery; the
-    # lossy pair of each (alpha, eta) is |B2(alpha)>'s own terms, so each
-    # loss amplitude, also the middle probe, adds one call per eta
+    # lossy pairs of each loss amplitude take the middle probe's terms,
+    # |B2(alpha)> itself, so they add no call
     calls = _count_calls(monkeypatch, "coherent_vector", verify.check_beam_splitter_rule)
     assert len(calls) == len({(float(alpha), n) for alpha, n in calls}) == 25
     calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_family_overlap)
     keys = [(state.index, state.alpha, state.beta, n) for state, n in calls]
-    assert len(keys) == 21 + 3 * 3 and len(set(keys)) == 21
+    assert len(keys) == len(set(keys)) == 21
     for alpha in (0.5, 1.0, 2.0):
-        assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1 + 3
+        assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1
 
 
 def test_zero_loss_amplitude_is_domain_error():
