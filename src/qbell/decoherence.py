@@ -23,7 +23,7 @@ import numpy as np
 
 from . import measures
 from .coherent import CoherentQuasiBell, _cat_components, _check_amplitude
-from .states import embed_qubit
+from .states import _mixture, embed_qubit
 
 __all__ = [
     "LossChannel",
@@ -91,12 +91,11 @@ class DecoheredState:
         alpha, eta = self.alpha, self.eta
         h2 = CoherentQuasiBell(2, alpha).normalization
         env = _cat_components(math.sqrt(1.0 - eta) * alpha)
-        rho = np.zeros((4, 4), dtype=complex)
-        for index, component in zip((2, 1), env):
-            mixed = CoherentQuasiBell(index, alpha, math.sqrt(eta) * alpha)
-            c = embed_qubit(mixed)
-            rho += (component * h2 / mixed.normalization) ** 2 * (c[:, None] * c.conj())
-        return rho
+        mixed = (CoherentQuasiBell(index, alpha, math.sqrt(eta) * alpha) for index in (2, 1))
+        return _mixture(
+            ((component * h2 / state.normalization) ** 2, embed_qubit(state))
+            for state, component in zip(mixed, env)
+        )
 
 
 def _coherence(alpha, eta):

@@ -23,13 +23,14 @@ density.  No check calls quasi_bell_fock, partial_trace,
 operator_trace_charfunc or mean_photon, the tests' dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
-eigensystems, each from one real symmetric eigensolve; beam_splitter
-takes any two-mode vector, and the private _splitter_on_vacuum takes the
-one-mode g of g (x) |0>, the loss model's input, through one cached
-table of vacuum columns per (theta, size), assembled from one cached
-column per (theta, sector).  A default verify battery makes 90
-eigensystems, 532 columns, 36 tables and 123 sector blocks, and never
-recomputes one.
+eigensystems, each from one real symmetric eigensolve, and reads every
+sector of a C-ordered square as one strided run (_sector_run);
+beam_splitter takes any two-mode vector and moves each run in place,
+and the private _splitter_on_vacuum takes the one-mode g of g (x) |0>,
+the loss model's input, through one cached table of vacuum columns per
+(theta, size), whose runs are the cached columns per (theta, sector).
+A default verify battery makes 90 eigensystems, 532 columns, 36 tables
+and 123 sector blocks, and never recomputes one.
 """
 
 import math
@@ -64,8 +65,7 @@ def adequate_truncation(alpha):
     return int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0) + 20.0))
 
 
-# keyed on the size only, like _sector_order; a default verify battery
-# uses nine
+# keyed on the size only; a default verify battery uses nine
 @lru_cache(maxsize=16)
 def _number_levels(size):
     """n = 0..size-1 and (1/2) log n! over ``size`` levels, read-only
@@ -246,6 +246,15 @@ def _vacuum_column(theta, sector):
     return column
 
 
+def _sector_run(square, sector, low, high):
+    """Writable view of the entries (k, sector - k), k = low..high, of
+    the C-ordered size x size array ``square``: entry (k, sector - k)
+    sits at flat index k (size - 1) + sector, so a sector is one strided
+    run; a one-level array's single entry takes any positive step."""
+    step = square.shape[0] - 1
+    return square.reshape(-1)[low * step + sector : high * step + sector + 1 : step or 1]
+
+
 # keyed on (angle, size); a default verify battery makes 36 tables of at
 # most 70 x 70 complex entries (78 KB) each, for 9 angles at 8 sizes
 @lru_cache(maxsize=64)
@@ -255,11 +264,8 @@ def _vacuum_columns(theta, size):
     column (_vacuum_column) laid out on the anti-diagonal k + m = n.
     Entries with k + m >= size are 0.  Read-only because it is cached."""
     table = np.zeros((size, size), dtype=complex)
-    flat = table.reshape(-1)
     for sector in range(size):
-        # (k, sector - k) for k = 0..sector, at flat index k (size - 1) +
-        # sector; a one-level table's single entry takes any positive step
-        flat[sector : sector * size + 1 : size - 1 or 1] = _vacuum_column(theta, sector)
+        _sector_run(table, sector, 0, sector)[...] = _vacuum_column(theta, sector)
     table.flags.writeable = False
     return table
 
@@ -272,34 +278,16 @@ def _splitter_angle(eta):
     return math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
 
 
-# keyed on the two-mode size only; a default verify battery uses one,
-# the unitarity check's size 21, once per angle
-@lru_cache(maxsize=16)
-def _sector_order(size):
-    """Flat C-order indices of a size x size array sorted by photon-number
-    sector n_first + n_second, then by n_first, and the offsets at which
-    each of the 2 size - 1 sectors starts (one more entry closes the last).
-    Both are read-only because every call of that size shares them."""
-    first, second = np.indices((size, size)).reshape(2, -1)
-    order = np.lexsort((first, first + second))
-    lengths = np.minimum(np.arange(1, 2 * size), np.arange(2 * size - 1, 0, -1))
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    order.flags.writeable = False
-    starts.flags.writeable = False
-    return order, starts
-
-
 def beam_splitter(vec, eta, check_tail=True):
     """Transmissivity-eta beam splitter acting on a two-mode vector.
 
     Maps |g>|0> to |sqrt(eta) g>|sqrt(1-eta) g> for coherent g.  The
     generator conserves total photon number, so the exponential is
-    evaluated sector by sector: one gather lays the sectors out as
-    contiguous runs, each run whose largest amplitude exceeds 1e-18 is
-    multiplied by its block, the rest pass through untouched, and one
-    scatter restores the two-mode layout.  At eta = 1 each moved block
-    is V V+ from its sector's eigensystem, the identity to rounding
-    only.  With ``check_tail``, probability accumulating on the
+    evaluated sector by sector on one C-ordered copy of the input: each
+    of the 2 size - 1 sectors is a strided run of it (_sector_run),
+    multiplied in place by its block.  Every sector is moved; at eta = 1
+    each block is V V+ from its sector's eigensystem, the identity to
+    rounding only.  With ``check_tail``, probability accumulating on the
     truncation boundary above 1e-9 raises a TruncationError.
     """
     vec = np.asarray(vec, dtype=complex)
@@ -307,18 +295,11 @@ def beam_splitter(vec, eta, check_tail=True):
         raise ValueError("expected a two-mode vector with equal truncations")
     theta = _splitter_angle(eta)
     size = vec.shape[0]
-    order, starts = _sector_order(size)
-    moved = vec.ravel()[order]
-    peaks = np.maximum.reduceat(np.abs(moved), starts[:-1])
-    # written so that a NaN peak is moved, not passed through
-    for sector in np.flatnonzero(~(peaks <= 1e-18)).tolist():
-        lo, hi = starts[sector], starts[sector + 1]
-        block = _splitter_block(theta, sector, max(0, sector - size + 1), min(sector, size - 1))
-        moved[lo:hi] = block @ moved[lo:hi]
-    # a fresh C-ordered array, so the flat scatter cannot land in a copy
-    out = np.empty(size * size, dtype=complex)
-    out[order] = moved
-    out = out.reshape(size, size)
+    out = np.array(vec, order="C")
+    for sector in range(2 * size - 1):
+        low, high = max(0, sector - size + 1), min(sector, size - 1)
+        run = _sector_run(out, sector, low, high)
+        run[...] = _splitter_block(theta, sector, low, high) @ run
     if check_tail:
         _check_tail(_boundary_mass(out), "beam splitter output")
     return out
@@ -330,9 +311,8 @@ def _splitter_on_vacuum(vec_a, eta):
     |n>|0> lies in sector n alone, so the output is T[k, m] vec_a[k + m]
     with T the cached vacuum-column table (_vacuum_columns) and vec_a
     zero-padded to 2 size - 1 entries: one strided view and one product.
-    Every sector is moved, also one whose amplitude beam_splitter's
-    1e-18 peak filter would pass through, and beam_splitter's boundary
-    rule always applies.
+    Like beam_splitter it moves every sector, and beam_splitter's
+    boundary rule always applies.
     """
     vec_a = np.asarray(vec_a, dtype=complex)
     if vec_a.ndim != 1 or vec_a.size == 0:

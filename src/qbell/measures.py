@@ -107,13 +107,15 @@ def eof_wootters(rho):
     singular values of A^T S A with A = sqrt(rho), which is the same set
     but without the square-root noise amplification of the direct
     non-Hermitian eigensolve.  A comes from the one eigendecomposition
-    that checks rho.
+    that checks rho.  H((1 + sqrt(1 - C^2))/2) is taken at
+    (1 - sqrt(1 - C^2))/2 = C^2 / (2 (1 + sqrt(1 - C^2))), which does not
+    cancel as C -> 0.
     """
     w, v = _density_eigh(rho)
     root = v * np.sqrt(w)
     lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
-    concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-    return binary_entropy(0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - concurrence**2))))
+    c_sq = max(0.0, lam[0] - lam[1] - lam[2] - lam[3]) ** 2
+    return binary_entropy(c_sq / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - c_sq)))))
 
 
 def eof_lower_bound(fraction):

@@ -186,3 +186,13 @@ def embed_qubit(state):
     order |++>, |+->, |-+>, |-->, the first nonzero one positive.
     """
     return _coefficients(state.terms)
+
+
+def _mixture(components):
+    """4x4 density matrix sum_i w_i |c_i><c_i| of (w_i, c_i) pairs, each
+    c_i an embed_qubit vector: the one mixture kernel of the quasi-Werner
+    states and the decohered pair."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for w, c in components:
+        rho += w * (c[:, None] * c.conj())
+    return rho

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import QuasiBell, check_kappa, embed_qubit, gram_off_diagonal
+from .states import INDICES, QuasiBell, _mixture, check_kappa, embed_qubit, gram_off_diagonal
 
 __all__ = [
     "QuasiWerner",
@@ -40,12 +40,11 @@ class QuasiWerner:
 def build_quasi_werner(spec):
     """4x4 density matrix of the mixture in the orthonormal |+->
     product-basis embedding."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for index in (1, 2, 3, 4):
-        w = spec.fidelity if index == 2 else (1.0 - spec.fidelity) / 3.0
-        c = embed_qubit(QuasiBell(index, spec.kappa))
-        rho += w * np.outer(c, c.conj())
-    return rho
+    rest = (1.0 - spec.fidelity) / 3.0
+    return _mixture(
+        (spec.fidelity if index == 2 else rest, embed_qubit(QuasiBell(index, spec.kappa)))
+        for index in INDICES
+    )
 
 
 def quasi_werner_spectrum(spec):

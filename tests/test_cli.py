@@ -453,7 +453,7 @@ def test_package_caches_are_bounded():
         for name, value in vars(importlib.import_module(f"qbell.{info.name}")).items()
         if callable(getattr(value, "cache_info", None))
     }
-    assert {"fock._number_levels", "fock._sector_order", "decoherence._bracket_ends"} <= set(caches)
+    assert {"fock._number_levels", "fock._splitter_block", "decoherence._bracket_ends"} <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 

@@ -127,7 +127,7 @@ def test_beam_splitter_tail_error():
 def _sector_loop_splitter(vec, eta):
     """The beam splitter one photon-number sector at a time, gathering
     and scattering each sector by fancy indexing: the reference for the
-    one-gather form."""
+    strided sector runs."""
     vec = np.asarray(vec, dtype=complex)
     size = vec.shape[0]
     theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
@@ -138,8 +138,6 @@ def _sector_loop_splitter(vec, eta):
         idx_first = np.arange(low, high + 1)
         idx_second = sector - idx_first
         component = vec[idx_first, idx_second]
-        if np.max(np.abs(component)) <= 1e-18:
-            continue
         out[idx_first, idx_second] = fock._splitter_block(theta, sector, low, high) @ component
     return out
 
@@ -148,11 +146,15 @@ def _splitter_inputs(size):
     rng = np.random.default_rng(size)
     noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     # |g>|0> holds one entry per sector; zeroing the upper half of g
-    # leaves every sector from size // 2 on empty, so those are skipped
+    # leaves every sector from size // 2 on empty, and setting it to
+    # 1e-19 leaves those sectors nonzero but below 1e-18 in magnitude,
+    # which the splitter moves like any other
     one_mode = np.zeros((size, size), dtype=complex)
     one_mode[:, 0] = fock.coherent_vector(1.2, max(size - 1, 40))[:size]
     one_mode[size // 2 :, 0] = 0.0
-    for vec in (noise, one_mode):
+    faint = one_mode.copy()
+    faint[size // 2 :, 0] = 1e-19
+    for vec in (noise, one_mode, faint):
         yield vec
         yield np.asfortranarray(vec)
         yield vec.T  # a transposed view of a C-ordered array
@@ -422,14 +424,6 @@ def test_term_traces_keep_the_boundary_rule():
         fock._char_traces(*terms, za, np.zeros(2))
     with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
         fock._quasi_bell_terms(state, n - 1)
-
-
-def test_sector_order_cache_is_bounded():
-    info = fock._sector_order.cache_info
-    assert info().maxsize is not None
-    for size in range(2, 2 + 2 * info().maxsize):
-        fock.beam_splitter(np.eye(size, dtype=complex), 0.5, check_tail=False)
-    assert info().currsize <= info().maxsize
 
 
 def test_partial_trace_product_state():

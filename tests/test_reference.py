@@ -16,7 +16,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qbell import cli, coherent, measures, states, werner
 
@@ -254,3 +254,98 @@ def test_measures_alpha_report_over_amplitudes(index):
 @given(index=st.sampled_from(states.INDICES), alpha=amplitudes)
 def test_measures_alpha_report_matches_mpmath(index, alpha):
     check_alpha_report(index, alpha)
+
+
+# spin flip sigma_y x sigma_y and the magic basis (columns), written out
+# here rather than read from measures
+SPIN_FLIP = [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+MAGIC_ROWS = [[1, 0, 0, 1], [-1j, 0, 0, 1j], [0, 1, -1, 0], [0, -1j, -1j, 0]]
+
+
+def ref_concurrence(rho):
+    """Wootters' concurrence of the float matrix rho taken exactly:
+    lam_i are the square roots of the eigenvalues of rho (S rho* S),
+    from a 60-digit eigensolve of the non-Hermitian product."""
+    with mp.workdps(60):
+        r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
+        s = mp.matrix(SPIN_FLIP)
+        ev = mp.eig(r * (s * r.conjugate() * s), left=False, right=False)
+        lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in ev), reverse=True)
+        return max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def ref_eof(concurrence):
+    """H((1 + sqrt(1 - C^2))/2) at 60 digits."""
+    with mp.workdps(60):
+        c = mp.mpf(concurrence)
+        x = (1 - mp.sqrt(1 - min(c, 1) ** 2)) / 2
+        return ref_entropy([x, 1 - x])
+
+
+def ref_fraction(rho):
+    """Largest eigenvalue of Re(M+ rho M), M the magic basis."""
+    with mp.workdps(60):
+        r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
+        m = mp.matrix(MAGIC_ROWS).T / mp.sqrt(2)
+        q = m.H * r * m
+        real = mp.matrix([[mp.re(q[i, j] + q[j, i]) / 2 for j in range(4)] for i in range(4)])
+        return max(mp.eigsy(real, eigvals_only=True))
+
+
+def check_eof_and_fraction(rho):
+    """eof_wootters is H at a concurrence within 4e-15 of the exact one
+    (the SVD's absolute error; C itself may be tiny), up to 1e-13
+    relative in H, and fully_entangled_fraction is within 4e-15."""
+    c = ref_concurrence(rho)
+    low, high = ref_eof(max(c - 4e-15, 0)), ref_eof(c + 4e-15)
+    got = measures.eof_wootters(rho)
+    assert low * (1 - 1e-13) <= got <= high * (1 + 1e-13), (got, c)
+    assert abs(measures.fully_entangled_fraction(rho) - ref_fraction(rho)) <= 4e-15
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    psi=st.lists(unit, min_size=8, max_size=8),
+    noise=st.lists(unit, min_size=32, max_size=32),
+    eps=st.floats(-14.0, -1.0).map(lambda e: 10.0**e),
+)
+@example(psi=[1.0, 0, 0, 0, 0, 0, 1.0, 0], noise=[1.0] * 32, eps=1e-14)
+@example(psi=[1.0, 0, 0, 0, 0, 0, 0, 0], noise=[0.5, -1.0] * 16, eps=1e-14)
+def test_eof_and_fraction_near_rank_one(psi, noise, eps):
+    # (1 - eps) |psi><psi| + eps sigma, sigma a full-rank-ish density
+    psi = np.array(psi[:4]) + 1j * np.array(psi[4:])
+    assume(np.linalg.norm(psi) > 0.1)
+    psi /= np.linalg.norm(psi)
+    a = (np.array(noise[:16]) + 1j * np.array(noise[16:])).reshape(4, 4)
+    assume(np.linalg.norm(a) > 0.1)
+    sigma = a @ a.conj().T
+    sigma /= np.trace(sigma).real
+    rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * sigma
+    check_eof_and_fraction((rho + rho.conj().T) / 2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    gap=st.floats(-16.0, -1.0).map(lambda e: 10.0**e),
+    below=st.booleans(),
+    kappa=overlaps,
+)
+@example(gap=1e-8, below=False, kappa=0.0)
+@example(gap=1e-10, below=False, kappa=0.0)
+@example(gap=1e-8, below=False, kappa=0.5)
+def test_eof_and_fraction_near_separability(gap, below, kappa):
+    # quasi-Werner mixtures with F just above or below 1/2
+    fidelity = 0.5 - gap if below else 0.5 + gap
+    check_eof_and_fraction(werner.build_quasi_werner(werner.QuasiWerner(fidelity, kappa)))
+
+
+def test_werner_eof_just_above_half():
+    # H((1 + sqrt(1 - C^2))/2) cancelled as C -> 0: at F = 1/2 + 1e-8 it
+    # read 6.04e-15 against 5.46e-15, and 0 at F = 1/2 + 1e-10
+    for gap, rel in ((1e-8, 1e-7), (1e-10, 1e-5)):
+        rho = werner.build_quasi_werner(werner.QuasiWerner(0.5 + gap, 0.0))
+        want = ref_eof(ref_concurrence(rho))
+        assert abs(measures.eof_wootters(rho) - want) <= rel * want, gap
