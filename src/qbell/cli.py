@@ -19,16 +19,14 @@ import json
 import re
 import sys
 
-import numpy as np
-
-from . import coherent, decoherence, measures, states, verify, werner
-
 DEFAULT_ETAS = (0.9, 0.7, 0.5, 0.3, 0.1)
 
 
 def fmt_float(x):
     """12-significant-digit float for data files: positional notation
     down to 1e-12 magnitude, scientific below that."""
+    import numpy as np
+
     x = float(x)
     if x == 0.0:
         return "0.000000000000"
@@ -49,6 +47,8 @@ def _fail(message, code=2):
 
 
 def cmd_measures(args):
+    from . import coherent, measures, states
+
     if (args.kappa is None) == (args.alpha is None):
         _fail("provide exactly one of --kappa or --alpha")
     if args.alpha is None:
@@ -75,6 +75,8 @@ def cmd_measures(args):
 
 
 def cmd_werner(args):
+    from . import measures, werner
+
     spec = werner.QuasiWerner(args.fidelity, args.kappa)
     rho = werner.build_quasi_werner(spec)
     report = {
@@ -89,6 +91,10 @@ def cmd_werner(args):
 
 
 def _sweep_rows(args):
+    import numpy as np
+
+    from . import decoherence, measures
+
     for option, value in (("alpha-min", args.alpha_min), ("alpha-max", args.alpha_max)):
         if not np.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
@@ -97,7 +103,10 @@ def _sweep_rows(args):
     if args.steps < 2:
         raise ValueError("need at least 2 sweep steps")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    points = decoherence.figure1_sweep(alphas, args.etas)
+    try:
+        points = decoherence.figure1_sweep(alphas, args.etas)
+    except decoherence.SweepError as exc:
+        _fail(exc)
     return [
         (p.alpha, p.eta, p.fraction, p.beta_star, measures.eof_lower_bound(p.fraction))
         for p in points
@@ -127,6 +136,8 @@ def cmd_decohere(args):
 
 
 def cmd_charfunc(args):
+    from . import coherent
+
     state = coherent.CoherentQuasiBell(args.index, args.alpha)
     point = coherent.CharFuncPoint(
         complex(args.zeta_a_re, args.zeta_a_im),
@@ -148,6 +159,8 @@ def cmd_charfunc(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     results = verify.run_all(truncation=args.truncation)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -226,12 +239,16 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # numpy loads only once the arguments parse, so --help and usage
+    # errors never pay for it; each subcommand imports its own modules
+    import numpy as np
+
     try:
         # a numpy floating-point fault becomes a JSON error instead of a
         # RuntimeWarning on stderr; underflow to zero stays silent
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             args.func(args)
-    except (ValueError, ArithmeticError, decoherence.SweepError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _fail(exc)
     except MemoryError as exc:
         _fail(f"out of memory: {exc}")

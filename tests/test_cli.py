@@ -1,10 +1,12 @@
 import argparse
 import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,6 +426,77 @@ def test_runtime_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs ``qbell <argv>`` as ``python -m qbell.cli`` does and returns the
+# exit code and the loaded numpy and qbell submodules.  A module, once
+# loaded, stays in sys.modules, so a module missing after several
+# commands was loaded by none of them.
+_LOADING_PROBE = """\
+import contextlib, io, json, runpy, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("qbell."))
+
+def run(*argv):
+    sys.argv = ["qbell", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("qbell.cli", run_name="__main__")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, loaded()
+"""
+
+
+def run_loading_probe(body):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADING_PROBE + body], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_load_only_what_they_run():
+    # import qbell loads nothing; --help and a usage error never load
+    # numpy (runpy runs the CLI as __main__, not as qbell.cli)
+    got = run_loading_probe(
+        "import qbell\n"
+        "print(json.dumps([(0, loaded()), run('--help'), run('measures', '--alpha', '1')]))\n"
+    )
+    assert got == [[0, []], [0, []], [2, []]]
+    # the closed-form commands never load the Fock oracle; verify does
+    got = run_loading_probe(
+        "print(json.dumps([run('measures', '--alpha', '1', '--index', '2'),\n"
+        "                  run('werner', '-F', '0.7', '--kappa', '0.3'),\n"
+        "                  run('decohere', '--steps', '2', '--etas', '0.5'),\n"
+        "                  run('charfunc', '--alpha', '1', '--index', '2', '--witness'),\n"
+        "                  run('verify')]))\n"
+    )
+    assert [code for code, _ in got] == [0] * 5
+    closed_form, everything = set(got[3][1]), set(got[4][1])
+    assert "numpy" in closed_form
+    assert not {"qbell.verify", "qbell.fock"} & closed_form
+    assert {"qbell.verify", "qbell.fock"} <= everything
+
+
+def test_submodules_import_under_raising_errstate():
+    # each subcommand imports its modules inside main's np.errstate block,
+    # so no module's import-time arithmetic may raise there; one process
+    # runs every module's top level once
+    probe = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import qbell\n"
+        "with np.errstate(all='raise'):\n"
+        "    for info in pkgutil.iter_modules(qbell.__path__):\n"
+        "        importlib.import_module(f'qbell.{info.name}')\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qbell.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 8
+
+
 def test_package_reads_no_environment():
     # a run's output depends only on its arguments
     for path in sorted((Path(__file__).parents[1] / "src" / "qbell").glob("*.py")):
@@ -442,9 +515,6 @@ def test_package_reads_no_environment():
 def test_package_caches_are_bounded():
     # every lru_cache in the package has a finite maxsize, so a
     # long-lived process that visits many keys cannot grow without bound
-    import importlib
-    import pkgutil
-
     import qbell
 
     caches = {
@@ -474,11 +544,17 @@ def test_package_exports():
         fraction_over_family optimal_beta biphoton_fraction figure1_sweep
     """.split()
     assert len(names) == 30
-    exported = {
-        name for name, value in vars(qbell).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert exported == set(names)
+    assert set(names) == set(qbell.__all__)
+    assert set(names) <= set(dir(qbell))
+    # each export is its submodule's own object, loaded on first access
+    modules = [importlib.import_module(f"qbell.{info.name}")
+               for info in pkgutil.iter_modules(qbell.__path__)]
+    for name in names:
+        owners = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(owners) == 1, name
+        assert getattr(qbell, name) is getattr(owners[0], name)
+    with pytest.raises(AttributeError):
+        getattr(qbell, "no_such_name")
 
 
 def test_cli_options():

@@ -214,16 +214,17 @@ def test_eof_lower_bound_near_half(gap):
         assert abs(measures.eof_lower_bound(f) - want) <= 1e-14 * want
 
 
-def measures_report(*argv):
+def cli_report(*argv):
+    """The JSON report of ``qbell <argv>``, run in process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(["measures", *argv])
+        cli.main(list(argv))
     return json.loads(out.getvalue())
 
 
 def check_alpha_report(index, alpha):
     """Every field of ``qbell measures --alpha`` against mpmath."""
-    report = measures_report("--alpha", repr(alpha), "--index", str(index))
+    report = cli_report("measures", "--alpha", repr(alpha), "--index", str(index))
     n_a, n_b = coherent.mean_photon_numbers(coherent.CoherentQuasiBell(index, alpha))
     assert report["index"] == index and report["alpha"] == alpha
     with mp.workdps(DIGITS):
@@ -262,16 +263,21 @@ SPIN_FLIP = [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
 MAGIC_ROWS = [[1, 0, 0, 1], [-1j, 0, 0, 1j], [0, 1, -1, 0], [0, -1j, -1j, 0]]
 
 
+def mp_concurrence(r):
+    """Wootters' concurrence of the mpmath matrix r: lam_i are the
+    square roots of the eigenvalues of r (S r* S), from an eigensolve of
+    the non-Hermitian product at the working precision."""
+    s = mp.matrix(SPIN_FLIP)
+    ev = mp.eig(r * (s * r.conjugate() * s), left=False, right=False)
+    lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in ev), reverse=True)
+    return max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+
+
 def ref_concurrence(rho):
-    """Wootters' concurrence of the float matrix rho taken exactly:
-    lam_i are the square roots of the eigenvalues of rho (S rho* S),
-    from a 60-digit eigensolve of the non-Hermitian product."""
+    """The concurrence of the float matrix rho taken exactly, at 60
+    digits."""
     with mp.workdps(60):
-        r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
-        s = mp.matrix(SPIN_FLIP)
-        ev = mp.eig(r * (s * r.conjugate() * s), left=False, right=False)
-        lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in ev), reverse=True)
-        return max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+        return mp_concurrence(mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho]))
 
 
 def ref_eof(concurrence):
@@ -292,14 +298,19 @@ def ref_fraction(rho):
         return max(mp.eigsy(real, eigvals_only=True))
 
 
+def eof_within(got, c):
+    """``got`` is H at a concurrence within 4e-15 of c (the SVD's
+    absolute error; C itself may be tiny), up to 1e-13 relative in H."""
+    low, high = ref_eof(max(c - 4e-15, 0)), ref_eof(c + 4e-15)
+    return low * (1 - 1e-13) <= got <= high * (1 + 1e-13)
+
+
 def check_eof_and_fraction(rho):
     """eof_wootters is H at a concurrence within 4e-15 of the exact one
-    (the SVD's absolute error; C itself may be tiny), up to 1e-13
-    relative in H, and fully_entangled_fraction is within 4e-15."""
+    and fully_entangled_fraction is within 4e-15."""
     c = ref_concurrence(rho)
-    low, high = ref_eof(max(c - 4e-15, 0)), ref_eof(c + 4e-15)
     got = measures.eof_wootters(rho)
-    assert low * (1 - 1e-13) <= got <= high * (1 + 1e-13), (got, c)
+    assert eof_within(got, c), (got, c)
     assert abs(measures.fully_entangled_fraction(rho) - ref_fraction(rho)) <= 4e-15
 
 
@@ -349,3 +360,52 @@ def test_werner_eof_just_above_half():
         rho = werner.build_quasi_werner(werner.QuasiWerner(0.5 + gap, 0.0))
         want = ref_eof(ref_concurrence(rho))
         assert abs(measures.eof_wootters(rho) - want) <= rel * want, gap
+
+
+# F -> 1/2 from both sides, where the concurrence of the kappa = 0
+# mixture goes to 0, and overlaps up to 0.95
+WERNER_FIDELITIES = (0.0, 0.1, 0.25, 0.5 - 1e-8, 0.5, 0.5 + 1e-10, 0.5 + 1e-8, 0.5 + 1e-4,
+                     0.7, 0.99, 1.0)
+WERNER_OVERLAPS = (0.0, 0.3, 0.7, 0.95)
+
+
+@pytest.mark.parametrize("fidelity", WERNER_FIDELITIES)
+def test_werner_report_matches_mpmath(fidelity):
+    # every number of ``qbell werner`` against the mixture built at 40
+    # digits from the exact embedding of each quasi-Bell state
+    for kappa in WERNER_OVERLAPS:
+        report = cli_report("werner", "-F", repr(fidelity), "--kappa", repr(kappa))
+        assert (report["fidelity"], report["kappa"]) == (fidelity, kappa)
+        with mp.workdps(40):
+            f, k = mp.mpf(fidelity), mp.mpf(kappa)
+            vectors = {i: mp.matrix(ref_embed(i, kappa)) for i in states.INDICES}
+            rho = sum(
+                ((f if i == 2 else (1 - f) / 3) * v * v.T for i, v in vectors.items()),
+                mp.zeros(4, 4),
+            )
+            assert within(report["eigenvalues"], ref_werner(fidelity, k))
+            overlap = (vectors[2].T * rho * vectors[2])[0]
+            assert within([report["entangled_fraction"]], [overlap])
+            assert eof_within(report["eof_wootters"], mp_concurrence(rho)), kappa
+            bound = 0
+            if f > mp.mpf(1) / 2:
+                x = mp.mpf(1) / 2 - mp.sqrt(f * (1 - f))
+                bound = ref_entropy([x, 1 - x])
+            assert within([report["eof_lower_bound"]], [bound])
+
+
+@pytest.mark.parametrize("index", states.INDICES)
+def test_charfunc_witness_report_matches_mpmath(index):
+    # kappa = exp(-2 alpha^2) runs from 0.999998 (alpha = 1e-3) through 0.95
+    # (alpha = 0.16) down to 1.3e-14 (alpha = 4)
+    for alpha in (1e-3, 0.16, 0.5, 1.0, 2.0, 4.0):
+        for zeta in ((0.3, 0.0, 0.0, 0.0), (0.0, 0.3, -0.2, 0.1), (-1.5, 0.7, 0.4, -2.2)):
+            argv = ["charfunc", "--alpha", repr(alpha), "--index", str(index), "--witness"]
+            for option, value in zip(("--zeta-a-re", "--zeta-a-im", "--zeta-b-re", "--zeta-b-im"), zeta):
+                argv += [option, repr(value)]
+            report = cli_report(*argv)
+            assert report["zeta_a"] == list(zeta[:2]) and report["zeta_b"] == list(zeta[2:])
+            with mp.workdps(40):
+                want = ref_charfunc(index, alpha, alpha, complex(*zeta[:2]), complex(*zeta[2:]))
+                got = [report["real"], report["imag"], report["abs"]]
+                assert deviation(got, [mp.re(want), mp.im(want), abs(want)]) <= 1e-14, (alpha, zeta)
