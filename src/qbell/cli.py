@@ -84,6 +84,7 @@ def cmd_werner(args):
         "kappa": spec.kappa,
         "eigenvalues": list(werner.quasi_werner_spectrum(spec)),
         "entangled_fraction": spec.fidelity,
+        "fully_entangled_fraction": measures.fully_entangled_fraction(rho),
         "eof_lower_bound": measures.eof_lower_bound(spec.fidelity),
         "eof_wootters": measures.eof_wootters(rho),
     }

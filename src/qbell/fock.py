@@ -11,16 +11,20 @@ mode, each of length N+1 where N is the truncation; densities are
 square 2-D arrays over the flattened kept modes.  A two-mode state may
 also be kept as product terms: two stacks ``terms_a`` (T x Na) and
 ``terms_b`` (T x Nb) of mode vectors standing for the state
-psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b.  A
-quasi-Bell state is two normalized terms (_quasi_bell_terms), the
-one constructor of every quasi-Bell state the oracle uses, verify's
-lossy pair included, and the private term kernels (_char_traces,
-_reduced_core, _mean_photon) read it without forming psi or a reduced
-density.  Still formed densely: the splitter outputs and vacuum
-tables, the displacement eigensystems, and in verify the 4 x 4
-projected loss density and the purity check's (N+1)-square environment
-density.  No check calls quasi_bell_fock, partial_trace,
-operator_trace_charfunc or mean_photon, the tests' dense references.
+psi = sum_t terms_a[t] (x) terms_b[t] = terms_a^T terms_b, and many
+states as stacks of those, (S, T, N).  _quasi_bell_terms is the one
+constructor of every quasi-Bell state the oracle uses, verify's lossy
+pair included: it builds S states at one truncation in one pass, each
+as two normalized terms, from one exp over the distinct mode magnitudes
+(_coherent_rows), with the parity and the signs applied by negating
+entries, bitwise the per-state build; one state is a stack of one.
+The private term kernels (_char_traces, _reduced_core, _mean_photon)
+read a stack without forming psi or a reduced density.  Still formed
+densely: the splitter outputs and vacuum tables, the displacement
+eigensystems, and in verify the 4 x 4 projected loss density and the
+purity check's (N+1)-square environment density.  No check calls
+quasi_bell_fock, partial_trace, operator_trace_charfunc or mean_photon,
+the tests' dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems, each from one real symmetric eigensolve, and reads every
@@ -30,7 +34,8 @@ and the private _splitter_on_vacuum takes the one-mode g of g (x) |0>,
 the loss model's input, through one cached table of vacuum columns per
 (theta, size), whose runs are the cached columns per (theta, sector).
 A default verify battery makes 90 eigensystems, 532 columns, 36 tables
-and 123 sector blocks, and never recomputes one.
+and 123 sector blocks, and never recomputes one.  No state, term or
+Gram is cached: every battery builds its own.
 """
 
 import math
@@ -77,46 +82,83 @@ def _number_levels(size):
     return n, half_log_fact
 
 
+def _check_truncation(amplitudes, truncation):
+    """Raise a TruncationError naming the first amplitude the adequacy
+    rule puts above ``truncation``."""
+    for alpha in amplitudes:
+        needed = adequate_truncation(alpha)
+        if truncation < needed:
+            raise TruncationError(
+                f"truncation {truncation} is below the adequacy rule "
+                f"({needed} for amplitude {float(alpha)}); raise it"
+            )
+
+
+def _coherent_rows(magnitudes, truncation):
+    """Normalized coherent vectors |m> of magnitudes m >= 0 as the rows of
+    one complex (M, truncation + 1) array, from one exp over all of them:
+    amplitudes proportional to m^n / sqrt(n!), and the vacuum at m = 0.
+    Each row is normalized through its own dot product, so it is bitwise
+    the row a one-magnitude call gives.  The adequacy rule is the
+    caller's (_check_truncation)."""
+    mags = np.array(magnitudes, dtype=float)
+    n, half_log_fact = _number_levels(truncation + 1)
+    logs = np.log(mags, out=np.zeros_like(mags), where=mags > 0.0)
+    rows = np.exp(n * logs[:, None] - half_log_fact - (0.5 * mags**2)[:, None]).astype(complex)
+    if not mags.all():
+        rows[mags == 0.0] = np.eye(1, truncation + 1)
+    # bitwise row / np.linalg.norm(row) without its call overhead: the
+    # imaginary parts are 0, the norm takes the same strided dot of the
+    # real parts, and numpy divides a complex array by a real scalar as a
+    # product with its reciprocal
+    rows *= np.array([1.0 / math.sqrt(part.dot(part)) for part in rows.real])[:, None]
+    return rows
+
+
+def _coherent_vectors(amplitudes, truncation=None):
+    """coherent_vector of each real amplitude as the rows of one (A,
+    truncation + 1) array: one _coherent_rows pass over the magnitudes,
+    and each negative amplitude's row taken through the parity
+    (_negate_odd).  Without a truncation, the adequacy rule of the
+    largest |amplitude| sets it."""
+    amps = [float(alpha) for alpha in amplitudes]
+    if truncation is None:
+        truncation = adequate_truncation(max(map(abs, amps)))
+    _check_truncation(amps, truncation)
+    vecs = _coherent_rows([abs(alpha) for alpha in amps], truncation)
+    for row, alpha in zip(vecs, amps):
+        if alpha < 0.0:
+            _negate_odd(row)
+    return vecs
+
+
 def coherent_vector(alpha, truncation=None):
     """Normalized coherent state |alpha> (alpha real) in the number
     basis: amplitudes proportional to |alpha|^n / sqrt(n!), taken
-    through _parity for alpha < 0, so |-alpha> is the parity image of
-    |alpha> bit for bit."""
-    alpha = float(alpha)
-    needed = adequate_truncation(alpha)
-    if truncation is None:
-        truncation = needed
-    if truncation < needed:
-        raise TruncationError(
-            f"truncation {truncation} is below the adequacy rule "
-            f"({needed} for amplitude {alpha}); raise it"
-        )
-    if alpha != 0.0:
-        n, half_log_fact = _number_levels(truncation + 1)
-        amps = np.exp(n * np.log(abs(alpha)) - half_log_fact - 0.5 * alpha**2)
-    else:
-        amps = np.zeros(truncation + 1)
-        amps[0] = 1.0
-    vec = amps.astype(complex)
-    # bitwise vec / np.linalg.norm(vec) without its call overhead: the
-    # imaginary parts are 0, and numpy divides a complex array by a real
-    # scalar as a product with its reciprocal
-    vec *= 1.0 / math.sqrt(vec.real.dot(vec.real))
-    return _parity(vec) if alpha < 0.0 else vec
+    through the parity for alpha < 0, so |-alpha> is the parity image of
+    |alpha> bit for bit; a stack of one (_coherent_vectors)."""
+    return _coherent_vectors((alpha,), truncation)[0]
+
+
+def _negate_odd(stack, axis=-1):
+    """Negate the odd-index entries along ``axis`` of ``stack`` in place:
+    the parity of each one-mode vector of a stack, the one place the
+    sign rule (-1)^n is applied.  Negation is exact, so the magnitudes
+    and the norm keep every bit."""
+    odd = stack[(slice(None),) * (axis % stack.ndim) + (slice(1, None, 2),)]
+    np.negative(odd, out=odd)
 
 
 def _parity(vec):
     """The photon-number parity (-1)^(n_1 + ... + n_m) applied to a pure
     state with one axis per mode: a copy with each axis's odd-index slice
-    negated in turn, so the odd-total entries end negated.  Negation is
-    exact, so the magnitudes and the norm keep every bit.  It takes
-    |alpha> to |-alpha>, and a beam splitter, which conserves the total
-    photon number, commutes with it: beam_splitter(_parity(psi)) is
-    _parity(beam_splitter(psi))."""
+    negated in turn (_negate_odd), so the odd-total entries end negated,
+    bit for bit.  It takes |alpha> to |-alpha>, and a beam splitter,
+    which conserves the total photon number, commutes with it:
+    beam_splitter(_parity(psi)) is _parity(beam_splitter(psi))."""
     out = np.array(vec, dtype=complex)
     for axis in range(out.ndim):
-        odd = out[(slice(None),) * axis + (slice(1, None, 2),)]
-        np.negative(odd, out=odd)
+        _negate_odd(out, axis)
     return out
 
 
@@ -130,61 +172,85 @@ _SIGN_PATTERNS = {
 }
 
 
-def _quasi_bell_terms(state, truncation=None):
-    """The quasi-Bell state as two stacked product terms (terms_a,
-    terms_b), terms_a = [a, c] / norm and terms_b = [b, d], so the
-    normalized state terms_a^T terms_b, with the 1/norm on mode A.
+def _quasi_bell_terms(states, truncation=None):
+    """A sequence of S quasi-Bell states (each with index, alpha and beta)
+    as stacked product terms (terms_a, terms_b), each of shape
+    (S, 2, truncation + 1): state s is terms_a[s]^T terms_b[s], with
+    terms_a[s] = [a, c] / norm and terms_b[s] = [b, d], so the 1/norm
+    sits on mode A.  One state is a stack of one.
 
     a = |alpha> and b the first mode-B vector; the second term is
-    sign (P a) (x) (P b) with P the parity (_parity), so two coherent
-    vectors serve all four, and one when |beta| = |alpha|, where b is a
-    or P a bit for bit (coherent_vector).  An entry (n, m) of the sum is
-    2 a_n b_m when sign (-1)^(n+m) = +1 and exactly 0 otherwise, so the
-    squared norm is 4 (E_a E_b + O_a O_b) for sign +1 and
-    4 (E_a O_b + O_a E_b) for sign -1, with E and O the even-n and odd-n
-    sums of |amplitude|^2: a sum of positive terms, which cannot cancel.
-    It is checked against 2 (1 +/- ka kb) as an internal consistency
-    guard.  Without a truncation, the adequacy rule of the larger
-    amplitude sets it.
+    sign (P a) (x) (P b) with P the parity (_parity).  Every vector of
+    the stack is a row of one table: the _coherent_rows of the distinct
+    magnitudes (one exp over all of them), their parity images
+    (_negate_odd) and the negatives of both, so a negative amplitude, P
+    and the sign are each a choice of row, bitwise the per-vector
+    coherent_vector and _parity.
+    An entry (n, m) of a state is 2 a_n b_m when sign (-1)^(n+m) = +1
+    and exactly 0 otherwise, so its squared norm is
+    4 (E_a E_b + O_a O_b) for sign +1 and 4 (E_a O_b + O_a E_b) for
+    sign -1, with E and O the even-n and odd-n sums of |amplitude|^2,
+    one pair per magnitude: a sum of positive terms, which cannot
+    cancel.  It is checked against 2 (1 +/- ka kb) as an internal
+    consistency guard.  Without a truncation, the adequacy rule of the
+    largest amplitude in the stack sets it.
     """
-    alpha, beta = state.alpha, state.beta
+    specs = []
+    for state in states:
+        sign, flip_b = _SIGN_PATTERNS[state.index]
+        alpha, beta = float(state.alpha), float(state.beta)
+        specs.append((sign, alpha, beta, -beta if flip_b else beta))
+    amplitudes = [amp for _, alpha, _, amp_b in specs for amp in (alpha, amp_b)]
     if truncation is None:
-        truncation = adequate_truncation(max(abs(alpha), abs(beta)))
-    sign, flip_b = _SIGN_PATTERNS[state.index]
-    amp_b = -beta if flip_b else beta
-    a = coherent_vector(alpha, truncation)
-    if amp_b == alpha:
-        b = a
-    elif amp_b == -alpha:
-        b = _parity(a)
-    else:
-        b = coherent_vector(amp_b, truncation)
-    even_a, odd_a, even_b, odd_b = (
-        float(np.vdot(part, part).real) for part in (a[0::2], a[1::2], b[0::2], b[1::2])
-    )
-    if sign > 0:
-        norm_sq = 4.0 * (even_a * even_b + odd_a * odd_b)
-    else:
-        norm_sq = 4.0 * (even_a * odd_b + odd_a * even_b)
-    kk = math.exp(-2.0 * alpha**2) * math.exp(-2.0 * beta**2)
-    expected = 2.0 * (1.0 + sign * kk)
-    if abs(norm_sq - expected) > 1e-10:
-        raise TruncationError(
-            f"unnormalized norm^2 {norm_sq} differs from {expected}; "
-            "truncation too small for these amplitudes"
-        )
-    # stacked copies, so b may be a itself and the sign negates only c
-    terms_a = np.array((a, _parity(a)))
-    if sign < 0:
-        np.negative(terms_a[1], out=terms_a[1])
-    terms_a /= math.sqrt(norm_sq)
-    return terms_a, np.array((b, _parity(b)))
+        truncation = adequate_truncation(max(map(abs, amplitudes)))
+    _check_truncation(amplitudes, truncation)
+    # one row per distinct magnitude, in order of first use
+    slots = {}
+    for amp in amplitudes:
+        slots.setdefault(abs(amp), len(slots))
+    rows = _coherent_rows(list(slots), truncation)
+    size = len(rows)
+    # blocks of the table: the rows, P rows, -rows, -P rows
+    table = np.empty((4, size, truncation + 1), dtype=complex)
+    table[0] = table[1] = rows
+    _negate_odd(table[1])
+    np.negative(table[:2], out=table[2:])
+    even_odd = [
+        (np.vdot(row[0::2], row[0::2]).real, np.vdot(row[1::2], row[1::2]).real) for row in rows
+    ]
+    picks_a, picks_b, norms = [], [], []
+    for sign, alpha, beta, amp_b in specs:
+        slot_a, slot_b = slots[abs(alpha)], slots[abs(amp_b)]
+        (even_a, odd_a), (even_b, odd_b) = even_odd[slot_a], even_odd[slot_b]
+        if sign > 0:
+            norm_sq = 4.0 * (even_a * even_b + odd_a * odd_b)
+        else:
+            norm_sq = 4.0 * (even_a * odd_b + odd_a * even_b)
+        expected = 2.0 * (1.0 + sign * math.exp(-2.0 * alpha**2) * math.exp(-2.0 * beta**2))
+        if abs(norm_sq - expected) > 1e-10:
+            raise TruncationError(
+                f"unnormalized norm^2 {norm_sq} differs from {expected}; "
+                "truncation too small for these amplitudes"
+            )
+        # a = P^[alpha < 0] |alpha|, c = sign P^[alpha >= 0] |alpha|, and
+        # b, d likewise from amp_b without the sign
+        neg_a, neg_b = alpha < 0.0, amp_b < 0.0
+        block_c = (not neg_a) + 2 * (sign < 0.0)
+        picks_a.append((neg_a * size + slot_a, block_c * size + slot_a))
+        picks_b.append((neg_b * size + slot_b, (not neg_b) * size + slot_b))
+        norms.append(math.sqrt(norm_sq))
+    table = table.reshape(4 * size, -1)
+    terms_a = table[picks_a]
+    terms_a /= np.array(norms)[:, None, None]
+    return terms_a, table[picks_b]
 
 
 def quasi_bell_fock(state, truncation=None):
     """Two-mode quasi-Bell state a (x) b + c (x) d from the normalized
-    terms of _quasi_bell_terms; the entries where they cancel are 0."""
-    (a, c), (b, d) = _quasi_bell_terms(state, truncation)
+    terms of _quasi_bell_terms, a stack of one; the entries where they
+    cancel are 0."""
+    terms_a, terms_b = _quasi_bell_terms((state,), truncation)
+    (a, c), (b, d) = terms_a[0], terms_b[0]
     return np.outer(a, b) + np.outer(c, d)
 
 
@@ -385,9 +451,12 @@ def _mean_photon(terms_a, terms_b, mode):
     or a stack: with M_st = sum_n n kept_s[n] conj(kept_t[n]) it is
     Re sum_st G_st M_st, O(T^2 N) without forming rho."""
     kept, traced = (terms_a, terms_b) if mode == 0 else (terms_b, terms_a)
-    gram = traced @ np.swapaxes(traced, -1, -2).conj()
-    number = (kept * np.arange(kept.shape[-1])) @ np.swapaxes(kept, -1, -2).conj()
-    return np.sum(gram * number, axis=(-2, -1)).real
+    # conj(G) and conj(M), each with one temporary the size of the terms:
+    # the real part of sum_st G_st M_st is that of its conjugate
+    gram = np.conjugate(traced) @ np.swapaxes(traced, -1, -2)
+    weighted = np.conjugate(kept)
+    weighted *= np.arange(kept.shape[-1])
+    return np.sum(gram * (weighted @ np.swapaxes(kept, -1, -2)), axis=(-2, -1)).real
 
 
 def von_neumann_entropy(rho):
@@ -414,7 +483,9 @@ def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
     """operator_trace_charfunc of the two-mode state terms_a^T terms_b
     (product terms, see the module conventions) at the points
     (zeta_a[p], zeta_b[p]) of two equal-length complex arrays, in one
-    stacked call.
+    stacked call; or, with a leading state axis on all four, terms of
+    shape (S, T, N) and points of shape (S, P), of S states at once,
+    each at its own points, giving an (S, P) array.
 
     With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator
     zeta a+ - zeta* a is R r (a+ - a) R+, exactly so on the truncated
@@ -435,33 +506,37 @@ def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
     """
     terms_a = np.asarray(terms_a, dtype=complex)
     terms_b = np.asarray(terms_b, dtype=complex)
-    if terms_a.ndim != 2 or terms_b.ndim != 2 or len(terms_a) != len(terms_b):
+    if terms_a.ndim not in (2, 3) or terms_a.shape[:-1] != terms_b.shape[:-1]:
         raise ValueError("expected two equally long stacks of mode vectors")
-    (wa, va), (wb, vb) = (_displacement_eigensystem(t.shape[1]) for t in (terms_a, terms_b))
+    single = terms_a.ndim == 2
     za, zb = np.asarray(zeta_a, dtype=complex), np.asarray(zeta_b, dtype=complex)
-    # the conjugate phases Ra*, Rb* and the diagonals Ea, Eb, one row per point
-    ra = np.exp(-1j * np.angle(za)[:, None] * np.arange(terms_a.shape[1]))
-    rb = np.exp(-1j * np.angle(zb)[:, None] * np.arange(terms_b.shape[1]))
-    ea = np.exp(-1j * np.abs(za)[:, None] * wa)
-    eb = np.exp(-1j * np.abs(zb)[:, None] * wb)
+    if single:
+        terms_a, terms_b, za, zb = terms_a[None], terms_b[None], za[None], zb[None]
 
-    def eigenbasis(phases, terms, v):
-        # V+ R* t for every point and term, indexed (point, term, level),
-        # as one matrix product over all of their rows
-        rows = (phases[:, None, :] * terms).reshape(-1, terms.shape[1])
-        return (rows @ v.conj()).reshape(len(phases), len(terms), -1)
+    def eigenbasis(terms, zeta):
+        # x = V+ R* t for every state, point and term, indexed (state,
+        # point, term, level) as one matrix product over all of their
+        # rows, weighted to x E, with the Gram (x E) x+; x is conjugated
+        # in place, so two such arrays are live at a time
+        w, v = _displacement_eigensystem(terms.shape[-1])
+        phases = np.exp(-1j * np.angle(zeta)[..., None] * np.arange(terms.shape[-1]))
+        rows = phases[:, :, None, :] * terms[:, None]
+        x = (rows.reshape(-1, rows.shape[-1]) @ v.conj()).reshape(rows.shape)
+        del rows
+        xe = x * np.exp(-1j * np.abs(zeta)[..., None] * w)[:, :, None, :]
+        gram = xe @ np.swapaxes(np.conjugate(x, out=x), -1, -2)
+        return xe, gram, v
 
-    x, y = eigenbasis(ra, terms_a, va), eigenbasis(rb, terms_b, vb)
-    xe, ye = x * ea[:, None, :], y * eb[:, None, :]
-    last_row = np.einsum("pt,ptj->pj", xe @ va[-1], ye) @ vb.T
-    last_col = np.einsum("pt,pti->pi", ye @ vb[-1], xe) @ va.T
+    xe, gram_a, va = eigenbasis(terms_a, za)
+    ye, gram_b, vb = eigenbasis(terms_b, zb)
+    last_row = np.einsum("spt,sptj->spj", xe @ va[-1], ye) @ vb.T
+    last_col = np.einsum("spt,spti->spi", ye @ vb[-1], xe) @ va.T
     _check_tail(
-        np.sum(np.abs(last_row) ** 2, axis=1) + np.sum(np.abs(last_col) ** 2, axis=1),
+        np.sum(np.abs(last_row) ** 2, axis=-1) + np.sum(np.abs(last_col) ** 2, axis=-1),
         "displaced state",
     )
-    gram_a = xe @ x.conj().transpose(0, 2, 1)
-    gram_b = ye @ y.conj().transpose(0, 2, 1)
-    return np.sum(gram_a * gram_b, axis=(1, 2))
+    traces = np.sum(gram_a * gram_b, axis=(-2, -1))
+    return traces[0] if single else traces
 
 
 def operator_trace_charfunc(vec, point):

@@ -3,16 +3,26 @@
 Each check builds states explicitly in the truncated number basis via
 the fock module and compares a closed-form quantity against its
 brute-force counterpart, reporting the largest deviation.  The
-quasi-Bell checks read each state's two normalized product terms
-(fock._quasi_bell_terms) through fock's term kernels and form no
-two-mode vector or reduced density.  The loss checks read one lossy
-pair (_lossy_pair), the terms of |B2(alpha)> from the same constructor
-with mode B sent through fock's vacuum-input splitter, through one
-environment contraction (_environment_amplitudes); the splitter output
-and the purity check's environment density are (N+1)-square, and no
-three-mode state is formed.  The optimal-beta check reports the
-independent maximizer search against the closed form as a deviation;
-the runtime check that fails a sweep point on a mismatch belongs to
+quasi-Bell checks read stacks of normalized product terms, each check's
+states from one stacked fock._quasi_bell_terms build per truncation,
+through fock's term kernels and form no two-mode vector or reduced
+density.  One battery (run_all) builds the grid states, indices 1-4 at
+each _ALPHA_GRID amplitude, once (_state_grid): their terms and each
+amplitude's 4 x 4 Fock Gram <B_i|B_j>, read by the Gram, reduced
+spectra, unit entropy, mean photon and quasi-Werner checks, each doing
+its own arithmetic; a check called alone builds the same states one
+amplitude at a time (_grid_parts), and nothing is kept from one
+battery to the next.  The quasi-Werner check takes its numeric
+spectrum from sqrt(W) G sqrt(W) over those Grams, the nonzero
+spectrum of sum_i w_i |B_i><B_i| in the Fock space, against the
+closed form at kappa = exp(-2 alpha^2).  The loss checks read one
+lossy pair (_lossy_pair), the terms of |B2(alpha)> with mode B sent
+through fock's vacuum-input splitter, through one environment
+contraction (_environment_amplitudes); the splitter output and the
+purity check's environment density are (N+1)-square, and no three-mode
+state is formed.  The optimal-beta check reports the independent
+maximizer search against the closed form as a deviation; the runtime
+check that fails a sweep point on a mismatch belongs to
 decoherence.figure1_sweep.
 The CLI ``verify`` subcommand runs the whole battery.
 """
@@ -57,9 +67,10 @@ def _loss_amplitude(alpha):
 
 
 def _b2_terms(alpha, n):
-    """|B2(alpha)> at truncation n as its two normalized product terms
-    (fock._quasi_bell_terms)."""
-    return fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha), n)
+    """|B2(alpha)> at truncation n as its two normalized product terms,
+    a stack of one of fock._quasi_bell_terms."""
+    terms_a, terms_b = fock._quasi_bell_terms((coherent.CoherentQuasiBell(2, alpha),), n)
+    return terms_a[0], terms_b[0]
 
 
 def _lossy_pair(terms, eta):
@@ -90,9 +101,10 @@ def _environment_amplitudes(pair, probe_a, probe_b):
 def _family_probes(betas, truncation):
     """The |B2(beta)> probe of each comparison amplitude beta as stacked
     product terms (probe_a, probe_b) for _environment_amplitudes, each
-    kept as its two normalized terms (_b2_terms)."""
-    probes = [_b2_terms(beta, truncation) for beta in betas]
-    return tuple(np.array(mode) for mode in zip(*probes))
+    kept as its two normalized terms: one fock._quasi_bell_terms build
+    of the whole stack."""
+    probes = [coherent.CoherentQuasiBell(2, beta) for beta in betas]
+    return fock._quasi_bell_terms(probes, truncation)
 
 
 def _probe_overlaps(pair, probes):
@@ -118,79 +130,126 @@ def family_overlap_curve(alpha, eta, betas):
 _ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)
 
 
+@dataclass(frozen=True)
+class _StateGrid:
+    """The quasi-Bell states 1-4 at each amplitude of ``alphas``, built
+    by _state_grid at one truncation: ``quasi_bells``, the states
+    amplitude by amplitude, ``terms``, their stacked product terms
+    (terms_a, terms_b) of one fock._quasi_bell_terms build, and
+    ``grams``, the Fock Gram <B_i|B_j> of each amplitude's four states,
+    shape (len(alphas), 4, 4).  run_all builds one over _ALPHA_GRID per
+    battery and hands it to each check that reads it."""
+
+    alphas: tuple
+    quasi_bells: tuple
+    terms: tuple
+    grams: np.ndarray
+
+
+def _state_grid(truncation, alphas=_ALPHA_GRID):
+    """The _StateGrid of ``alphas`` at ``truncation``, or without one at
+    the adequacy rule of their largest amplitude.  <B_i|B_j> =
+    sum_st <a_is|a_jt> <b_is|b_jt> over the two normalized terms s of
+    state i and t of state j, from one 8 x 8 Gram per mode and
+    amplitude."""
+    quasi_bells = tuple(
+        coherent.CoherentQuasiBell(index, alpha) for alpha in alphas for index in (1, 2, 3, 4)
+    )
+    terms = fock._quasi_bell_terms(quasi_bells, truncation)
+    stack_a, stack_b = (mode.reshape(len(alphas), 8, -1) for mode in terms)
+    products = (stack_a.conj() @ np.swapaxes(stack_a, 1, 2)) * (
+        stack_b.conj() @ np.swapaxes(stack_b, 1, 2)
+    )
+    grams = products.reshape(-1, 4, 2, 4, 2).sum(axis=(2, 4))
+    return _StateGrid(tuple(alphas), quasi_bells, terms, grams)
+
+
+def _grid_parts(truncation, grid):
+    """The grid states a check reads, as _StateGrid parts: run_all's
+    ``grid`` whole, or for a check called alone (``grid`` None) one part
+    per _ALPHA_GRID amplitude, each built as the check reaches it at the
+    whole grid's truncation, so the check holds one amplitude's four
+    states at a time and reports the deviation run_all does."""
+    if grid is not None:
+        return (grid,)
+    if truncation is None:
+        truncation = fock.adequate_truncation(max(_ALPHA_GRID))
+    return (_state_grid(truncation, (alpha,)) for alpha in _ALPHA_GRID)
+
+
 def check_coherent_overlap(truncation):
-    dev = 0.0
-    for alpha in _ALPHA_GRID:
-        vec_p = fock.coherent_vector(alpha, truncation)
-        vec_m = fock.coherent_vector(-alpha, truncation)
-        numeric = np.vdot(vec_p, vec_m).real
-        dev = max(dev, abs(numeric - coherent.overlap_of_amplitude(alpha)))
-    return CheckResult("coherent_overlap", dev, 1e-12)
+    # |alpha> and |-alpha> of every grid amplitude, one stacked build
+    amplitudes = [sign * alpha for alpha in _ALPHA_GRID for sign in (1.0, -1.0)]
+    vecs = fock._coherent_vectors(amplitudes, truncation)
+    numeric = np.sum(vecs[0::2].conj() * vecs[1::2], axis=1).real
+    closed = [coherent.overlap_of_amplitude(alpha) for alpha in _ALPHA_GRID]
+    return CheckResult("coherent_overlap", np.max(np.abs(numeric - closed)), 1e-12)
 
 
-def check_gram_matrix(truncation):
-    # <B_i|B_j> = sum_st <a_s|a_t> <b_s|b_t> over the two normalized
-    # terms s of state i and t of state j, from one 8 x 8 Gram per mode
-    dev = 0.0
-    for alpha in _ALPHA_GRID:
-        kappa = coherent.overlap_of_amplitude(alpha)
-        closed = states.gram_matrix(kappa)
-        terms = [
-            fock._quasi_bell_terms(coherent.CoherentQuasiBell(i, alpha), truncation)
-            for i in (1, 2, 3, 4)
-        ]
-        stack_a, stack_b = (np.concatenate(mode) for mode in zip(*terms))
-        products = (stack_a.conj() @ stack_a.T) * (stack_b.conj() @ stack_b.T)
-        numeric = np.abs(products.reshape(4, 2, 4, 2).sum(axis=(1, 3)))
-        dev = max(dev, float(np.max(np.abs(numeric - closed))))
-    return CheckResult("gram_matrix", dev, 1e-10)
+def check_gram_matrix(truncation, grid=None):
+    # np.max, unlike max, passes a NaN on, here and in the other grid checks
+    dev = []
+    for part in _grid_parts(truncation, grid):
+        closed = [states.gram_matrix(coherent.overlap_of_amplitude(alpha)) for alpha in part.alphas]
+        dev.append(np.max(np.abs(np.abs(part.grams) - closed)))
+    return CheckResult("gram_matrix", np.max(dev), 1e-10)
 
 
-def check_reduced_spectra(truncation):
+def check_reduced_spectra(truncation, grid=None):
     # rho_A of each state has rank 2, so its spectrum is that of its 2 x 2
-    # core (fock._reduced_core), taken over the stacked terms of a grid
-    # point's four states; the 20 cores take one stacked eigvalsh
-    closed, cores = [], []
-    for alpha in _ALPHA_GRID:
-        quasi_bells = [coherent.CoherentQuasiBell(index, alpha) for index in (1, 2, 3, 4)]
-        closed.extend(coherent.coherent_spectrum(state) for state in quasi_bells)
-        terms_a, terms_b = zip(*(fock._quasi_bell_terms(s, truncation) for s in quasi_bells))
-        cores.extend(fock._reduced_core(np.stack(terms_a), np.stack(terms_b), 0))
-    lam = np.linalg.eigvalsh(np.array(cores))[:, ::-1]
-    return CheckResult("reduced_spectra", np.max(np.abs(lam - np.array(closed))), 1e-9)
+    # core (fock._reduced_core); a part's cores take one stacked eigvalsh
+    dev = []
+    for part in _grid_parts(truncation, grid):
+        closed = [coherent.coherent_spectrum(state) for state in part.quasi_bells]
+        lam = np.linalg.eigvalsh(fock._reduced_core(*part.terms, 0))[:, ::-1]
+        dev.append(np.max(np.abs(lam - closed)))
+    return CheckResult("reduced_spectra", np.max(dev), 1e-9)
 
 
-def check_unit_entropy(truncation):
-    dev = 0.0
-    for alpha in _ALPHA_GRID:
-        for index in (2, 4):
-            terms = fock._quasi_bell_terms(coherent.CoherentQuasiBell(index, alpha), truncation)
-            entropy = fock.von_neumann_entropy(fock._reduced_core(*terms, 0))
-            dev = max(dev, abs(entropy - 1.0))
+def check_unit_entropy(truncation, grid=None):
+    # states 2 and 4 of each amplitude, a part's odd positions
+    dev = max(
+        abs(fock.von_neumann_entropy(core) - 1.0)
+        for part in _grid_parts(truncation, grid)
+        for core in fock._reduced_core(*(mode[1::2] for mode in part.terms), 0)
+    )
     return CheckResult("unit_entropy", dev, 1e-9)
 
 
-def check_mean_photons(truncation):
-    dev = 0.0
-    pairs = [(a, a) for a in _ALPHA_GRID] + [(0.5, 1.5), (2.0, 0.6), (1.0, 0.0)]
-    for alpha, beta in pairs:
-        for index in (1, 2):
-            state = coherent.CoherentQuasiBell(index, alpha, beta)
-            terms = fock._quasi_bell_terms(state, truncation)
-            for mode, closed in enumerate(coherent.mean_photon_numbers(state)):
-                dev = max(dev, abs(fock._mean_photon(*terms, mode) - closed))
+def _photon_deviation(quasi_bells, terms):
+    """Largest |Tr(rho n) - closed| over both modes of the states
+    ``quasi_bells`` and their stacked product terms."""
+    closed = [coherent.mean_photon_numbers(state) for state in quasi_bells]
+    numeric = np.transpose([fock._mean_photon(*terms, mode).ravel() for mode in (0, 1)])
+    return float(np.max(np.abs(numeric - closed)))
+
+
+def check_mean_photons(truncation, grid=None):
+    # states 1 and 2, the first two of each grid amplitude's four, read
+    # from the grid as views, and at three unequal amplitude pairs, one
+    # stacked build each
+    dev = max(
+        _photon_deviation(
+            [state for state in part.quasi_bells if state.index in (1, 2)],
+            [mode.reshape(len(part.alphas), 4, 2, -1)[:, :2] for mode in part.terms],
+        )
+        for part in _grid_parts(truncation, grid)
+    )
+    for alpha, beta in ((0.5, 1.5), (2.0, 0.6), (1.0, 0.0)):
+        quasi_bells = [coherent.CoherentQuasiBell(index, alpha, beta) for index in (1, 2)]
+        terms = fock._quasi_bell_terms(quasi_bells, truncation)
+        dev = max(dev, _photon_deviation(quasi_bells, terms))
     return CheckResult("mean_photons", dev, 1e-9)
 
 
 def check_asymmetric_spectra(truncation):
-    dev = 0.0
     pairs = [(a, b) for a in (0.3, 1.0, 2.0) for b in (0.5, 1.0, 1.5)]
-    for alpha, beta in pairs:
-        closed = coherent.asymmetric_spectrum(alpha, beta, 2)
-        terms = fock._quasi_bell_terms(coherent.CoherentQuasiBell(2, alpha, beta), truncation)
-        lam = np.linalg.eigvalsh(fock._reduced_core(*terms, 0))[::-1]
-        dev = max(dev, float(np.max(np.abs(lam - closed))))
-    return CheckResult("asymmetric_spectra", dev, 1e-10)
+    closed = [coherent.asymmetric_spectrum(alpha, beta, 2) for alpha, beta in pairs]
+    terms = fock._quasi_bell_terms(
+        [coherent.CoherentQuasiBell(2, alpha, beta) for alpha, beta in pairs], truncation
+    )
+    lam = np.linalg.eigvalsh(fock._reduced_core(*terms, 0))[:, ::-1]
+    return CheckResult("asymmetric_spectra", np.max(np.abs(lam - closed)), 1e-10)
 
 
 # the real root of x^5 = x + 1: 1/g, ..., 1/g^4 and 1 are linearly
@@ -217,15 +276,15 @@ def _char_points():
 
 
 def check_char_function(truncation):
-    quasi_bells = [
-        coherent.CoherentQuasiBell(index, alpha, beta)
-        for alpha, beta in ((0.5, 0.5), (1.0, 0.6))
-        for index in (1, 2, 3, 4)
-    ]
+    # each amplitude pair's four states as one stacked build, at the
+    # adequacy rule of the pair without a truncation, and one stacked
+    # trace call over their 20 points each
     dev = 0.0
-    for state, (za, zb) in zip(quasi_bells, _char_points()):
-        closed = coherent._char_values(state, za, zb)
-        numeric = fock._char_traces(*fock._quasi_bell_terms(state, truncation), za, zb)
+    for (alpha, beta), points in zip(((0.5, 0.5), (1.0, 0.6)), _char_points().reshape(2, 4, 2, -1)):
+        quasi_bells = [coherent.CoherentQuasiBell(index, alpha, beta) for index in (1, 2, 3, 4)]
+        closed = np.array([coherent._char_values(s, *zeta) for s, zeta in zip(quasi_bells, points)])
+        za, zb = np.swapaxes(points, 0, 1)
+        numeric = fock._char_traces(*fock._quasi_bell_terms(quasi_bells, truncation), za, zb)
         dev = max(dev, float(np.max(np.abs(closed - numeric))))
     return CheckResult("char_function", dev, 1e-8)
 
@@ -233,12 +292,13 @@ def check_char_function(truncation):
 def check_beam_splitter_rule(truncation):
     # the grid is symmetric about 1/2 with exact complements 1 - eta, so
     # |sqrt(1 - eta) alpha> is the target vector of the mirrored eta, and
-    # the one at eta = 1 is |alpha>, the input: five vectors per amplitude
+    # the one at eta = 1 is |alpha>, the input: five vectors per amplitude,
+    # one stacked build
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     dev = 0.0
     for alpha in _ALPHA_GRID:
         n = truncation or fock.adequate_truncation(alpha)
-        targets = [fock.coherent_vector(np.sqrt(eta) * alpha, n) for eta in etas]
+        targets = fock._coherent_vectors(np.sqrt(etas) * alpha, n)
         for eta, kept, lost in zip(etas, targets, targets[::-1]):
             sent = fock._splitter_on_vacuum(targets[-1], eta)
             fidelity = abs(np.vdot(np.outer(kept, lost), sent)) ** 2
@@ -268,16 +328,19 @@ def _orthonormal_pair(alpha, truncation):
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
 
 
-def _projected_loss_density(alpha, eta, n):
+def _projected_loss_density(alpha, eta, n, terms=None, basis_a=None):
     """The Fock-space rho_AB of the _lossy_pair projected onto the 4x4
     basis of DecoheredState.matrix: phi phi+, with phi the environment
     amplitudes (_environment_amplitudes) of the four basis products
-    a_i (x) b_j, a 4 x (n+1) matrix; neither psi nor rho_AB is formed."""
+    a_i (x) b_j, a 4 x (n+1) matrix; neither psi nor rho_AB is formed.
+    ``terms`` and ``basis_a``, the _b2_terms of alpha at n and its
+    stacked mode-A _orthonormal_pair, let several eta share one build."""
     alpha = _loss_amplitude(alpha)
-    basis_a = np.stack(_orthonormal_pair(alpha, n))
+    terms = _b2_terms(alpha, n) if terms is None else terms
+    basis_a = np.stack(_orthonormal_pair(alpha, n)) if basis_a is None else basis_a
     basis_b = np.stack(_orthonormal_pair(np.sqrt(eta) * alpha, n))
     phi = _environment_amplitudes(
-        _lossy_pair(_b2_terms(alpha, n), eta),
+        _lossy_pair(terms, eta),
         np.repeat(basis_a, 2, axis=0)[:, None],
         np.tile(basis_b, (2, 1))[:, None],
     )
@@ -287,20 +350,22 @@ def _projected_loss_density(alpha, eta, n):
 def check_loss_density(truncation):
     alpha = 1.0
     n = truncation or fock.adequate_truncation(alpha)
+    terms, basis_a = _b2_terms(alpha, n), np.stack(_orthonormal_pair(alpha, n))
     dev = 0.0
     for eta in (0.3, 0.7):
-        projected = _projected_loss_density(alpha, eta, n)
+        projected = _projected_loss_density(alpha, eta, n, terms, basis_a)
         closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         dev = max(dev, float(np.max(np.abs(projected - closed))))
     return CheckResult("loss_density", dev, 1e-9)
 
 
-def _loss_purity(alpha, eta, n):
-    """Tr rho_AB^2 of the _lossy_pair, taken on the environment: psi =
+def _loss_purity(terms, eta, n):
+    """Tr rho_AB^2 of the _lossy_pair of the _b2_terms ``terms`` at
+    truncation n, taken on the environment: psi =
     sum_t A_t (x) T_t is pure, so Tr rho_AB^2 = Tr rho_E^2 (Schmidt
     decomposition), and the (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T
     conj(T_u) is Hermitian, so that is the Frobenius sum |rho_E_ij|^2."""
-    pair_a, pair_be = _lossy_pair(_b2_terms(alpha, n), eta)
+    pair_a, pair_be = _lossy_pair(terms, eta)
     # conj(sum_t <A_t|A_u> T_t), conjugated in place, not through a copy
     mixed = (pair_a.conj() @ pair_a.T) @ pair_be.reshape(2, -1)
     np.conjugate(mixed, out=mixed)
@@ -311,10 +376,11 @@ def _loss_purity(alpha, eta, n):
 def check_loss_purity(truncation):
     alpha = 1.0
     n = truncation or fock.adequate_truncation(alpha)
+    terms = _b2_terms(alpha, n)
     dev = 0.0
     # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
     for eta in (0.3, 0.5):
-        numeric = _loss_purity(alpha, eta, n)
+        numeric = _loss_purity(terms, eta, n)
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = float(np.real(np.trace(closed_rho @ closed_rho)))
         dev = max(dev, abs(numeric - closed))
@@ -359,27 +425,42 @@ def check_optimal_beta():
     return CheckResult("optimal_beta", np.maximum(position, overlap), 1e-6)
 
 
-def check_werner_spectrum():
-    specs = [
-        werner.QuasiWerner(fid, kappa)
-        for fid in np.linspace(0.0, 1.0, 6)
-        for kappa in np.linspace(0.0, 0.9, 6)
-    ]
-    closed = np.array([werner.quasi_werner_spectrum(spec) for spec in specs])
-    numeric = np.linalg.eigvalsh(np.stack([werner.build_quasi_werner(spec) for spec in specs]))
-    return CheckResult("werner_spectrum", np.max(np.abs(closed - numeric[:, ::-1])), 1e-10)
+def check_werner_spectrum(truncation=None, grid=None):
+    # the mixture sum_i w_i |B_i><B_i| has the nonzero spectrum of
+    # sqrt(W) G sqrt(W), W = diag(w) and G the Gram <B_i|B_j>: the grid's
+    # Fock Grams at 6 weights F each, against the closed form at
+    # kappa = exp(-2 alpha^2)
+    fids = np.linspace(0.0, 1.0, 6)
+    rest = (1.0 - fids) / 3.0
+    root = np.sqrt(np.stack((rest, fids, rest, rest), axis=1))
+    dev = []
+    for part in _grid_parts(truncation, grid):
+        closed = [
+            werner.quasi_werner_spectrum(
+                werner.QuasiWerner(fid, coherent.overlap_of_amplitude(alpha))
+            )
+            for alpha in part.alphas
+            for fid in fids
+        ]
+        weighted = root[:, :, None] * part.grams[:, None] * root[:, None, :]
+        numeric = np.linalg.eigvalsh(weighted).reshape(len(closed), 4)[:, ::-1]
+        dev.append(np.max(np.abs(numeric - closed)))
+    return CheckResult("werner_spectrum", np.max(dev), 1e-10)
 
 
 def run_all(truncation=None):
     """Run every cross-check.  ``truncation`` overrides the adequacy rule
     (too-small values raise) and so probes convergence: it changes the
-    deviations, not only their pass/fail labels."""
+    deviations, not only their pass/fail labels.  The grid states are
+    built once (_state_grid) and read by the five checks that take
+    them."""
+    grid = _state_grid(truncation)
     return [
         check_coherent_overlap(truncation),
-        check_gram_matrix(truncation),
-        check_reduced_spectra(truncation),
-        check_unit_entropy(truncation),
-        check_mean_photons(truncation),
+        check_gram_matrix(truncation, grid),
+        check_reduced_spectra(truncation, grid),
+        check_unit_entropy(truncation, grid),
+        check_mean_photons(truncation, grid),
         check_asymmetric_spectra(truncation),
         check_char_function(truncation),
         check_beam_splitter_rule(truncation),
@@ -388,5 +469,5 @@ def run_all(truncation=None):
         check_loss_purity(truncation),
         check_family_overlap(truncation),
         check_optimal_beta(),
-        check_werner_spectrum(),
+        check_werner_spectrum(truncation, grid),
     ]

@@ -3,7 +3,10 @@
 A quasi-Werner state puts weight F on the antisymmetric state |B2> and
 (1-F)/3 on each of the other three.  At kappa = 0 this is the standard
 Werner state; for kappa > 0 the mutual overlap of states 1 and 3 shifts
-two of the eigenvalues while the entangled fraction stays F.
+two of the eigenvalues while the overlap with |B2> stays F.  The fully
+entangled fraction, the largest overlap with any maximally entangled
+state, is max(F, (1-F)/3) at every kappa: |B4> is maximally entangled
+and orthogonal to the rest, so below F = 1/4 it beats |B2>.
 """
 
 from dataclasses import dataclass
@@ -23,8 +26,9 @@ __all__ = [
 class QuasiWerner:
     """Mixture weights: F on state 2, (1-F)/3 on each of 1, 3, 4.
 
-    F is also the mixture's overlap with |B2>, its entangled fraction:
-    |B2> is orthogonal to the other three mixture components."""
+    F is also the mixture's overlap with |B2>, which is orthogonal to the
+    other three mixture components.  It is the fully entangled fraction
+    only from F = 1/4 up; below, |B4> carries the larger (1-F)/3."""
 
     fidelity: float
     kappa: float

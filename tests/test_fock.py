@@ -304,6 +304,12 @@ def _dense_quasi_bell(state, truncation):
     return raw / math.sqrt(np.vdot(raw, raw).real)
 
 
+def _terms(state, truncation=None):
+    # one state's terms, the stacked constructor's stack of one
+    terms_a, terms_b = fock._quasi_bell_terms((state,), truncation)
+    return terms_a[0], terms_b[0]
+
+
 def test_quasi_bell_terms_match_the_dense_build():
     for index in (1, 2, 3, 4):
         for alpha, beta in ((1e-3, 1e-3), (0.3, 1.1), (1.0, 1.0), (2.0, 0.6), (1.0, 0.0)):
@@ -312,12 +318,12 @@ def test_quasi_bell_terms_match_the_dense_build():
             state = coherent.CoherentQuasiBell(index, alpha, beta)
             got = fock.quasi_bell_fock(state, 50)
             assert np.max(np.abs(got - _dense_quasi_bell(state, 50))) < 1e-15, (index, alpha, beta)
-            (a, c), (b, d) = fock._quasi_bell_terms(state, 50)
+            (a, c), (b, d) = _terms(state, 50)
             assert np.array_equal(got, np.outer(a, b) + np.outer(c, d))
     # the parity-class sums do not cancel where 1 - ka kb does: the first
     # mode-A term is the unit |alpha> over the norm
     tiny = coherent.CoherentQuasiBell(2, 1e-5)
-    terms_a, _ = fock._quasi_bell_terms(tiny, 31)
+    terms_a, _ = _terms(tiny, 31)
     norm_sq = 1.0 / np.vdot(terms_a[0], terms_a[0]).real
     assert norm_sq == pytest.approx(-2.0 * math.expm1(-4e-10), rel=1e-9)
 
@@ -335,20 +341,23 @@ def _parity_norm(a, b, sign):
 
 def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
     # where |beta| = |alpha| mode B's vector is a or its parity image,
-    # bitwise the fresh coherent_vector, so one call serves the state
-    fresh = fock.coherent_vector
+    # bitwise the fresh coherent_vector, so one coherent row serves the
+    # state: the one _coherent_rows pass has one row per magnitude
+    fresh, rows = fock.coherent_vector, fock._coherent_rows
     calls = []
 
-    def counted(alpha, truncation=None):
-        calls.append(alpha)
-        return fresh(alpha, truncation)
+    def counted(magnitudes, truncation):
+        calls.append(list(magnitudes))
+        return rows(magnitudes, truncation)
 
-    monkeypatch.setattr(fock, "coherent_vector", counted)
+    monkeypatch.setattr(fock, "_coherent_rows", counted)
     for alpha, beta in ((1.0, 1.0), (-0.7, 0.7), (1.2, -1.2), (0.4, 1.1)):
         for index in (1, 2, 3, 4):
             calls.clear()
             state = coherent.CoherentQuasiBell(index, alpha, beta)
-            terms_a, terms_b = fock._quasi_bell_terms(state, 45)
+            terms_a, terms_b = _terms(state, 45)
+            assert len(calls) == 1, (index, alpha, beta)
+            assert len(calls[0]) == (1 if abs(alpha) == abs(beta) else 2), (index, alpha, beta)
             amp_b = -beta if index in (1, 2) else beta
             sign = -1.0 if index in (2, 4) else 1.0
             first_a, first_b = fresh(alpha, 45), fresh(amp_b, 45)
@@ -361,14 +370,68 @@ def test_quasi_bell_terms_reuse_the_mode_a_vector(monkeypatch):
             )
             for got, want in zip((*terms_a, *terms_b), expected):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (index, alpha, beta)
-            assert len(calls) == (1 if abs(alpha) == abs(beta) else 2), (index, alpha, beta)
+
+
+def _stack_states():
+    # every index at equal, opposite, unequal and zero mode-B amplitudes
+    for index in (1, 2, 3, 4):
+        for alpha, beta in ((1.0, 1.0), (-0.7, 0.7), (1.2, -1.2), (0.4, 1.1), (2.0, 0.6), (1.0, 0.0)):
+            yield coherent.CoherentQuasiBell(index, alpha, beta)
+
+
+def test_stacked_terms_are_the_single_state_terms(monkeypatch):
+    # a stack of 24 states takes one _coherent_rows pass over its five
+    # distinct nonzero magnitudes and the vacuum, and gives each state
+    # the bits of its stack of one
+    quasi_bells = list(_stack_states())
+    rows, calls = fock._coherent_rows, []
+
+    def counted(magnitudes, truncation):
+        calls.append(sorted(magnitudes))
+        return rows(magnitudes, truncation)
+
+    monkeypatch.setattr(fock, "_coherent_rows", counted)
+    terms_a, terms_b = fock._quasi_bell_terms(quasi_bells, 50)
+    assert calls == [[0.0, 0.4, 0.6, 0.7, 1.0, 1.1, 1.2, 2.0]]
+    assert terms_a.shape == terms_b.shape == (24, 2, 51)
+    for state, got_a, got_b in zip(quasi_bells, terms_a, terms_b):
+        want_a, want_b = _terms(state, 50)
+        assert np.array_equal(got_a.view(np.uint64), want_a.view(np.uint64)), state
+        assert np.array_equal(got_b.view(np.uint64), want_b.view(np.uint64)), state
+    # without a truncation, the largest amplitude's adequacy rule sets it
+    assert fock._quasi_bell_terms(quasi_bells)[0].shape[-1] == fock.adequate_truncation(2.0) + 1
+
+
+def test_stacked_terms_keep_both_truncation_errors(monkeypatch):
+    # the adequacy rule names the first amplitude of the stack above the
+    # truncation, mode A before mode B; B1 flips its mode-B amplitude
+    quasi_bells = [coherent.CoherentQuasiBell(2, 0.5), coherent.CoherentQuasiBell(1, 1.0, 3.0)]
+    with pytest.raises(fock.TruncationError, match=r"below the adequacy rule \(61 for amplitude -3.0\)"):
+        fock._quasi_bell_terms(quasi_bells, 40)
+    # with the rule waived the norm guard names the first state whose
+    # truncated norm misses 2 (1 +/- ka kb): at 15 levels B2(0.5) keeps
+    # its norm and B1(1, 3) loses 2e-3 of it
+    monkeypatch.setattr(fock, "adequate_truncation", lambda alpha: 0)
+    with pytest.raises(fock.TruncationError, match=r"unnormalized norm\^2 1\.[0-9]+ differs from 2\.0"):
+        fock._quasi_bell_terms(quasi_bells, 15)
+    assert fock._quasi_bell_terms(quasi_bells[:1], 15)[0].shape == (1, 2, 16)
+
+
+def test_coherent_vectors_are_the_single_vectors():
+    amplitudes = [0.0, -0.0, 1e-3, -0.4, 1.0, -2.5, 3.0]
+    vecs = fock._coherent_vectors(amplitudes, 66)
+    for alpha, got in zip(amplitudes, vecs):
+        assert np.array_equal(got.view(np.uint64), fock.coherent_vector(alpha, 66).view(np.uint64)), alpha
+    assert fock._coherent_vectors(amplitudes).shape == (7, fock.adequate_truncation(3.0) + 1)
+    with pytest.raises(fock.TruncationError, match=r"\(54 for amplitude -2.5\)"):
+        fock._coherent_vectors(amplitudes, 40)
 
 
 def _term_inputs():
     for index in (1, 2, 3, 4):
         for alpha, beta in ((0.5, 0.5), (1.0, 0.6), (0.3, 1.7), (1.0, 0.0)):
             state = coherent.CoherentQuasiBell(index, alpha, beta)
-            yield state, *fock._quasi_bell_terms(state, 60)
+            yield state, *_terms(state, 60)
 
 
 def test_term_kernels_match_the_dense_state():
@@ -401,7 +464,7 @@ def test_reduced_core_has_the_dense_spectrum(alpha, beta):
     for index in (1, 2, 3, 4):
         state = coherent.CoherentQuasiBell(index, alpha, beta)
         n = fock.adequate_truncation(max(alpha, beta))
-        terms_a, terms_b = fock._quasi_bell_terms(state, n)
+        terms_a, terms_b = _terms(state, n)
         vec = fock.quasi_bell_fock(state, n)
         for mode in (0, 1):
             core = fock._reduced_core(terms_a, terms_b, mode)
@@ -416,14 +479,38 @@ def test_term_traces_keep_the_boundary_rule():
     # named with the mass of the explicit displaced dense state
     state = coherent.CoherentQuasiBell(2, 1.0, 0.6)
     n = fock.adequate_truncation(1.0)
-    terms = fock._quasi_bell_terms(state, n)
+    terms = _terms(state, n)
     za = np.array([0.5, 4.0 + 1.0j])
     moved = _direct_displacement(za[1], n + 1) @ fock.quasi_bell_fock(state, n)
     mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
     with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
         fock._char_traces(*terms, za, np.zeros(2))
     with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
-        fock._quasi_bell_terms(state, n - 1)
+        fock._quasi_bell_terms((state,), n - 1)
+
+
+def test_term_traces_take_a_state_axis():
+    # S states with their own points in one call: each state's row is its
+    # one-state call, and the boundary rule names the first offending
+    # (state, point) in that order
+    rng = np.random.default_rng(2601)
+    quasi_bells = [coherent.CoherentQuasiBell(index, 1.0, 0.6) for index in (1, 2, 3, 4)]
+    terms_a, terms_b = fock._quasi_bell_terms(quasi_bells, 40)
+    za = rng.uniform(-1.5, 1.5, (4, 6)) + 1j * rng.uniform(-1.5, 1.5, (4, 6))
+    zb = rng.uniform(-1.5, 1.5, (4, 6)) + 1j * rng.uniform(-1.5, 1.5, (4, 6))
+    stacked = fock._char_traces(terms_a, terms_b, za, zb)
+    assert stacked.shape == (4, 6)
+    for s in range(4):
+        single = fock._char_traces(terms_a[s], terms_b[s], za[s], zb[s])
+        assert np.max(np.abs(stacked[s] - single)) <= 1e-15, s
+    far = np.zeros((4, 6), dtype=complex)
+    far[2, 3], far[3, 0] = 4.0 + 1.0j, 5.0
+    moved = _direct_displacement(far[2, 3], 41) @ fock.quasi_bell_fock(quasi_bells[2], 40)
+    mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
+    with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
+        fock._char_traces(terms_a, terms_b, far, np.zeros((4, 6)))
+    with pytest.raises(ValueError, match="equally long stacks"):
+        fock._char_traces(terms_a, terms_b[:3], za, zb)
 
 
 def test_partial_trace_product_state():

@@ -409,3 +409,53 @@ def test_charfunc_witness_report_matches_mpmath(index):
                 want = ref_charfunc(index, alpha, alpha, complex(*zeta[:2]), complex(*zeta[2:]))
                 got = [report["real"], report["imag"], report["abs"]]
                 assert deviation(got, [mp.re(want), mp.im(want), abs(want)]) <= 1e-14, (alpha, zeta)
+
+
+@pytest.mark.parametrize("fidelity", (0.0, 0.1, 0.25, 0.5, 1.0))
+def test_werner_report_fully_entangled_fraction(fidelity):
+    # the new key against the magic-basis reference of the mixture; the
+    # old key keeps F, the overlap with |B2>, which is the fully entangled
+    # fraction only from F = 1/4 up
+    for kappa in (0.0, 0.5, 0.95):
+        report = cli_report("werner", "-F", repr(fidelity), "--kappa", repr(kappa))
+        rho = werner.build_quasi_werner(werner.QuasiWerner(fidelity, kappa))
+        assert abs(report["fully_entangled_fraction"] - ref_fraction(rho)) <= 4e-15, kappa
+        assert report["entangled_fraction"] == fidelity
+        assert report["fully_entangled_fraction"] == pytest.approx(max(fidelity, (1 - fidelity) / 3), abs=4e-15)
+
+
+def ref_family_overlap(alpha, eta, beta):
+    """<B2(beta)| rho |B2(beta)> after loss eta on mode B of |B2(alpha)>,
+    from the literal differences of coherent overlaps g(d) = exp(-d^2/2),
+    at the working precision."""
+    a, e, b = mp.mpf(alpha), mp.mpf(eta), mp.mpf(beta)
+    s = mp.sqrt(e)
+
+    def g(d):
+        return mp.exp(-(d**2) / 2)
+
+    diff = g(b - a) * g(s * a - b) - g(b + a) * g(b + s * a)
+    coherence = mp.exp(-2 * (1 - e) * a**2)
+    return (1 + coherence) * diff**2 / (2 * (1 - mp.exp(-4 * a**2)) * (1 - mp.exp(-4 * b**2)))
+
+
+def test_decohere_report_matches_mpmath():
+    # every row of the default ``qbell decohere --format json`` report:
+    # beta* = alpha (1 + sqrt(eta)) / 2 is a maximum of the 40-digit
+    # overlap (it beats beta* (1 -/+ 1e-6)), and f, beta* and the EoF
+    # bound at it agree within 1e-12 relative
+    points = cli_report("decohere", "--format", "json")["points"]
+    grid = [(alpha, eta) for eta in (0.9, 0.7, 0.5, 0.3, 0.1) for alpha in np.linspace(0.05, 3.0, 60)]
+    assert [(p["alpha"], p["eta"]) for p in points] == grid
+    with mp.workdps(40):
+        for p in points:
+            alpha, eta = p["alpha"], p["eta"]
+            beta = mp.mpf(alpha) * (1 + mp.sqrt(mp.mpf(eta))) / 2
+            f = ref_family_overlap(alpha, eta, beta)
+            assert f > max(ref_family_overlap(alpha, eta, beta * (1 + x)) for x in (-1e-6, 1e-6))
+            bound = 0
+            if f > mp.mpf(1) / 2:
+                x = mp.mpf(1) / 2 - mp.sqrt(f * (1 - f))
+                bound = ref_entropy([x, 1 - x])
+            got = [p["f"], p["beta_star"], p["eof_lower_bound"]]
+            assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, (f, beta, bound))), p

@@ -73,11 +73,14 @@ def test_quasi_bell_checks_never_form_the_dense_state():
     # per state, 20 * 61^2 * 16 B = 1.2 MB; the product terms stay below it.
     # The mean photon numbers come from 2 x 2 term Grams, below even one
     # (N+1)-square complex density, 62^2 * 16 B.  61 is the smallest
-    # truncation the checks' alpha = 3 admits
+    # truncation the checks' alpha = 3 admits.  The battery's grid, the
+    # 20 states' terms and Grams, stays below three such densities, where
+    # one dense state per grid state would take 20
     checks = (
         (verify.check_char_function, 60, 20 * 61**2 * 16),
         (verify.check_reduced_spectra, 61, 20 * 61**2 * 16),
         (verify.check_mean_photons, 61, 62**2 * 16),
+        (verify._state_grid, 61, 3 * 62**2 * 16),
     )
     for check, n, _ in checks:
         check(n)  # fill the displacement and number-level caches
@@ -105,15 +108,18 @@ def test_verify_calls_no_dense_fock_helper():
 
 def test_too_small_truncation_is_named_by_the_term_checks():
     for check in (
+        verify.check_coherent_overlap,
         verify.check_gram_matrix,
         verify.check_reduced_spectra,
         verify.check_unit_entropy,
         verify.check_mean_photons,
         verify.check_asymmetric_spectra,
         verify.check_char_function,
+        verify.check_beam_splitter_rule,
         verify.check_loss_density,
         verify.check_loss_purity,
         verify.check_family_overlap,
+        verify.check_werner_spectrum,
     ):
         with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
             check(20)
@@ -164,20 +170,28 @@ def test_battery_imports_no_random_module():
 
 
 def test_stacked_eigensolves_report_the_per_matrix_maxima():
+    # each (amplitude, weight) sqrt(W) G sqrt(W) of the werner check alone,
+    # from the grid's Fock Gram G
+    grams = verify._state_grid(None).grams
     dev = 0.0
-    for fid in np.linspace(0.0, 1.0, 6):
-        for kappa in np.linspace(0.0, 0.9, 6):
-            spec = werner.QuasiWerner(fid, kappa)
-            numeric = np.sort(np.linalg.eigvalsh(werner.build_quasi_werner(spec)))[::-1]
-            dev = max(dev, float(np.max(np.abs(werner.quasi_werner_spectrum(spec) - numeric))))
-    assert verify.check_werner_spectrum().deviation == dev
-    # each state's 2 x 2 core alone (tests/test_fock.py compares the
-    # cores' spectra with the dense partial traces)
+    for gram, alpha in zip(grams, verify._ALPHA_GRID):
+        kappa = coherent.overlap_of_amplitude(alpha)
+        for fid in np.linspace(0.0, 1.0, 6):
+            root = np.sqrt([(1.0 - fid) / 3.0, fid, (1.0 - fid) / 3.0, (1.0 - fid) / 3.0])
+            numeric = np.sort(np.linalg.eigvalsh(root[:, None] * gram * root))[::-1]
+            closed = werner.quasi_werner_spectrum(werner.QuasiWerner(fid, kappa))
+            dev = max(dev, float(np.max(np.abs(closed - numeric))))
+    assert verify.check_werner_spectrum(None).deviation == dev
+    # each state's 2 x 2 core alone, from its stack of one at the grid's
+    # truncation (tests/test_fock.py compares the cores' spectra with the
+    # dense partial traces)
+    n = fock.adequate_truncation(max(verify._ALPHA_GRID))
     dev = 0.0
     for alpha in verify._ALPHA_GRID:
         for index in (1, 2, 3, 4):
             state = coherent.CoherentQuasiBell(index, alpha)
-            core = fock._reduced_core(*fock._quasi_bell_terms(state, None), 0)
+            terms_a, terms_b = fock._quasi_bell_terms((state,), n)
+            core = fock._reduced_core(terms_a[0], terms_b[0], 0)
             lam = np.sort(np.linalg.eigvalsh(core))[::-1]
             dev = max(dev, float(np.max(np.abs(lam - coherent.coherent_spectrum(state)))))
     assert verify.check_reduced_spectra(None).deviation == dev
@@ -289,16 +303,84 @@ def _count_calls(monkeypatch, name, check):
 
 def test_oracle_checks_build_each_vector_once(monkeypatch):
     # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
-    # family overlap's 21 probes are each built once per battery; the
-    # lossy pairs of each loss amplitude take the middle probe's terms,
-    # |B2(alpha)> itself, so they add no call
-    calls = _count_calls(monkeypatch, "coherent_vector", verify.check_beam_splitter_rule)
-    assert len(calls) == len({(float(alpha), n) for alpha, n in calls}) == 25
+    # family overlap's 21 probes are each built once per battery, one
+    # stacked build per amplitude; the lossy pairs of each loss amplitude
+    # take the middle probe's terms, |B2(alpha)> itself, so they add no call
+    calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_beam_splitter_rule)
+    assert [len(amplitudes) for amplitudes, _ in calls] == [5] * 5
+    keys = {(float(alpha), n) for amplitudes, n in calls for alpha in amplitudes}
+    assert len(keys) == 25
     calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_family_overlap)
-    keys = [(state.index, state.alpha, state.beta, n) for state, n in calls]
+    assert [len(states) for states, _ in calls] == [7] * 3
+    keys = [(state.index, state.alpha, state.beta, n) for states, n in calls for state in states]
     assert len(keys) == len(set(keys)) == 21
     for alpha in (0.5, 1.0, 2.0):
         assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1
+
+
+def _grid_builds(monkeypatch):
+    # every state fock._quasi_bell_terms builds, keyed (index, alpha,
+    # beta, truncation)
+    keys = []
+    build = fock._quasi_bell_terms
+
+    def counted(quasi_bells, truncation=None):
+        terms = build(quasi_bells, truncation)
+        keys.extend((s.index, s.alpha, s.beta, terms[0].shape[-1] - 1) for s in quasi_bells)
+        return terms
+
+    monkeypatch.setattr(fock, "_quasi_bell_terms", counted)
+    return keys
+
+
+def test_battery_builds_each_grid_state_once(monkeypatch):
+    # one run_all builds the terms of each of the grid's 20 states once,
+    # at the adequacy rule of alpha = 3, and the next battery builds them
+    # again: nothing is kept between batteries
+    keys = _grid_builds(monkeypatch)
+    n = fock.adequate_truncation(3.0)
+    grid = [(index, alpha, alpha, n) for alpha in verify._ALPHA_GRID for index in (1, 2, 3, 4)]
+    for batteries in (1, 2):
+        assert all(r.passed for r in verify.run_all())
+        assert [keys.count(key) for key in grid] == [batteries] * 20
+    # a grid check called alone builds the grid itself
+    keys.clear()
+    assert verify.check_mean_photons(None).passed
+    assert [keys.count(key) for key in grid] == [1] * 20
+
+
+def test_werner_check_reads_the_fock_grams(monkeypatch):
+    # the numeric side comes from the Fock terms, not the 4 x 4 embedding,
+    # and matches the spectrum of the dense vectors' Gram
+    def refuse(spec):
+        raise AssertionError("the werner check built the embedded mixture")
+
+    monkeypatch.setattr(werner, "build_quasi_werner", refuse)
+    keys = _grid_builds(monkeypatch)
+    result = verify.check_werner_spectrum(None)
+    assert result.passed and len(keys) == 20
+    dev = 0.0
+    for alpha in verify._ALPHA_GRID:
+        vecs = [fock.quasi_bell_fock(coherent.CoherentQuasiBell(i, alpha), 61) for i in (1, 2, 3, 4)]
+        gram = np.array([[np.vdot(vi, vj) for vj in vecs] for vi in vecs])
+        for fid in np.linspace(0.0, 1.0, 6):
+            spec = werner.QuasiWerner(fid, coherent.overlap_of_amplitude(alpha))
+            root = np.sqrt([(1.0 - fid) / 3.0, fid, (1.0 - fid) / 3.0, (1.0 - fid) / 3.0])
+            numeric = np.linalg.eigvalsh(root[:, None] * gram * root)[::-1]
+            dev = max(dev, float(np.max(np.abs(numeric - werner.quasi_werner_spectrum(spec)))))
+    assert abs(result.deviation - dev) < 1e-14
+
+
+def test_werner_check_fails_a_perturbed_closed_form(monkeypatch):
+    # the closed form with the 1-3 overlap D = 2 kappa / (1 + kappa^2)
+    # replaced by kappa is off by up to 0.09 on the grid
+    def perturbed(spec):
+        w, kappa = (1.0 - spec.fidelity) / 3.0, spec.kappa
+        return np.sort([spec.fidelity, w, w * (1.0 + kappa), w * (1.0 - kappa)])[::-1]
+
+    monkeypatch.setattr(werner, "quasi_werner_spectrum", perturbed)
+    result = verify.check_werner_spectrum(None)
+    assert not result.passed and result.deviation > 1e-10
 
 
 def test_zero_loss_amplitude_is_domain_error():
