@@ -19,12 +19,12 @@ as two normalized terms, from one exp over the distinct mode magnitudes
 (_coherent_rows), with the parity and the signs applied by negating
 entries, bitwise the per-state build; one state is a stack of one.
 The private term kernels (_char_traces, _reduced_core, _mean_photon)
-read a stack without forming psi or a reduced density.  Still formed
-densely: the splitter outputs and vacuum tables, the displacement
-eigensystems, and in verify the 4 x 4 projected loss density and the
-purity check's (N+1)-square environment density.  No check calls
-quasi_bell_fock, partial_trace, operator_trace_charfunc or mean_photon,
-the tests' dense references.
+read a stack without forming psi or a reduced density; _char_traces
+takes only (S, T, N) stacks.  Still formed densely: the splitter
+outputs and vacuum tables, the displacement eigensystems, and in verify
+the 4 x 4 projected loss densities and the purity check's (N+1)-square
+environment density.  No check calls quasi_bell_fock, partial_trace,
+operator_trace_charfunc or mean_photon, the tests' dense references.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems, each from one real symmetric eigensolve, and reads every
@@ -480,12 +480,11 @@ def _displacement_eigensystem(size):
 
 
 def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
-    """operator_trace_charfunc of the two-mode state terms_a^T terms_b
-    (product terms, see the module conventions) at the points
-    (zeta_a[p], zeta_b[p]) of two equal-length complex arrays, in one
-    stacked call; or, with a leading state axis on all four, terms of
-    shape (S, T, N) and points of shape (S, P), of S states at once,
-    each at its own points, giving an (S, P) array.
+    """operator_trace_charfunc of S two-mode states, state s the product
+    terms terms_a[s]^T terms_b[s] (see the module conventions), stacks of
+    shape (S, T, N), each at its own points (zeta_a[s, p], zeta_b[s, p]),
+    complex arrays of shape (S, P), in one stacked call giving an (S, P)
+    array; one state is a stack of one.
 
     With zeta = r e^{i phi} and R = diag(e^{i n phi}), the generator
     zeta a+ - zeta* a is R r (a+ - a) R+, exactly so on the truncated
@@ -506,12 +505,11 @@ def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
     """
     terms_a = np.asarray(terms_a, dtype=complex)
     terms_b = np.asarray(terms_b, dtype=complex)
-    if terms_a.ndim not in (2, 3) or terms_a.shape[:-1] != terms_b.shape[:-1]:
-        raise ValueError("expected two equally long stacks of mode vectors")
-    single = terms_a.ndim == 2
+    if terms_a.ndim != 3 or terms_a.shape[:-1] != terms_b.shape[:-1]:
+        raise ValueError("expected two equally long stacks of mode vectors, shape (S, T, N)")
     za, zb = np.asarray(zeta_a, dtype=complex), np.asarray(zeta_b, dtype=complex)
-    if single:
-        terms_a, terms_b, za, zb = terms_a[None], terms_b[None], za[None], zb[None]
+    if za.ndim != 2 or za.shape != zb.shape or len(za) != len(terms_a):
+        raise ValueError("expected one row of points per state, shape (S, P)")
 
     def eigenbasis(terms, zeta):
         # x = V+ R* t for every state, point and term, indexed (state,
@@ -535,8 +533,7 @@ def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
         np.sum(np.abs(last_row) ** 2, axis=-1) + np.sum(np.abs(last_col) ** 2, axis=-1),
         "displaced state",
     )
-    traces = np.sum(gram_a * gram_b, axis=(-2, -1))
-    return traces[0] if single else traces
+    return np.sum(gram_a * gram_b, axis=(-2, -1))
 
 
 def operator_trace_charfunc(vec, point):
@@ -547,15 +544,14 @@ def operator_trace_charfunc(vec, point):
             * exp(-(|za|^2 + |zb|^2)/2)
 
     evaluated through the truncated displacement of each mode (see
-    _char_traces, to which the dense state is the terms (identity, vec)),
-    with the same boundary rule as beam_splitter.
+    _char_traces, to which the dense state is a stack of one with the
+    terms (identity, vec)), with the same boundary rule as beam_splitter.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2:
         raise ValueError("expected a two-mode vector")
-    return complex(
-        _char_traces(np.eye(vec.shape[0]), vec, [complex(point.zeta_a)], [complex(point.zeta_b)])[0]
-    )
+    zeta = [[complex(point.zeta_a)]], [[complex(point.zeta_b)]]
+    return complex(_char_traces(np.eye(vec.shape[0])[None], vec[None], *zeta)[0, 0])
 
 
 def mean_photon(rho):

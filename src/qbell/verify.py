@@ -8,12 +8,11 @@ states from one stacked fock._quasi_bell_terms build per truncation,
 through fock's term kernels and form no two-mode vector or reduced
 density.  One battery (run_all) builds the grid states, indices 1-4 at
 each _ALPHA_GRID amplitude, once (_state_grid): their terms and each
-amplitude's 4 x 4 Fock Gram <B_i|B_j>, read by the Gram, reduced
-spectra, unit entropy, mean photon and quasi-Werner checks, each doing
-its own arithmetic; a check called alone builds the same states one
-amplitude at a time (_grid_parts), and nothing is kept from one
-battery to the next.  The quasi-Werner check takes its numeric
-spectrum from sqrt(W) G sqrt(W) over those Grams, the nonzero
+amplitude's 4 x 4 Fock Gram <B_i|B_j>.  The Gram, reduced spectra,
+unit entropy, mean photon and quasi-Werner checks take that grid as
+their argument, each doing its own arithmetic, and nothing is kept
+from one battery to the next.  The quasi-Werner check takes its
+numeric spectrum from sqrt(W) G sqrt(W) over those Grams, the nonzero
 spectrum of sum_i w_i |B_i><B_i| in the Fock space, against the
 closed form at kappa = exp(-2 alpha^2).  The loss checks read one
 lossy pair (_lossy_pair), the terms of |B2(alpha)> with mode B sent
@@ -132,49 +131,34 @@ _ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class _StateGrid:
-    """The quasi-Bell states 1-4 at each amplitude of ``alphas``, built
-    by _state_grid at one truncation: ``quasi_bells``, the states
-    amplitude by amplitude, ``terms``, their stacked product terms
-    (terms_a, terms_b) of one fock._quasi_bell_terms build, and
-    ``grams``, the Fock Gram <B_i|B_j> of each amplitude's four states,
-    shape (len(alphas), 4, 4).  run_all builds one over _ALPHA_GRID per
-    battery and hands it to each check that reads it."""
+    """The quasi-Bell states 1-4 at each _ALPHA_GRID amplitude, built by
+    _state_grid at one truncation: ``quasi_bells``, the states amplitude
+    by amplitude, ``terms``, their stacked product terms (terms_a,
+    terms_b) of one fock._quasi_bell_terms build, and ``grams``, the
+    Fock Gram <B_i|B_j> of each amplitude's four states, shape
+    (len(_ALPHA_GRID), 4, 4).  run_all builds one per battery and passes
+    it to each check that reads it."""
 
-    alphas: tuple
     quasi_bells: tuple
     terms: tuple
     grams: np.ndarray
 
 
-def _state_grid(truncation, alphas=_ALPHA_GRID):
-    """The _StateGrid of ``alphas`` at ``truncation``, or without one at
-    the adequacy rule of their largest amplitude.  <B_i|B_j> =
-    sum_st <a_is|a_jt> <b_is|b_jt> over the two normalized terms s of
-    state i and t of state j, from one 8 x 8 Gram per mode and
-    amplitude."""
+def _state_grid(truncation):
+    """The _StateGrid at ``truncation``, or without one at the adequacy
+    rule of the largest amplitude.  <B_i|B_j> = sum_st <a_is|a_jt>
+    <b_is|b_jt> over the two normalized terms s of state i and t of
+    state j, from one 8 x 8 Gram per mode and amplitude."""
     quasi_bells = tuple(
-        coherent.CoherentQuasiBell(index, alpha) for alpha in alphas for index in (1, 2, 3, 4)
+        coherent.CoherentQuasiBell(index, alpha) for alpha in _ALPHA_GRID for index in (1, 2, 3, 4)
     )
     terms = fock._quasi_bell_terms(quasi_bells, truncation)
-    stack_a, stack_b = (mode.reshape(len(alphas), 8, -1) for mode in terms)
+    stack_a, stack_b = (mode.reshape(len(_ALPHA_GRID), 8, -1) for mode in terms)
     products = (stack_a.conj() @ np.swapaxes(stack_a, 1, 2)) * (
         stack_b.conj() @ np.swapaxes(stack_b, 1, 2)
     )
     grams = products.reshape(-1, 4, 2, 4, 2).sum(axis=(2, 4))
-    return _StateGrid(tuple(alphas), quasi_bells, terms, grams)
-
-
-def _grid_parts(truncation, grid):
-    """The grid states a check reads, as _StateGrid parts: run_all's
-    ``grid`` whole, or for a check called alone (``grid`` None) one part
-    per _ALPHA_GRID amplitude, each built as the check reaches it at the
-    whole grid's truncation, so the check holds one amplitude's four
-    states at a time and reports the deviation run_all does."""
-    if grid is not None:
-        return (grid,)
-    if truncation is None:
-        truncation = fock.adequate_truncation(max(_ALPHA_GRID))
-    return (_state_grid(truncation, (alpha,)) for alpha in _ALPHA_GRID)
+    return _StateGrid(quasi_bells, terms, grams)
 
 
 def check_coherent_overlap(truncation):
@@ -186,32 +170,25 @@ def check_coherent_overlap(truncation):
     return CheckResult("coherent_overlap", np.max(np.abs(numeric - closed)), 1e-12)
 
 
-def check_gram_matrix(truncation, grid=None):
+def check_gram_matrix(grid):
     # np.max, unlike max, passes a NaN on, here and in the other grid checks
-    dev = []
-    for part in _grid_parts(truncation, grid):
-        closed = [states.gram_matrix(coherent.overlap_of_amplitude(alpha)) for alpha in part.alphas]
-        dev.append(np.max(np.abs(np.abs(part.grams) - closed)))
-    return CheckResult("gram_matrix", np.max(dev), 1e-10)
+    closed = [states.gram_matrix(coherent.overlap_of_amplitude(alpha)) for alpha in _ALPHA_GRID]
+    return CheckResult("gram_matrix", np.max(np.abs(np.abs(grid.grams) - closed)), 1e-10)
 
 
-def check_reduced_spectra(truncation, grid=None):
+def check_reduced_spectra(grid):
     # rho_A of each state has rank 2, so its spectrum is that of its 2 x 2
-    # core (fock._reduced_core); a part's cores take one stacked eigvalsh
-    dev = []
-    for part in _grid_parts(truncation, grid):
-        closed = [coherent.coherent_spectrum(state) for state in part.quasi_bells]
-        lam = np.linalg.eigvalsh(fock._reduced_core(*part.terms, 0))[:, ::-1]
-        dev.append(np.max(np.abs(lam - closed)))
-    return CheckResult("reduced_spectra", np.max(dev), 1e-9)
+    # core (fock._reduced_core); the grid's cores take one stacked eigvalsh
+    closed = [coherent.coherent_spectrum(state) for state in grid.quasi_bells]
+    lam = np.linalg.eigvalsh(fock._reduced_core(*grid.terms, 0))[:, ::-1]
+    return CheckResult("reduced_spectra", np.max(np.abs(lam - closed)), 1e-9)
 
 
-def check_unit_entropy(truncation, grid=None):
-    # states 2 and 4 of each amplitude, a part's odd positions
+def check_unit_entropy(grid):
+    # states 2 and 4 of each amplitude, the grid's odd positions
     dev = max(
         abs(fock.von_neumann_entropy(core) - 1.0)
-        for part in _grid_parts(truncation, grid)
-        for core in fock._reduced_core(*(mode[1::2] for mode in part.terms), 0)
+        for core in fock._reduced_core(*(mode[1::2] for mode in grid.terms), 0)
     )
     return CheckResult("unit_entropy", dev, 1e-9)
 
@@ -224,16 +201,13 @@ def _photon_deviation(quasi_bells, terms):
     return float(np.max(np.abs(numeric - closed)))
 
 
-def check_mean_photons(truncation, grid=None):
+def check_mean_photons(truncation, grid):
     # states 1 and 2, the first two of each grid amplitude's four, read
     # from the grid as views, and at three unequal amplitude pairs, one
-    # stacked build each
-    dev = max(
-        _photon_deviation(
-            [state for state in part.quasi_bells if state.index in (1, 2)],
-            [mode.reshape(len(part.alphas), 4, 2, -1)[:, :2] for mode in part.terms],
-        )
-        for part in _grid_parts(truncation, grid)
+    # stacked build each at ``truncation``
+    dev = _photon_deviation(
+        [state for state in grid.quasi_bells if state.index in (1, 2)],
+        [mode.reshape(len(_ALPHA_GRID), 4, 2, -1)[:, :2] for mode in grid.terms],
     )
     for alpha, beta in ((0.5, 1.5), (2.0, 0.6), (1.0, 0.0)):
         quasi_bells = [coherent.CoherentQuasiBell(index, alpha, beta) for index in (1, 2)]
@@ -297,8 +271,7 @@ def check_beam_splitter_rule(truncation):
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     dev = 0.0
     for alpha in _ALPHA_GRID:
-        n = truncation or fock.adequate_truncation(alpha)
-        targets = fock._coherent_vectors(np.sqrt(etas) * alpha, n)
+        targets = fock._coherent_vectors(np.sqrt(etas) * alpha, truncation)
         for eta, kept, lost in zip(etas, targets, targets[::-1]):
             sent = fock._splitter_on_vacuum(targets[-1], eta)
             fidelity = abs(np.vdot(np.outer(kept, lost), sent)) ** 2
@@ -320,67 +293,66 @@ def check_beam_splitter_unitary():
     return CheckResult("beam_splitter_unitary", dev, 1e-12)
 
 
-def _orthonormal_pair(alpha, truncation):
-    """Fock vectors of the orthonormal basis built from span{|a>, |-a>}."""
-    up = fock.coherent_vector(alpha, truncation)
-    down = fock._parity(up)
-    plus, minus = up + down, up - down
-    return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
-
-
-def _projected_loss_density(alpha, eta, n, terms=None, basis_a=None):
-    """The Fock-space rho_AB of the _lossy_pair projected onto the 4x4
-    basis of DecoheredState.matrix: phi phi+, with phi the environment
-    amplitudes (_environment_amplitudes) of the four basis products
-    a_i (x) b_j, a 4 x (n+1) matrix; neither psi nor rho_AB is formed.
-    ``terms`` and ``basis_a``, the _b2_terms of alpha at n and its
-    stacked mode-A _orthonormal_pair, let several eta share one build."""
+def _projected_loss_densities(alpha, etas, n):
+    """The Fock-space rho_AB of the _lossy_pair at each transmissivity of
+    ``etas`` projected onto the 4x4 basis of DecoheredState.matrix, shape
+    (len(etas), 4, 4): phi phi+, with phi the environment amplitudes
+    (_environment_amplitudes) of the four basis products a_i (x) b_j, a
+    4 x (n+1) matrix; neither psi nor rho_AB is formed.  |B2(alpha)> is
+    built once, and every mode's orthonormal pair (|g> +/- |-g>) / norm,
+    g = alpha for A and sqrt(eta) alpha for B, comes from one
+    fock._coherent_vectors call over all the +/-g.  Without a truncation
+    n, both builds take the adequacy rule of alpha, the largest |g|."""
     alpha = _loss_amplitude(alpha)
-    terms = _b2_terms(alpha, n) if terms is None else terms
-    basis_a = np.stack(_orthonormal_pair(alpha, n)) if basis_a is None else basis_a
-    basis_b = np.stack(_orthonormal_pair(np.sqrt(eta) * alpha, n))
-    phi = _environment_amplitudes(
-        _lossy_pair(terms, eta),
-        np.repeat(basis_a, 2, axis=0)[:, None],
-        np.tile(basis_b, (2, 1))[:, None],
-    )
-    return phi @ phi.conj().T
+    terms = _b2_terms(alpha, n)
+    amplitudes = np.concatenate(([alpha], np.sqrt(etas) * alpha))
+    vecs = fock._coherent_vectors([sign * g for g in amplitudes for sign in (1.0, -1.0)], n)
+    up, down = vecs[0::2], vecs[1::2]
+    # shape (1 + len(etas), 2, n + 1); each vector takes its own
+    # np.linalg.norm, as a single pair would: an axis-wise norm rounds
+    # differently in the last bit
+    bases = np.stack((up + down, up - down), axis=1)
+    for vec in bases.reshape(-1, bases.shape[-1]):
+        vec /= np.linalg.norm(vec)
+    probe_a = np.repeat(bases[0], 2, axis=0)[:, None]
+    densities = []
+    for eta, basis_b in zip(etas, bases[1:]):
+        phi = _environment_amplitudes(
+            _lossy_pair(terms, eta), probe_a, np.tile(basis_b, (2, 1))[:, None]
+        )
+        densities.append(phi @ phi.conj().T)
+    return np.array(densities)
 
 
 def check_loss_density(truncation):
-    alpha = 1.0
-    n = truncation or fock.adequate_truncation(alpha)
-    terms, basis_a = _b2_terms(alpha, n), np.stack(_orthonormal_pair(alpha, n))
-    dev = 0.0
-    for eta in (0.3, 0.7):
-        projected = _projected_loss_density(alpha, eta, n, terms, basis_a)
-        closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
-        dev = max(dev, float(np.max(np.abs(projected - closed))))
-    return CheckResult("loss_density", dev, 1e-9)
+    alpha, etas = 1.0, (0.3, 0.7)
+    projected = _projected_loss_densities(alpha, etas, truncation)
+    closed = [decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix for eta in etas]
+    return CheckResult("loss_density", np.max(np.abs(projected - closed)), 1e-9)
 
 
-def _loss_purity(terms, eta, n):
-    """Tr rho_AB^2 of the _lossy_pair of the _b2_terms ``terms`` at
-    truncation n, taken on the environment: psi =
-    sum_t A_t (x) T_t is pure, so Tr rho_AB^2 = Tr rho_E^2 (Schmidt
-    decomposition), and the (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T
-    conj(T_u) is Hermitian, so that is the Frobenius sum |rho_E_ij|^2."""
+def _loss_purity(terms, eta):
+    """Tr rho_AB^2 of the _lossy_pair of the _b2_terms ``terms``, taken
+    on the environment: psi = sum_t A_t (x) T_t is pure, so
+    Tr rho_AB^2 = Tr rho_E^2 (Schmidt decomposition), and the
+    (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T conj(T_u) is Hermitian,
+    so that is the Frobenius sum |rho_E_ij|^2."""
     pair_a, pair_be = _lossy_pair(terms, eta)
+    size = pair_be.shape[-1]
     # conj(sum_t <A_t|A_u> T_t), conjugated in place, not through a copy
     mixed = (pair_a.conj() @ pair_a.T) @ pair_be.reshape(2, -1)
     np.conjugate(mixed, out=mixed)
-    rho_env = pair_be.reshape(-1, n + 1).T @ mixed.reshape(-1, n + 1)
+    rho_env = pair_be.reshape(-1, size).T @ mixed.reshape(-1, size)
     return float(np.vdot(rho_env, rho_env).real)
 
 
 def check_loss_purity(truncation):
     alpha = 1.0
-    n = truncation or fock.adequate_truncation(alpha)
-    terms = _b2_terms(alpha, n)
+    terms = _b2_terms(alpha, truncation)
     dev = 0.0
     # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
     for eta in (0.3, 0.5):
-        numeric = _loss_purity(terms, eta, n)
+        numeric = _loss_purity(terms, eta)
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = float(np.real(np.trace(closed_rho @ closed_rho)))
         dev = max(dev, abs(numeric - closed))
@@ -394,8 +366,7 @@ def check_family_overlap(truncation):
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0):
         betas = alpha * np.linspace(0.25, 1.75, 7)
-        n = truncation or fock.adequate_truncation(betas.max())
-        probe_a, probe_b = probes = _family_probes(betas, n)
+        probe_a, probe_b = probes = _family_probes(betas, truncation)
         for eta in (0.1, 0.5, 0.9):
             state = decoherence.apply_loss(alpha, decoherence.LossChannel(eta))
             closed = decoherence.fraction_over_family(state, betas)
@@ -425,7 +396,7 @@ def check_optimal_beta():
     return CheckResult("optimal_beta", np.maximum(position, overlap), 1e-6)
 
 
-def check_werner_spectrum(truncation=None, grid=None):
+def check_werner_spectrum(grid):
     # the mixture sum_i w_i |B_i><B_i| has the nonzero spectrum of
     # sqrt(W) G sqrt(W), W = diag(w) and G the Gram <B_i|B_j>: the grid's
     # Fock Grams at 6 weights F each, against the closed form at
@@ -433,33 +404,28 @@ def check_werner_spectrum(truncation=None, grid=None):
     fids = np.linspace(0.0, 1.0, 6)
     rest = (1.0 - fids) / 3.0
     root = np.sqrt(np.stack((rest, fids, rest, rest), axis=1))
-    dev = []
-    for part in _grid_parts(truncation, grid):
-        closed = [
-            werner.quasi_werner_spectrum(
-                werner.QuasiWerner(fid, coherent.overlap_of_amplitude(alpha))
-            )
-            for alpha in part.alphas
-            for fid in fids
-        ]
-        weighted = root[:, :, None] * part.grams[:, None] * root[:, None, :]
-        numeric = np.linalg.eigvalsh(weighted).reshape(len(closed), 4)[:, ::-1]
-        dev.append(np.max(np.abs(numeric - closed)))
-    return CheckResult("werner_spectrum", np.max(dev), 1e-10)
+    closed = [
+        werner.quasi_werner_spectrum(werner.QuasiWerner(fid, coherent.overlap_of_amplitude(alpha)))
+        for alpha in _ALPHA_GRID
+        for fid in fids
+    ]
+    weighted = root[:, :, None] * grid.grams[:, None] * root[:, None, :]
+    numeric = np.linalg.eigvalsh(weighted).reshape(len(closed), 4)[:, ::-1]
+    return CheckResult("werner_spectrum", np.max(np.abs(numeric - closed)), 1e-10)
 
 
 def run_all(truncation=None):
     """Run every cross-check.  ``truncation`` overrides the adequacy rule
     (too-small values raise) and so probes convergence: it changes the
     deviations, not only their pass/fail labels.  The grid states are
-    built once (_state_grid) and read by the five checks that take
+    built once (_state_grid) and passed to the five checks that read
     them."""
     grid = _state_grid(truncation)
     return [
         check_coherent_overlap(truncation),
-        check_gram_matrix(truncation, grid),
-        check_reduced_spectra(truncation, grid),
-        check_unit_entropy(truncation, grid),
+        check_gram_matrix(grid),
+        check_reduced_spectra(grid),
+        check_unit_entropy(grid),
         check_mean_photons(truncation, grid),
         check_asymmetric_spectra(truncation),
         check_char_function(truncation),
@@ -469,5 +435,5 @@ def run_all(truncation=None):
         check_loss_purity(truncation),
         check_family_overlap(truncation),
         check_optimal_beta(),
-        check_werner_spectrum(truncation, grid),
+        check_werner_spectrum(grid),
     ]

@@ -37,3 +37,22 @@ def lossy_pair_fock():
         return psi / np.linalg.norm(psi)
 
     return build
+
+
+@pytest.fixture
+def loss_basis():
+    """The dense reference basis of the loss density: the four products
+    a_i (x) b_j, in the order of DecoheredState.matrix, of the
+    orthonormal pairs (|g> + |-g>, |g> - |-g>) / norm with g = alpha on
+    mode A and sqrt(eta) alpha on mode B, built from fock's coherent
+    vectors at truncation n, as the columns of an ((n+1)^2, 4) array."""
+
+    def pair(amplitude, n):
+        up, down = fock.coherent_vector(amplitude, n), fock.coherent_vector(-amplitude, n)
+        return [vec / np.linalg.norm(vec) for vec in (up + down, up - down)]
+
+    def build(alpha, eta, n):
+        modes_b = pair(np.sqrt(eta) * alpha, n)
+        return np.stack([np.kron(a, b) for a in pair(alpha, n) for b in modes_b], axis=1)
+
+    return build

@@ -69,24 +69,12 @@ def test_apply_loss_trace_one_rank_two():
             decoherence.apply_loss(alpha, LossChannel(0.5))
 
 
-def test_apply_loss_matches_oracle_density(lossy_pair_fock):
+def test_apply_loss_matches_oracle_density(lossy_pair_fock, loss_basis):
     from qbell import fock
 
-    psi = lossy_pair_fock(1.0, 0.5, fock.adequate_truncation(1.0))
-    rho_fock = fock.partial_trace(psi, keep=(0, 1))
-    plus_a, minus_a = verify._orthonormal_pair(1.0, fock.adequate_truncation(1.0))
-    plus_b, minus_b = verify._orthonormal_pair(
-        np.sqrt(0.5), fock.adequate_truncation(1.0)
-    )
-    basis = np.stack(
-        [
-            np.kron(plus_a, plus_b),
-            np.kron(plus_a, minus_b),
-            np.kron(minus_a, plus_b),
-            np.kron(minus_a, minus_b),
-        ],
-        axis=1,
-    )
+    n = fock.adequate_truncation(1.0)
+    rho_fock = fock.partial_trace(lossy_pair_fock(1.0, 0.5, n), keep=(0, 1))
+    basis = loss_basis(1.0, 0.5, n)
     projected = basis.conj().T @ rho_fock @ basis
     closed = decoherence.apply_loss(1.0, LossChannel(0.5)).matrix
     assert np.max(np.abs(projected - closed)) < 1e-9

@@ -445,7 +445,8 @@ def test_term_kernels_match_the_dense_state():
     for state, terms_a, terms_b in _term_inputs():
         vec = fock.quasi_bell_fock(state, 60)
         dense = [fock.operator_trace_charfunc(vec, coherent.CharFuncPoint(a, b)) for a, b in zip(za, zb)]
-        worst = max(worst, np.max(np.abs(fock._char_traces(terms_a, terms_b, za, zb) - dense)))
+        traces = fock._char_traces(terms_a[None], terms_b[None], za[None], zb[None])[0]
+        worst = max(worst, np.max(np.abs(traces - dense)))
         per_state.append([fock._mean_photon(terms_a, terms_b, mode) for mode in (0, 1)])
         for mode, numeric in enumerate(per_state[-1]):
             dense = fock.mean_photon(fock.partial_trace(vec, keep=(mode,)))
@@ -479,20 +480,21 @@ def test_term_traces_keep_the_boundary_rule():
     # named with the mass of the explicit displaced dense state
     state = coherent.CoherentQuasiBell(2, 1.0, 0.6)
     n = fock.adequate_truncation(1.0)
-    terms = _terms(state, n)
-    za = np.array([0.5, 4.0 + 1.0j])
-    moved = _direct_displacement(za[1], n + 1) @ fock.quasi_bell_fock(state, n)
+    terms_a, terms_b = _terms(state, n)
+    za = np.array([[0.5, 4.0 + 1.0j]])
+    moved = _direct_displacement(za[0, 1], n + 1) @ fock.quasi_bell_fock(state, n)
     mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
     with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
-        fock._char_traces(*terms, za, np.zeros(2))
+        fock._char_traces(terms_a[None], terms_b[None], za, np.zeros((1, 2)))
     with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
         fock._quasi_bell_terms((state,), n - 1)
 
 
 def test_term_traces_take_a_state_axis():
     # S states with their own points in one call: each state's row is its
-    # one-state call, and the boundary rule names the first offending
-    # (state, point) in that order
+    # stack-of-one call, the boundary rule names the first offending
+    # (state, point) in that order, and 2-D terms or points not one row
+    # per state are refused
     rng = np.random.default_rng(2601)
     quasi_bells = [coherent.CoherentQuasiBell(index, 1.0, 0.6) for index in (1, 2, 3, 4)]
     terms_a, terms_b = fock._quasi_bell_terms(quasi_bells, 40)
@@ -501,8 +503,10 @@ def test_term_traces_take_a_state_axis():
     stacked = fock._char_traces(terms_a, terms_b, za, zb)
     assert stacked.shape == (4, 6)
     for s in range(4):
-        single = fock._char_traces(terms_a[s], terms_b[s], za[s], zb[s])
-        assert np.max(np.abs(stacked[s] - single)) <= 1e-15, s
+        one = slice(s, s + 1)
+        single = fock._char_traces(terms_a[one], terms_b[one], za[one], zb[one])
+        assert single.shape == (1, 6)
+        assert np.max(np.abs(stacked[s] - single[0])) <= 1e-15, s
     far = np.zeros((4, 6), dtype=complex)
     far[2, 3], far[3, 0] = 4.0 + 1.0j, 5.0
     moved = _direct_displacement(far[2, 3], 41) @ fock.quasi_bell_fock(quasi_bells[2], 40)
@@ -511,6 +515,11 @@ def test_term_traces_take_a_state_axis():
         fock._char_traces(terms_a, terms_b, far, np.zeros((4, 6)))
     with pytest.raises(ValueError, match="equally long stacks"):
         fock._char_traces(terms_a, terms_b[:3], za, zb)
+    with pytest.raises(ValueError, match=r"equally long stacks of mode vectors, shape \(S, T, N\)"):
+        fock._char_traces(terms_a[0], terms_b[0], za[0], zb[0])
+    for points in (za[0], za[:3], za[:, None]):
+        with pytest.raises(ValueError, match=r"one row of points per state, shape \(S, P\)"):
+            fock._char_traces(terms_a, terms_b, points, points)
 
 
 def test_partial_trace_product_state():
@@ -667,7 +676,7 @@ def test_eigenbasis_traces_match_explicit_displacements():
             vec = fock.quasi_bell_fock(state)
         za = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
         zb = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
-        traces = fock._char_traces(np.eye(vec.shape[0]), vec, za, zb)
+        traces = fock._char_traces(np.eye(vec.shape[0])[None], vec[None], za[None], zb[None])[0]
         explicit = [
             np.vdot(vec, _direct_displacement(a, vec.shape[0]) @ vec @ _direct_displacement(b, vec.shape[1]).T)
             for a, b in zip(za, zb)
@@ -682,12 +691,13 @@ def test_eigenbasis_traces_keep_the_boundary_rule():
     # the explicit product gives it, names the first offending point
     n = fock.adequate_truncation(1.0)
     vec = np.outer(fock.coherent_vector(1.0, n), fock.coherent_vector(1.0, n))
-    za = np.array([0.5, 4.0, 5.0 + 1.0j])
-    moved = _direct_displacement(za[1], n + 1) @ vec
+    za = np.array([[0.5, 4.0, 5.0 + 1.0j]])
+    moved = _direct_displacement(za[0, 1], n + 1) @ vec
     mass = np.sum(np.abs(moved[-1, :]) ** 2) + np.sum(np.abs(moved[:, -1]) ** 2)
+    identity = np.eye(n + 1)[None]
     with pytest.raises(fock.TruncationError, match=f"displaced state holds {mass:.3e} probability"):
-        fock._char_traces(np.eye(n + 1), vec, za, np.zeros(3))
-    assert np.isfinite(fock._char_traces(np.eye(n + 1), vec, za[:1], np.zeros(1))).all()
+        fock._char_traces(identity, vec[None], za, np.zeros((1, 3)))
+    assert np.isfinite(fock._char_traces(identity, vec[None], za[:, :1], np.zeros((1, 1)))).all()
 
 
 def test_loss_purity_frobenius_equals_trace(lossy_pair_fock):

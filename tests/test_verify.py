@@ -10,26 +10,14 @@ import pytest
 from qbell import coherent, decoherence, fock, states, verify, werner
 
 
-def _basis_pair(amplitude, n):
-    plus = fock.coherent_vector(amplitude, n) + fock.coherent_vector(-amplitude, n)
-    minus = fock.coherent_vector(amplitude, n) - fock.coherent_vector(-amplitude, n)
-    return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
-
-
-def test_loss_density_projection_matches_full_density(lossy_pair_fock):
-    # the battery's loss amplitude
-    alpha, n = 1.0, fock.adequate_truncation(1.0)
+def test_loss_density_projection_matches_full_density(lossy_pair_fock, loss_basis):
+    # the battery's loss amplitude and transmissivities, one projected build
+    alpha, n, etas = 1.0, fock.adequate_truncation(1.0), (0.3, 0.7)
     worst = 0.0
-    for eta in (0.3, 0.7):
-        plus_a, minus_a = _basis_pair(alpha, n)
-        plus_b, minus_b = _basis_pair(np.sqrt(eta) * alpha, n)
-        basis = np.stack(
-            [np.kron(a, b) for a in (plus_a, minus_a) for b in (plus_b, minus_b)],
-            axis=1,
-        )
+    for eta, projected in zip(etas, verify._projected_loss_densities(alpha, etas, n)):
+        basis = loss_basis(alpha, eta, n)
         rho_ab = fock.partial_trace(lossy_pair_fock(alpha, eta, n), keep=(0, 1))
         reference = basis.conj().T @ rho_ab @ basis
-        projected = verify._projected_loss_density(alpha, eta, n)
         assert np.max(np.abs(projected - reference)) < 1e-13
         closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         worst = max(worst, np.max(np.abs(reference - closed)))
@@ -73,21 +61,23 @@ def test_quasi_bell_checks_never_form_the_dense_state():
     # per state, 20 * 61^2 * 16 B = 1.2 MB; the product terms stay below it.
     # The mean photon numbers come from 2 x 2 term Grams, below even one
     # (N+1)-square complex density, 62^2 * 16 B.  61 is the smallest
-    # truncation the checks' alpha = 3 admits.  The battery's grid, the
-    # 20 states' terms and Grams, stays below three such densities, where
-    # one dense state per grid state would take 20
+    # truncation the checks' alpha = 3 admits; the grid checks read a grid
+    # built before the measurement.  The battery's grid, the 20 states'
+    # terms and Grams, stays below three such densities, where one dense
+    # state per grid state would take 20
+    grid = verify._state_grid(61)
     checks = (
-        (verify.check_char_function, 60, 20 * 61**2 * 16),
-        (verify.check_reduced_spectra, 61, 20 * 61**2 * 16),
-        (verify.check_mean_photons, 61, 62**2 * 16),
-        (verify._state_grid, 61, 3 * 62**2 * 16),
+        (verify.check_char_function, (60,), 20 * 61**2 * 16),
+        (verify.check_reduced_spectra, (grid,), 20 * 61**2 * 16),
+        (verify.check_mean_photons, (61, grid), 62**2 * 16),
+        (verify._state_grid, (61,), 3 * 62**2 * 16),
     )
-    for check, n, _ in checks:
-        check(n)  # fill the displacement and number-level caches
-    for check, n, bound in checks:
+    for check, args, _ in checks:
+        check(*args)  # fill the displacement and number-level caches
+    for check, args, bound in checks:
         tracemalloc.start()
         try:
-            check(n)
+            check(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -107,22 +97,24 @@ def test_verify_calls_no_dense_fock_helper():
 
 
 def test_too_small_truncation_is_named_by_the_term_checks():
-    for check in (
-        verify.check_coherent_overlap,
-        verify.check_gram_matrix,
-        verify.check_reduced_spectra,
-        verify.check_unit_entropy,
-        verify.check_mean_photons,
-        verify.check_asymmetric_spectra,
-        verify.check_char_function,
-        verify.check_beam_splitter_rule,
-        verify.check_loss_density,
-        verify.check_loss_purity,
-        verify.check_family_overlap,
-        verify.check_werner_spectrum,
-    ):
-        with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
-            check(20)
+    # every check that takes a truncation, 0 included, and the grid the
+    # other grid checks read; the mean photon check's unequal pairs take
+    # the truncation beside an adequate grid
+    grid = verify._state_grid(None)
+    for truncation in (0, 20):
+        for check in (
+            verify._state_grid,
+            verify.check_coherent_overlap,
+            lambda n: verify.check_mean_photons(n, grid),
+            verify.check_asymmetric_spectra,
+            verify.check_char_function,
+            verify.check_beam_splitter_rule,
+            verify.check_loss_density,
+            verify.check_loss_purity,
+            verify.check_family_overlap,
+        ):
+            with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
+                check(truncation)
 
 
 def test_check_points_are_a_fixed_lattice(monkeypatch):
@@ -172,16 +164,16 @@ def test_battery_imports_no_random_module():
 def test_stacked_eigensolves_report_the_per_matrix_maxima():
     # each (amplitude, weight) sqrt(W) G sqrt(W) of the werner check alone,
     # from the grid's Fock Gram G
-    grams = verify._state_grid(None).grams
+    grid = verify._state_grid(None)
     dev = 0.0
-    for gram, alpha in zip(grams, verify._ALPHA_GRID):
+    for gram, alpha in zip(grid.grams, verify._ALPHA_GRID):
         kappa = coherent.overlap_of_amplitude(alpha)
         for fid in np.linspace(0.0, 1.0, 6):
             root = np.sqrt([(1.0 - fid) / 3.0, fid, (1.0 - fid) / 3.0, (1.0 - fid) / 3.0])
             numeric = np.sort(np.linalg.eigvalsh(root[:, None] * gram * root))[::-1]
             closed = werner.quasi_werner_spectrum(werner.QuasiWerner(fid, kappa))
             dev = max(dev, float(np.max(np.abs(closed - numeric))))
-    assert verify.check_werner_spectrum(None).deviation == dev
+    assert verify.check_werner_spectrum(grid).deviation == dev
     # each state's 2 x 2 core alone, from its stack of one at the grid's
     # truncation (tests/test_fock.py compares the cores' spectra with the
     # dense partial traces)
@@ -194,7 +186,7 @@ def test_stacked_eigensolves_report_the_per_matrix_maxima():
             core = fock._reduced_core(terms_a[0], terms_b[0], 0)
             lam = np.sort(np.linalg.eigvalsh(core))[::-1]
             dev = max(dev, float(np.max(np.abs(lam - coherent.coherent_spectrum(state)))))
-    assert verify.check_reduced_spectra(None).deviation == dev
+    assert verify.check_reduced_spectra(grid).deviation == dev
 
 
 def test_gram_check_matches_the_dense_inner_products():
@@ -205,7 +197,7 @@ def test_gram_check_matches_the_dense_inner_products():
         numeric = np.array([[abs(np.vdot(vi, vj)) for vj in vecs] for vi in vecs])
         closed = states.gram_matrix(coherent.overlap_of_amplitude(alpha))
         dev = max(dev, float(np.max(np.abs(numeric - closed))))
-    assert abs(verify.check_gram_matrix(None).deviation - dev) < 1e-14
+    assert abs(verify.check_gram_matrix(verify._state_grid(None)).deviation - dev) < 1e-14
 
 
 def _dense_probe_curve(alpha, eta, betas, truncation):
@@ -278,23 +270,23 @@ def test_spectra_checks_take_the_term_cores(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    for check in (
-        verify.check_reduced_spectra,
-        verify.check_unit_entropy,
-        verify.check_asymmetric_spectra,
-    ):
-        assert check(None).passed, check
+    grid = verify._state_grid(None)
+    assert verify.check_reduced_spectra(grid).passed
+    assert verify.check_unit_entropy(grid).passed
+    assert verify.check_asymmetric_spectra(None).passed
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 2, shapes
 
 
 def _count_calls(monkeypatch, name, check):
+    # each call's first argument and the truncation its build used
     calls = []
     original = getattr(fock, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        built = original(*args, **kwargs)
+        calls.append((args[0], np.shape(built[0])[-1] - 1))
+        return built
 
     monkeypatch.setattr(fock, name, counted)
     assert check(None).passed
@@ -305,7 +297,14 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
     # family overlap's 21 probes are each built once per battery, one
     # stacked build per amplitude; the lossy pairs of each loss amplitude
-    # take the middle probe's terms, |B2(alpha)> itself, so they add no call
+    # take the middle probe's terms, |B2(alpha)> itself, so they add no
+    # call.  The loss density builds |B2(1)> once for both transmissivities
+    # and both modes' bases in one stacked build of +/-alpha and
+    # +/-sqrt(eta) alpha, and no battery check builds a single vector
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check called fock.coherent_vector")
+
+    monkeypatch.setattr(fock, "coherent_vector", refuse)
     calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_beam_splitter_rule)
     assert [len(amplitudes) for amplitudes, _ in calls] == [5] * 5
     keys = {(float(alpha), n) for amplitudes, n in calls for alpha in amplitudes}
@@ -316,6 +315,12 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     assert len(keys) == len(set(keys)) == 21
     for alpha in (0.5, 1.0, 2.0):
         assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1
+    n = fock.adequate_truncation(1.0)
+    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_loss_density)
+    assert [(len(states), built) for states, built in calls] == [(1, n)]
+    calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_loss_density)
+    assert [(len(amplitudes), built) for amplitudes, built in calls] == [(6, n)]
+    assert all(r.passed for r in verify.run_all())
 
 
 def _grid_builds(monkeypatch):
@@ -343,10 +348,6 @@ def test_battery_builds_each_grid_state_once(monkeypatch):
     for batteries in (1, 2):
         assert all(r.passed for r in verify.run_all())
         assert [keys.count(key) for key in grid] == [batteries] * 20
-    # a grid check called alone builds the grid itself
-    keys.clear()
-    assert verify.check_mean_photons(None).passed
-    assert [keys.count(key) for key in grid] == [1] * 20
 
 
 def test_werner_check_reads_the_fock_grams(monkeypatch):
@@ -357,7 +358,7 @@ def test_werner_check_reads_the_fock_grams(monkeypatch):
 
     monkeypatch.setattr(werner, "build_quasi_werner", refuse)
     keys = _grid_builds(monkeypatch)
-    result = verify.check_werner_spectrum(None)
+    result = verify.check_werner_spectrum(verify._state_grid(None))
     assert result.passed and len(keys) == 20
     dev = 0.0
     for alpha in verify._ALPHA_GRID:
@@ -379,7 +380,7 @@ def test_werner_check_fails_a_perturbed_closed_form(monkeypatch):
         return np.sort([spec.fidelity, w, w * (1.0 + kappa), w * (1.0 - kappa)])[::-1]
 
     monkeypatch.setattr(werner, "quasi_werner_spectrum", perturbed)
-    result = verify.check_werner_spectrum(None)
+    result = verify.check_werner_spectrum(verify._state_grid(None))
     assert not result.passed and result.deviation > 1e-10
 
 
@@ -389,7 +390,7 @@ def test_zero_loss_amplitude_is_domain_error():
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
         verify.family_overlap_curve(0.0, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
-        verify._projected_loss_density(0.0, 0.5, 30)
+        verify._projected_loss_densities(0.0, [0.5], 30)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
@@ -397,7 +398,7 @@ def test_non_finite_loss_amplitude_is_domain_error(alpha):
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
         verify.family_overlap_curve(alpha, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
-        verify._projected_loss_density(alpha, 0.5, 30)
+        verify._projected_loss_densities(alpha, [0.5], 30)
 
 
 @pytest.mark.parametrize("betas", [[], np.array([]), [1.0, float("nan")]])
