@@ -17,7 +17,7 @@ between the original and attenuated amplitudes.
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -231,8 +231,9 @@ def optimal_beta(alpha, channel):
     sinh(2 beta^2)), so d log f / d beta = (2/beta) (g(c beta) - g(2
     beta^2)) with the strictly increasing g(x) = x coth x: its sign is
     that of c - 2 beta.  The closed form alone, with its domain checks;
-    figure1_sweep compares it with the independent search
-    (search_optimal_beta) at each point.
+    figure1_sweep compares it with the one-row search
+    (search_optimal_beta) at each point, and verify's optimal-beta check
+    with the peak of the Fock oracle's overlaps around beta*.
     """
     state = apply_loss(alpha, channel)
     _check_overlap_alpha(state.alpha, state.eta)
@@ -269,72 +270,46 @@ _FIRST_RAMP = np.concatenate(([0.0], np.arange(200.0), [199.0]))
 _ZOOM_RAMP = np.concatenate(([0.0], np.arange(21.0), [20.0]))
 
 
-# keyed on (rows, padded grid size); a one-row search uses two keys
-@lru_cache(maxsize=64)
-def _bracket_ends(count, size):
-    """Flat positions of padded entries 0 and 2 of each of ``count`` rows
-    of ``size`` entries, shape (2, count, 1): adding a row's argmax k
-    gives its bracket [grid[k-1], grid[k+1]].  Read-only because every
-    search with that many rows shares it."""
-    ends = np.arange(0, count * size, size)[:, None] + np.array([0, 2])[:, None, None]
-    ends.flags.writeable = False
-    return ends
-
-
 def search_optimal_beta(alpha, eta):
-    """Independent 1-D maximization of the family overlap, elementwise
-    over the rows (alpha, eta), which broadcast together: a 200-point
-    grid over (0, 2 alpha], then nine 21-point grids, each over the
-    bracket [grid[k-1], grid[k+1]] of the last grid's argmax k; returns
-    the last bracket's midpoint beta and the overlap f there.  Each zoom
-    cuts the bracket tenfold, so the last one is at most 2.1e-11 alpha
-    wide.  The true maximum lies inside each bracket because f rises
-    below beta* and falls above it, beta* <= alpha (see optimal_beta).
-    The first grid starts no lower than twice the square root of the
-    smallest normal float, so every beta^2 is normal.
+    """Independent 1-D maximization of the family overlap at one (alpha,
+    eta): a 200-point grid over (0, 2 alpha], then nine 21-point grids,
+    each over the bracket [grid[k-1], grid[k+1]] of the last grid's argmax
+    k; returns the last bracket's midpoint beta and the overlap f there,
+    as floats.  Each zoom cuts the bracket tenfold, so the last one is at
+    most 2.1e-11 alpha wide.  The true maximum lies inside each bracket
+    because f rises below beta* and falls above it, beta* <= alpha (see
+    optimal_beta).  The first grid starts no lower than twice the square
+    root of the smallest normal float, so every beta^2 is normal.
 
-    All rows share one overlap call per grid and make the same ten
-    grids, so each row's (beta, f) is bitwise that of a one-row call.
-    Scalars give floats.  A row outside 0 <= eta <= 1, whose alpha^2 is
-    not a normal float, or whose last grid point 2 alpha has an infinite
-    4 beta^2, is a domain error naming the first such (alpha, eta)."""
-    # a 0-d input becomes a numpy scalar, whose arithmetic is the cheapest
-    alpha, eta = np.asarray(alpha, dtype=float)[()], np.asarray(eta, dtype=float)[()]
-    if alpha.shape != eta.shape:
-        alpha, eta = np.broadcast_arrays(alpha, eta)
+    An eta outside 0 <= eta <= 1, an alpha whose square is not a normal
+    float, or one whose last grid point 2 alpha has an infinite 4 beta^2,
+    is a domain error naming (alpha, eta)."""
+    alpha, eta = float(alpha), float(eta)
     # comparisons only, so that no square can overflow and a NaN fails;
     # the grid reaches beta = 2 alpha, where 4 beta^2 = (4 alpha)^2
-    ok = (alpha >= _ROOT_TINY) & (alpha <= 0.25 * _ROOT_HUGE) & (eta >= 0.0) & (eta <= 1.0)
-    if np.count_nonzero(ok) < ok.size:
-        i = np.argmin(ok)
+    if not (_ROOT_TINY <= alpha <= 0.25 * _ROOT_HUGE and 0.0 <= eta <= 1.0):
         raise ValueError(
-            f"maximizer search is out of range at alpha={np.ravel(alpha)[i]}, "
-            f"eta={np.ravel(eta)[i]}: it needs 0 <= eta <= 1 and a positive alpha "
-            "whose square is a normal float and for which (4 alpha)^2 is finite"
+            f"maximizer search is out of range at alpha={alpha}, eta={eta}: it needs "
+            "0 <= eta <= 1 and a positive alpha whose square is a normal float and for "
+            "which (4 alpha)^2 is finite"
         )
     terms = np.array(_overlap_terms(alpha, eta, _coherence(alpha, eta)))
-    # each row's terms and bracket [lo, hi], as columns
-    row_terms = terms.reshape(5, -1, 1)
-    lo = np.maximum(1e-6 * row_terms[0], 2.0 * _ROOT_TINY)
-    hi = 2.0 * row_terms[0]
+    lo, hi = max(1e-6 * alpha, 2.0 * _ROOT_TINY), 2.0 * alpha
     for ramp in (_FIRST_RAMP,) + (_ZOOM_RAMP,) * 9:
         # ramp.size - 2 points, so ramp.size - 3 steps
         grid = ramp * ((hi - lo) / (ramp.size - 3))
         grid += lo
-        grid[:, -2:] = hi
+        grid[-2:] = hi
         # the terms repeated to the grid's shape, as a broadcast kernel
         # call is slower
-        values = _family_overlap(row_terms.repeat(ramp.size, axis=2), grid)
+        values = _family_overlap(terms[:, None].repeat(ramp.size, axis=1), grid)
         np.minimum(values, 1.0, out=values)
         # padded entry j is grid[j-1], clipped at both ends, so the
         # bracket of the argmax k is padded entries k and k + 2
-        k = values[:, 1:-1].argmax(axis=1, keepdims=True)
-        lo, hi = grid.ravel()[k + _bracket_ends(len(grid), ramp.size)]
-    beta = (0.5 * (lo + hi)).reshape(alpha.shape)[()]
-    f = np.minimum(1.0, _family_overlap(terms, beta))
-    if alpha.ndim == 0:
-        return float(beta), float(f)
-    return beta, f
+        k = values[1:-1].argmax()
+        lo, hi = grid[k], grid[k + 2]
+    beta = 0.5 * (lo + hi)
+    return float(beta), float(np.minimum(1.0, _family_overlap(terms, beta)))
 
 
 def biphoton_fraction(channel):
@@ -365,9 +340,10 @@ def figure1_sweep(alphas, etas):
     """Optimal overlap across an (alpha, eta) grid.
 
     Points are ordered by (eta descending, alpha ascending).  Each
-    point's closed form (optimal_beta) is checked at runtime against the
-    independent search (search_optimal_beta): their overlaps must agree
-    to 1e-9 relative (_overlap_miss).  Overlaps, not positions, because
+    point's closed form (optimal_beta) is checked at runtime against one
+    call of the independent search (search_optimal_beta), the search's
+    only caller: their overlaps must agree to 1e-9 relative
+    (_overlap_miss).  Overlaps, not positions, because
     the peak flattens like exp(-(2/3) c^2 (beta - beta*)^2) with c =
     alpha (1 + sqrt(eta)), so at small amplitude only the value is
     conditioned past the rounding plateau.

@@ -19,9 +19,11 @@ lossy pair (_lossy_pair), the terms of |B2(alpha)> with mode B sent
 through fock's vacuum-input splitter, through one environment
 contraction (_environment_amplitudes); the splitter output and the
 purity check's environment density are (N+1)-square, and no three-mode
-state is formed.  The optimal-beta check reports the independent
-maximizer search against the closed form as a deviation; the runtime
-check that fails a sweep point on a mismatch belongs to
+state is formed.  The optimal-beta check reads the maximizer from the
+same lossy pairs: the vertex of the oracle overlaps at three probes
+around decoherence.optimal_beta's beta*, so its peak comes from the
+Fock overlaps, not from an argmax of the closed-form kernel; the runtime
+search that fails a sweep point on a mismatch belongs to
 decoherence.figure1_sweep.
 The CLI ``verify`` subcommand runs the whole battery.
 """
@@ -375,25 +377,31 @@ def check_family_overlap(truncation):
     return CheckResult("family_overlap", dev, 1e-9)
 
 
-def check_optimal_beta():
-    # beta* and f* come from one pass of decoherence._optimum, the
-    # elementwise form of optimal_beta, over the 90 points, and one
-    # batched search_optimal_beta call runs over all of them.  Each rule
-    # is reported on the position rule's 1e-6 scale: the overlap as 1e-6
-    # times _overlap_miss, the rule on which figure1_sweep fails a point.
-    # The position is compared from alpha = 0.3 up: the overlap peak
-    # flattens like exp(-(2/3) c^2 (b - b*)^2) with c = alpha (1 +
-    # sqrt(eta)), so below that b* is not conditioned past rounding.
-    alphas, etas = (
-        grid.ravel()
-        for grid in np.meshgrid(np.linspace(0.3, 3.0, 10), np.linspace(0.1, 0.9, 9), indexing="ij")
-    )
-    beta_star, f_star = decoherence._optimum(alphas, etas)
-    beta_num, f_num = decoherence.search_optimal_beta(alphas, etas)
-    position = np.max(np.abs(beta_num - beta_star) / beta_star)
-    overlap = 1e-6 * np.max(decoherence._overlap_miss(f_num, f_star))
-    # np.maximum, unlike max, passes a NaN on, and a NaN fails the check
-    return CheckResult("optimal_beta", np.maximum(position, overlap), 1e-6)
+def check_optimal_beta(truncation):
+    # the oracle overlaps of each family_overlap point at beta*(1 - h),
+    # beta* and beta*(1 + h), with (beta*, f*) from optimal_beta: the
+    # vertex of the parabola through them, h (f- - f+) / (2 (f- - 2 f0 +
+    # f+)), is the oracle's peak offset relative to beta*, and f0 meets
+    # f* on the position's 1e-6 scale as 1e-6 times _overlap_miss, the
+    # rule on which figure1_sweep fails a point.  The offset's error
+    # shrinks as h^2, and below h ~ 3e-5 rounding takes over.  Per
+    # amplitude, one |B2(alpha)> build and one stack of the nine probes,
+    # both at alpha's adequacy rule unless a truncation is given
+    h, etas = 3e-5, (0.1, 0.5, 0.9)
+    dev = 0.0
+    for alpha in (0.5, 1.0, 2.0):
+        n = fock.adequate_truncation(alpha) if truncation is None else truncation
+        optima = [decoherence.optimal_beta(alpha, decoherence.LossChannel(eta)) for eta in etas]
+        betas = [beta * x for beta, _ in optima for x in (1.0 - h, 1.0, 1.0 + h)]
+        # each point's three probes, as (3, 2, n + 1) views of the stack
+        stacks = (mode.reshape(len(etas), 3, 2, -1) for mode in _family_probes(betas, n))
+        terms = _b2_terms(alpha, n)
+        for eta, (_, f_star), *probes in zip(etas, optima, *stacks):
+            low, mid, high = _probe_overlaps(_lossy_pair(terms, eta), probes)
+            vertex = abs(0.5 * h * (low - high) / (low - 2.0 * mid + high))
+            # np.max, unlike max, passes a NaN on, and a NaN fails the check
+            dev = np.max((dev, vertex, 1e-6 * decoherence._overlap_miss(mid, f_star)))
+    return CheckResult("optimal_beta", dev, 1e-6)
 
 
 def check_werner_spectrum(grid):
@@ -434,6 +442,6 @@ def run_all(truncation=None):
         check_loss_density(truncation),
         check_loss_purity(truncation),
         check_family_overlap(truncation),
-        check_optimal_beta(),
+        check_optimal_beta(truncation),
         check_werner_spectrum(grid),
     ]

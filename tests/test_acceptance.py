@@ -105,14 +105,24 @@ def test_criterion_5_decoherence_formula():
 
 
 def test_criterion_6_maximizer():
-    worst_rel = 0.0
+    # beta* against the closed-form search and against the Fock oracle's
+    # peak: the vertex of the parabola through the oracle overlaps at
+    # beta*(1 - h), beta* and beta*(1 + h), relative to beta*
+    h = 3e-5
+    worst_rel = worst_vertex = 0.0
     for alpha in np.linspace(0.3, 3.0, 10):
         for eta in np.linspace(0.1, 0.9, 9):
             channel = LossChannel(eta)
             beta_star, _ = decoherence.optimal_beta(alpha, channel)
             beta_num, _ = decoherence.search_optimal_beta(alpha, eta)
             worst_rel = max(worst_rel, abs(beta_num - beta_star) / beta_star)
+            low, mid, high = verify.family_overlap_curve(
+                alpha, eta, beta_star * np.array([1.0 - h, 1.0, 1.0 + h])
+            )
+            vertex = 0.5 * h * (low - high) / (low - 2.0 * mid + high)
+            worst_vertex = max(worst_vertex, abs(vertex))
     assert worst_rel <= 1e-6
+    assert worst_vertex <= 1e-6
     worst_unit = 0.0
     for alpha in (0.1, 0.5, 1.0, 2.0, 3.0):
         _, f_star = decoherence.optimal_beta(alpha, LossChannel(1.0))
@@ -120,7 +130,8 @@ def test_criterion_6_maximizer():
     assert worst_unit <= 1e-12
     _report(
         "criterion 6 (optimal amplitude)",
-        f"max rel dev = {worst_rel:.2e}, max |f*(eta=1)-1| = {worst_unit:.2e}",
+        f"max rel dev = {worst_rel:.2e}, Fock vertex = {worst_vertex:.2e}, "
+        f"max |f*(eta=1)-1| = {worst_unit:.2e}",
     )
 
 

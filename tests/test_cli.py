@@ -252,24 +252,24 @@ def test_verify_failure_exit(run_cli, monkeypatch):
 
 
 def test_verify_reports_a_broken_search(run_cli, monkeypatch):
-    # a search whose overlaps break the 1e-9 rule fails its check line
-    # instead of aborting the battery
+    # a closed-form maximizer 1e-5 off the oracle's peak fails its check
+    # line instead of aborting the battery
     from qbell import decoherence
 
-    search = decoherence.search_optimal_beta
+    optimum = decoherence._optimum
 
-    def broken(alpha, eta):
-        beta, f = search(alpha, eta)
-        return beta, f * (1.0 + 1e-6)
+    def shifted(alpha, eta):
+        beta, f = optimum(alpha, eta)
+        return beta * (1.0 + 1e-5), f
 
-    monkeypatch.setattr(decoherence, "search_optimal_beta", broken)
+    monkeypatch.setattr(decoherence, "_optimum", shifted)
     proc = run_cli("verify")
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()
     assert len(lines) == 14
     failed = [line for line in lines if line.endswith("-> FAIL")]
     assert failed == [line for line in lines if line.startswith("optimal_beta: ")]
-    assert failed[0].startswith("optimal_beta: max deviation = 1.000e-03")
+    assert failed[0].startswith("optimal_beta: max deviation = 1.000e-05")
     assert proc.stderr == "FAILED: optimal_beta\n"
 
 
@@ -523,7 +523,7 @@ def test_package_caches_are_bounded():
         for name, value in vars(importlib.import_module(f"qbell.{info.name}")).items()
         if callable(getattr(value, "cache_info", None))
     }
-    assert {"fock._number_levels", "fock._splitter_block", "decoherence._bracket_ends"} <= set(caches)
+    assert {"fock._number_levels", "fock._splitter_block"} <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 

@@ -185,7 +185,7 @@ def test_search_makes_few_overlap_calls(monkeypatch):
     # one 200-point grid, then nine 21-point zooms that each cut the
     # bracket tenfold, then the overlap at the midpoint of the last
     # bracket, which is at most 2.1e-11 alpha wide; each grid is padded
-    # with a copy of its first and last point, and a batch shares every call
+    # with a copy of its first and last point
     calls = []
     real = decoherence._family_overlap
 
@@ -207,37 +207,16 @@ def test_search_makes_few_overlap_calls(monkeypatch):
         k = values.argmax()
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
         assert lo <= beta <= hi and hi - lo <= 2.1e-11 * alpha
-    calls.clear()
-    decoherence.search_optimal_beta(alphas, etas)
-    assert len(calls) == 1 + 9 + 1 and calls[0][0].shape == (12, 202)
-
-
-def test_batched_search_rows_match_one_row_calls():
-    # every row makes the same ten grids, so a batch gives every row's
-    # one-row (beta, f) bitwise, from the smallest accepted amplitude to 30
-    rng = np.random.default_rng(1401)
-    alphas = np.concatenate(
-        [[1e-150, 30.0], 10.0 ** rng.uniform(-150.0, math.log10(30.0), 98)]
-    )
-    etas = np.concatenate([[0.5, 1.0], rng.uniform(0.0, 1.0, 98)])
-    beta, f = decoherence.search_optimal_beta(alphas, etas)
-    one = [decoherence.search_optimal_beta(a, e) for a, e in zip(alphas, etas)]
-    assert np.array_equal(beta, [b for b, _ in one])
-    assert np.array_equal(f, [v for _, v in one])
-    assert all(type(b) is float and type(v) is float for b, v in one)
-    grid_beta, grid_f = decoherence.search_optimal_beta(alphas.reshape(10, 10), 0.5)
-    assert grid_beta.shape == grid_f.shape == (10, 10)
-    assert np.array_equal(grid_f.ravel(), decoherence.search_optimal_beta(alphas, 0.5)[1])
 
 
 def test_search_names_first_bad_row():
     # checked by comparison before any arithmetic, so without a
-    # RuntimeWarning, naming the first offending (alpha, eta)
+    # RuntimeWarning, naming the offending (alpha, eta)
     cases = [
-        ([1.0, 2.0, -1.0], [0.5, 1.5, 0.5], "alpha=2.0, eta=1.5"),
-        ([1.0, 1e-160, 2.0], 0.5, "alpha=1e-160, eta=0.5"),
-        ([1.0, 1e160, float("nan")], 0.5, r"alpha=1e\+160, eta=0.5"),
-        ([1.0, float("nan")], [0.5, 0.5], "alpha=nan, eta=0.5"),
+        (2.0, 1.5, "alpha=2.0, eta=1.5"),
+        (1e-160, 0.5, "alpha=1e-160, eta=0.5"),
+        (1e160, 0.5, r"alpha=1e\+160, eta=0.5"),
+        (float("nan"), 0.5, "alpha=nan, eta=0.5"),
         (1.0, float("nan"), "alpha=1.0, eta=nan"),
         (0.0, 0.5, "alpha=0.0, eta=0.5"),
     ]

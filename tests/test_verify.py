@@ -112,6 +112,7 @@ def test_too_small_truncation_is_named_by_the_term_checks():
             verify.check_loss_density,
             verify.check_loss_purity,
             verify.check_family_overlap,
+            verify.check_optimal_beta,
         ):
             with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
                 check(truncation)
@@ -300,7 +301,10 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     # take the middle probe's terms, |B2(alpha)> itself, so they add no
     # call.  The loss density builds |B2(1)> once for both transmissivities
     # and both modes' bases in one stacked build of +/-alpha and
-    # +/-sqrt(eta) alpha, and no battery check builds a single vector
+    # +/-sqrt(eta) alpha, and no battery check builds a single vector.
+    # The optimal-beta check builds, per amplitude, one stack of its nine
+    # probes beta*(1 + {-h, 0, h}) and |B2(alpha)> once, both at alpha's
+    # adequacy rule
     def refuse(*args, **kwargs):
         raise AssertionError("a check called fock.coherent_vector")
 
@@ -320,6 +324,14 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     assert [(len(states), built) for states, built in calls] == [(1, n)]
     calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_loss_density)
     assert [(len(amplitudes), built) for amplitudes, built in calls] == [(6, n)]
+    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_optimal_beta)
+    sizes = [fock.adequate_truncation(alpha) for alpha in (0.5, 1.0, 2.0)]
+    assert [(len(states), built) for states, built in calls] == [
+        (count, n) for n in sizes for count in (9, 1)
+    ]
+    keys = [(state.index, state.alpha, state.beta) for states, _ in calls for state in states]
+    assert len(keys) == len(set(keys)) == 30
+    assert {(2, alpha, alpha) for alpha in (0.5, 1.0, 2.0)} <= set(keys)
     assert all(r.passed for r in verify.run_all())
 
 
@@ -419,44 +431,59 @@ def test_negative_loss_amplitude_flips_only_the_sign():
         assert np.max(np.abs(positive - flipped)) < 1e-14
 
 
-def _counting_search(monkeypatch, transform=lambda beta, f: (beta, f)):
-    rows = []
-    search = decoherence.search_optimal_beta
+def _patched_optimum(monkeypatch, transform):
+    optimum = decoherence._optimum
 
-    def counted(alpha, eta):
-        rows.append(np.size(alpha))
-        return transform(*search(alpha, eta))
+    def patched(alpha, eta):
+        return transform(*optimum(alpha, eta))
 
-    monkeypatch.setattr(decoherence, "search_optimal_beta", counted)
-    return rows
+    monkeypatch.setattr(decoherence, "_optimum", patched)
 
 
-def test_optimal_beta_check_searches_once_per_point(monkeypatch):
-    # one batched search over all 90 points
-    rows = _counting_search(monkeypatch)
-    assert verify.check_optimal_beta().passed
-    assert rows == [90]
+def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
+    # the oracle's peak stays at the true beta*, 1e-5 relative below the
+    # shifted one, and the vertex reads that offset
+    _patched_optimum(monkeypatch, lambda beta, f: (beta * (1.0 + 1e-5), f))
+    result = verify.check_optimal_beta(None)
+    assert not result.passed
+    assert result.deviation == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_optimal_beta_check_keeps_the_overlap_rule(monkeypatch):
     # reported as a failure, not raised: 1e-6 relative is 1e3 times the
     # overlap rule, so 1e-3 on the check's scale
-    _counting_search(monkeypatch, lambda beta, f: (beta, f * (1.0 + 1e-6)))
-    result = verify.check_optimal_beta()
+    _patched_optimum(monkeypatch, lambda beta, f: (beta, f * (1.0 + 1e-6)))
+    result = verify.check_optimal_beta(None)
     assert not result.passed
     assert result.deviation == pytest.approx(1e-3, rel=1e-6)
 
 
-def test_optimal_beta_check_fails_a_nan_search(monkeypatch):
-    _counting_search(monkeypatch, lambda beta, f: (beta, f * np.nan))
-    assert not verify.check_optimal_beta().passed
+def test_optimal_beta_check_fails_a_nan_overlap(monkeypatch):
+    # a NaN f* never passes: optimal_beta's own finiteness check names it
+    _patched_optimum(monkeypatch, lambda beta, f: (beta, f * np.nan))
+    with pytest.raises(ValueError, match="family overlap is not finite"):
+        verify.check_optimal_beta(None)
 
 
-def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
-    _counting_search(monkeypatch, lambda beta, f: (beta * (1.0 + 1e-5), f))
-    result = verify.check_optimal_beta()
-    assert not result.passed
-    assert result.deviation > 1e-6
+def test_verify_never_names_the_search():
+    # the maximizer is read from the Fock oracle's overlaps, never from
+    # the closed-form kernel's own argmax
+    path = Path(verify.__file__)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        assert name not in ("search_optimal_beta", "_family_overlap"), (
+            f"verify.py:{node.lineno} names {name}"
+        )
+
+
+def test_battery_passes_without_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the battery called the closed-form search")
+
+    monkeypatch.setattr(decoherence, "search_optimal_beta", refuse)
+    results = verify.run_all()
+    assert len(results) == 14 and all(r.passed for r in results)
+    assert results[12].name == "optimal_beta" and results[12].deviation <= 1e-8
 
 
 def test_optimum_rows_are_the_scalar_calls():
