@@ -33,7 +33,7 @@ beam_splitter takes any two-mode vector and moves each run in place,
 and the private _splitter_on_vacuum takes the one-mode g of g (x) |0>,
 the loss model's input, through one cached table of vacuum columns per
 (theta, size), whose runs are the cached columns per (theta, sector).
-A default verify battery makes 90 eigensystems, 532 columns, 36 tables
+A default verify battery makes 90 eigensystems, 458 columns, 34 tables
 and 123 sector blocks, and never recomputes one.  No state, term or
 Gram is cached: every battery builds its own.
 """
@@ -298,8 +298,8 @@ def _splitter_block(theta, sector, low, high):
 
 
 # keyed on (angle, sector), the table's sector n for every size above n;
-# a default verify battery reads 1587 columns for its 36 tables but
-# computes only the 532 distinct ones, of at most 70 complex entries each
+# a default verify battery reads 1513 columns for its 34 tables but
+# computes only the 458 distinct ones, of at most 70 complex entries each
 @lru_cache(maxsize=1024)
 def _vacuum_column(theta, sector):
     """<k, sector - k| U |sector, 0> for k = 0..sector, U the splitter of
@@ -321,8 +321,8 @@ def _sector_run(square, sector, low, high):
     return square.reshape(-1)[low * step + sector : high * step + sector + 1 : step or 1]
 
 
-# keyed on (angle, size); a default verify battery makes 36 tables of at
-# most 70 x 70 complex entries (78 KB) each, for 9 angles at 8 sizes
+# keyed on (angle, size); a default verify battery makes 34 tables of at
+# most 70 x 70 complex entries (78 KB) each, for 7 angles at 8 sizes
 @lru_cache(maxsize=64)
 def _vacuum_columns(theta, size):
     """T[k, m] = <k, m| U |k+m, 0>, the splitter of angle theta on the

@@ -2,30 +2,22 @@
 
 Each check builds states explicitly in the truncated number basis via
 the fock module and compares a closed-form quantity against its
-brute-force counterpart, reporting the largest deviation.  The
-quasi-Bell checks read stacks of normalized product terms, each check's
-states from one stacked fock._quasi_bell_terms build per truncation,
-through fock's term kernels and form no two-mode vector or reduced
-density.  One battery (run_all) builds the grid states, indices 1-4 at
-each _ALPHA_GRID amplitude, once (_state_grid): their terms and each
-amplitude's 4 x 4 Fock Gram <B_i|B_j>.  The Gram, reduced spectra,
-unit entropy, mean photon and quasi-Werner checks take that grid as
-their argument, each doing its own arithmetic, and nothing is kept
-from one battery to the next.  The quasi-Werner check takes its
-numeric spectrum from sqrt(W) G sqrt(W) over those Grams, the nonzero
-spectrum of sum_i w_i |B_i><B_i| in the Fock space, against the
-closed form at kappa = exp(-2 alpha^2).  The loss checks read one
-lossy pair (_lossy_pair), the terms of |B2(alpha)> with mode B sent
-through fock's vacuum-input splitter, through one environment
-contraction (_environment_amplitudes); the splitter output and the
-purity check's environment density are (N+1)-square, and no three-mode
-state is formed.  The optimal-beta check reads the maximizer from the
-same lossy pairs: the vertex of the oracle overlaps at three probes
-around decoherence.optimal_beta's beta*, so its peak comes from the
-Fock overlaps, not from an argmax of the closed-form kernel; the runtime
-search that fails a sweep point on a mismatch belongs to
-decoherence.figure1_sweep.
-The CLI ``verify`` subcommand runs the whole battery.
+brute-force counterpart, reporting the largest deviation.  The checks
+read stacks of normalized product terms (fock._quasi_bell_terms)
+through fock's term kernels and form no dense two-mode vector, reduced
+density or three-mode state.  One battery (run_all) builds two grids
+once and passes them to the checks that read them, each doing its own
+arithmetic, and nothing is kept from one battery to the next:
+_state_grid, the states 1-4 at each _ALPHA_GRID amplitude and their
+4 x 4 Fock Grams, for the Gram, spectra, entropy, mean photon and
+quasi-Werner checks, and _loss_grid, the lossy pairs (_lossy_pair:
+|B2(alpha)> with mode B sent through fock's vacuum-input splitter) at
+each _LOSS_ALPHAS x _LOSS_ETAS point, for the loss density, purity,
+family overlap and optimal-beta checks, which read them through one
+environment contraction (_environment_amplitudes).  The optimal-beta
+check reads the maximizer from the oracle overlaps, not from an argmax
+of the closed-form kernel.  The CLI ``verify`` subcommand runs the
+battery.
 """
 
 import math
@@ -69,19 +61,17 @@ def _loss_amplitude(alpha):
 
 def _b2_terms(alpha, n):
     """|B2(alpha)> at truncation n as its two normalized product terms,
-    a stack of one of fock._quasi_bell_terms."""
-    terms_a, terms_b = fock._quasi_bell_terms((coherent.CoherentQuasiBell(2, alpha),), n)
+    a stack of one of fock._quasi_bell_terms, after _loss_amplitude."""
+    state = coherent.CoherentQuasiBell(2, _loss_amplitude(alpha))
+    terms_a, terms_b = fock._quasi_bell_terms((state,), n)
     return terms_a[0], terms_b[0]
 
 
 def _lossy_pair(terms, eta):
-    """The lossy pair: |B2(alpha)> = a (x) b + c (x) d, given as its
-    _b2_terms, with mode B sent through the loss splitter, as stacked
-    product terms (pair_a, pair_be) with psi = sum_t pair_a[t] (x)
-    pair_be[t].  pair_a is the normalized mode-A terms and pair_be the
-    (B, E) outputs of the mode-B terms from fock's vacuum-input splitter
-    (fock._splitter_on_vacuum): the environment enters in its vacuum,
-    and the splitter is unitary, so psi keeps the norm of |B2(alpha)>."""
+    """|B2(alpha)>, given as its _b2_terms, with mode B sent through the
+    loss splitter as stacked terms (pair_a, pair_be), psi = sum_t
+    pair_a[t] (x) pair_be[t]: the mode-B terms' (B, E) outputs of fock's
+    vacuum-input splitter, which is unitary, so psi keeps the norm."""
     pair_a, terms_b = terms
     return pair_a, np.array([fock._splitter_on_vacuum(b, eta) for b in terms_b])
 
@@ -295,18 +285,41 @@ def check_beam_splitter_unitary():
     return CheckResult("beam_splitter_unitary", dev, 1e-12)
 
 
-def _projected_loss_densities(alpha, etas, n):
-    """The Fock-space rho_AB of the _lossy_pair at each transmissivity of
-    ``etas`` projected onto the 4x4 basis of DecoheredState.matrix, shape
-    (len(etas), 4, 4): phi phi+, with phi the environment amplitudes
-    (_environment_amplitudes) of the four basis products a_i (x) b_j, a
-    4 x (n+1) matrix; neither psi nor rho_AB is formed.  |B2(alpha)> is
-    built once, and every mode's orthonormal pair (|g> +/- |-g>) / norm,
+_LOSS_ALPHAS = (0.5, 1.0, 2.0)
+_LOSS_ETAS = (0.1, 0.5, 0.9)
+_FAMILY_SCALES = np.linspace(0.25, 1.75, 7)  # the family probes over alpha
+
+
+@dataclass(frozen=True)
+class _LossGrid:
+    """The loss checks' pairs (_loss_grid): per _LOSS_ALPHAS amplitude,
+    its truncation and its _lossy_pair at each _LOSS_ETAS
+    transmissivity, from one _b2_terms build."""
+
+    truncations: tuple
+    pairs: tuple
+
+
+def _loss_grid(truncation):
+    """The _LossGrid at ``truncation``, or without one at each
+    amplitude's adequacy rule for its largest family probe, 1.75 alpha."""
+    truncations, pairs = [], []
+    for alpha in _LOSS_ALPHAS:
+        n = fock.adequate_truncation(_FAMILY_SCALES[-1] * alpha) if truncation is None else truncation
+        terms = _b2_terms(alpha, n)
+        truncations.append(n)
+        pairs.append(tuple(_lossy_pair(terms, eta) for eta in _LOSS_ETAS))
+    return _LossGrid(tuple(truncations), tuple(pairs))
+
+
+def _projected_loss_densities(alpha, etas, pairs):
+    """rho_AB of each _lossy_pair of |B2(alpha)> in ``pairs``, one per
+    eta of ``etas``, projected onto the 4x4 basis of DecoheredState.matrix:
+    phi phi+, phi the environment amplitudes of the four products
+    a_i (x) b_j.  Each mode's orthonormal pair (|g> +/- |-g>) / norm,
     g = alpha for A and sqrt(eta) alpha for B, comes from one
-    fock._coherent_vectors call over all the +/-g.  Without a truncation
-    n, both builds take the adequacy rule of alpha, the largest |g|."""
-    alpha = _loss_amplitude(alpha)
-    terms = _b2_terms(alpha, n)
+    fock._coherent_vectors call over all the +/-g."""
+    n = pairs[0][0].shape[-1] - 1
     amplitudes = np.concatenate(([alpha], np.sqrt(etas) * alpha))
     vecs = fock._coherent_vectors([sign * g for g in amplitudes for sign in (1.0, -1.0)], n)
     up, down = vecs[0::2], vecs[1::2]
@@ -318,28 +331,26 @@ def _projected_loss_densities(alpha, etas, n):
         vec /= np.linalg.norm(vec)
     probe_a = np.repeat(bases[0], 2, axis=0)[:, None]
     densities = []
-    for eta, basis_b in zip(etas, bases[1:]):
-        phi = _environment_amplitudes(
-            _lossy_pair(terms, eta), probe_a, np.tile(basis_b, (2, 1))[:, None]
-        )
+    for pair, basis_b in zip(pairs, bases[1:]):
+        phi = _environment_amplitudes(pair, probe_a, np.tile(basis_b, (2, 1))[:, None])
         densities.append(phi @ phi.conj().T)
     return np.array(densities)
 
 
-def check_loss_density(truncation):
-    alpha, etas = 1.0, (0.3, 0.7)
-    projected = _projected_loss_densities(alpha, etas, truncation)
+def check_loss_density(losses):
+    # the alpha = 1 row at every eta; eta = 0.1 and 0.9 tell E from B,
+    # which a 50:50 splitter makes interchangeable
+    alpha, etas, pairs = 1.0, _LOSS_ETAS, losses.pairs[1]
+    projected = _projected_loss_densities(alpha, etas, pairs)
     closed = [decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix for eta in etas]
     return CheckResult("loss_density", np.max(np.abs(projected - closed)), 1e-9)
 
 
-def _loss_purity(terms, eta):
-    """Tr rho_AB^2 of the _lossy_pair of the _b2_terms ``terms``, taken
-    on the environment: psi = sum_t A_t (x) T_t is pure, so
-    Tr rho_AB^2 = Tr rho_E^2 (Schmidt decomposition), and the
-    (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T conj(T_u) is Hermitian,
-    so that is the Frobenius sum |rho_E_ij|^2."""
-    pair_a, pair_be = _lossy_pair(terms, eta)
+def _loss_purity(pair):
+    """Tr rho_AB^2 of the _lossy_pair psi = sum_t A_t (x) T_t, taken as
+    Tr rho_E^2 (psi is pure): the Frobenius sum |rho_E_ij|^2 of the
+    Hermitian (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T conj(T_u)."""
+    pair_a, pair_be = pair
     size = pair_be.shape[-1]
     # conj(sum_t <A_t|A_u> T_t), conjugated in place, not through a copy
     mixed = (pair_a.conj() @ pair_a.T) @ pair_be.reshape(2, -1)
@@ -348,56 +359,44 @@ def _loss_purity(terms, eta):
     return float(np.vdot(rho_env, rho_env).real)
 
 
-def check_loss_purity(truncation):
-    alpha = 1.0
-    terms = _b2_terms(alpha, truncation)
-    dev = 0.0
-    # eta = 0.3 tells E from B, which a 50:50 splitter makes interchangeable
-    for eta in (0.3, 0.5):
-        numeric = _loss_purity(terms, eta)
+def check_loss_purity(losses):
+    # the alpha = 1 row at every eta, as in check_loss_density
+    alpha, dev = 1.0, 0.0
+    for eta, pair in zip(_LOSS_ETAS, losses.pairs[1]):
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = float(np.real(np.trace(closed_rho @ closed_rho)))
-        dev = max(dev, abs(numeric - closed))
+        dev = max(dev, abs(_loss_purity(pair) - closed))
     return CheckResult("loss_purity", dev, 1e-9)
 
 
-def check_family_overlap(truncation):
-    # family_overlap_curve with each amplitude's seven probes built once
-    # and read by all three lossy pairs; the middle probe, beta = 1.0 alpha
-    # exactly, is |B2(alpha)> itself, so its terms are the pairs' input
+def check_family_overlap(losses):
+    # family_overlap_curve at each point, one build of each row's 7 probes
     dev = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        betas = alpha * np.linspace(0.25, 1.75, 7)
-        probe_a, probe_b = probes = _family_probes(betas, truncation)
-        for eta in (0.1, 0.5, 0.9):
+    for alpha, n, pairs in zip(_LOSS_ALPHAS, losses.truncations, losses.pairs):
+        betas = alpha * _FAMILY_SCALES
+        probes = _family_probes(betas, n)
+        for eta, pair in zip(_LOSS_ETAS, pairs):
             state = decoherence.apply_loss(alpha, decoherence.LossChannel(eta))
             closed = decoherence.fraction_over_family(state, betas)
-            numeric = _probe_overlaps(_lossy_pair((probe_a[3], probe_b[3]), eta), probes)
-            dev = max(dev, float(np.max(np.abs(closed - numeric))))
+            dev = max(dev, float(np.max(np.abs(closed - _probe_overlaps(pair, probes)))))
     return CheckResult("family_overlap", dev, 1e-9)
 
 
-def check_optimal_beta(truncation):
-    # the oracle overlaps of each family_overlap point at beta*(1 - h),
-    # beta* and beta*(1 + h), with (beta*, f*) from optimal_beta: the
-    # vertex of the parabola through them, h (f- - f+) / (2 (f- - 2 f0 +
-    # f+)), is the oracle's peak offset relative to beta*, and f0 meets
-    # f* on the position's 1e-6 scale as 1e-6 times _overlap_miss, the
-    # rule on which figure1_sweep fails a point.  The offset's error
-    # shrinks as h^2, and below h ~ 3e-5 rounding takes over.  Per
-    # amplitude, one |B2(alpha)> build and one stack of the nine probes,
-    # both at alpha's adequacy rule unless a truncation is given
-    h, etas = 3e-5, (0.1, 0.5, 0.9)
-    dev = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        n = fock.adequate_truncation(alpha) if truncation is None else truncation
-        optima = [decoherence.optimal_beta(alpha, decoherence.LossChannel(eta)) for eta in etas]
+def check_optimal_beta(losses):
+    # the oracle overlaps of each grid point at beta*(1 - h), beta* and
+    # beta*(1 + h), (beta*, f*) from optimal_beta: the parabola's vertex
+    # h (f- - f+) / (2 (f- - 2 f0 + f+)) is the oracle's peak offset
+    # relative to beta*, and f0 meets f* as 1e-6 times _overlap_miss,
+    # figure1_sweep's rule.  The offset's error shrinks as h^2, and below
+    # h ~ 3e-5 rounding takes over.  One stack of 9 probes per amplitude
+    h, dev = 3e-5, 0.0
+    for alpha, n, pairs in zip(_LOSS_ALPHAS, losses.truncations, losses.pairs):
+        optima = [decoherence.optimal_beta(alpha, decoherence.LossChannel(eta)) for eta in _LOSS_ETAS]
         betas = [beta * x for beta, _ in optima for x in (1.0 - h, 1.0, 1.0 + h)]
         # each point's three probes, as (3, 2, n + 1) views of the stack
-        stacks = (mode.reshape(len(etas), 3, 2, -1) for mode in _family_probes(betas, n))
-        terms = _b2_terms(alpha, n)
-        for eta, (_, f_star), *probes in zip(etas, optima, *stacks):
-            low, mid, high = _probe_overlaps(_lossy_pair(terms, eta), probes)
+        stacks = (mode.reshape(len(_LOSS_ETAS), 3, 2, -1) for mode in _family_probes(betas, n))
+        for pair, (_, f_star), *probes in zip(pairs, optima, *stacks):
+            low, mid, high = _probe_overlaps(pair, probes)
             vertex = abs(0.5 * h * (low - high) / (low - 2.0 * mid + high))
             # np.max, unlike max, passes a NaN on, and a NaN fails the check
             dev = np.max((dev, vertex, 1e-6 * decoherence._overlap_miss(mid, f_star)))
@@ -425,10 +424,11 @@ def check_werner_spectrum(grid):
 def run_all(truncation=None):
     """Run every cross-check.  ``truncation`` overrides the adequacy rule
     (too-small values raise) and so probes convergence: it changes the
-    deviations, not only their pass/fail labels.  The grid states are
-    built once (_state_grid) and passed to the five checks that read
-    them."""
+    deviations, not only their pass/fail labels.  The grid states
+    (_state_grid) and the lossy pairs (_loss_grid) are built once, each
+    for the checks that read them."""
     grid = _state_grid(truncation)
+    losses = _loss_grid(truncation)
     return [
         check_coherent_overlap(truncation),
         check_gram_matrix(grid),
@@ -439,9 +439,9 @@ def run_all(truncation=None):
         check_char_function(truncation),
         check_beam_splitter_rule(truncation),
         check_beam_splitter_unitary(),
-        check_loss_density(truncation),
-        check_loss_purity(truncation),
-        check_family_overlap(truncation),
-        check_optimal_beta(truncation),
+        check_loss_density(losses),
+        check_loss_purity(losses),
+        check_family_overlap(losses),
+        check_optimal_beta(losses),
         check_werner_spectrum(grid),
     ]

@@ -45,6 +45,12 @@ def test_fmt_float():
     assert fmt_float(298.5) == "298.500000000"
     assert fmt_float(1e-5) == "0.0000100000000000"
     assert "e-13" in fmt_float(1e-13)
+    # both switches to scientific notation: below 1e-12 and from 1e12 up
+    assert fmt_float(1e-12) == "0.000000000001"
+    assert fmt_float(-9.9e-13) == "-9.90000000000e-13"
+    assert fmt_float(999999999999.0) == "999999999999."
+    assert fmt_float(1e12) == "1.00000000000e+12"
+    assert fmt_float(-2e100) == "-2.00000000000e+100"
 
 
 def test_measures_bell_limit(run_cli):

@@ -701,15 +701,18 @@ def test_eigenbasis_traces_keep_the_boundary_rule():
 
 
 def test_loss_purity_frobenius_equals_trace(lossy_pair_fock):
-    # the battery's loss amplitude
-    alpha, eta, n = 1.0, 0.5, fock.adequate_truncation(1.0)
+    # the battery's loss amplitude, its grid truncation and its 50:50 pair
+    alpha, eta = 1.0, 0.5
+    losses = verify._loss_grid(None)
+    row = verify._LOSS_ALPHAS.index(alpha)
+    n, pair = losses.truncations[row], losses.pairs[row][verify._LOSS_ETAS.index(eta)]
     rho = fock.partial_trace(lossy_pair_fock(alpha, eta, n), keep=(0, 1))
-    by_trace = np.trace(rho @ rho).real
+    by_trace = np.einsum("ij,ji->", rho, rho).real  # Tr(rho rho), without the matmul
     assert abs(np.vdot(rho, rho).real - by_trace) < 1e-13
+    assert abs(verify._loss_purity(pair) - by_trace) < 1e-13
     closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
     closed = np.trace(closed_rho @ closed_rho).real
-    deviation = verify.check_loss_purity(n).deviation
-    assert abs(deviation - abs(by_trace - closed)) < 1e-13
+    assert abs(by_trace - closed) <= verify.check_loss_purity(losses).deviation + 1e-13
 
 
 def test_family_overlap_curve_matches_einsum(lossy_pair_fock):

@@ -10,46 +10,58 @@ import pytest
 from qbell import coherent, decoherence, fock, states, verify, werner
 
 
+def _loss_row(losses, alpha=1.0):
+    # the truncation and the lossy pairs of the grid's row at alpha
+    row = verify._LOSS_ALPHAS.index(alpha)
+    return losses.truncations[row], losses.pairs[row]
+
+
 def test_loss_density_projection_matches_full_density(lossy_pair_fock, loss_basis):
-    # the battery's loss amplitude and transmissivities, one projected build
-    alpha, n, etas = 1.0, fock.adequate_truncation(1.0), (0.3, 0.7)
+    # the battery's loss row, alpha = 1 at every grid eta, one projected build
+    losses = verify._loss_grid(None)
+    alpha, etas = 1.0, verify._LOSS_ETAS
+    n, pairs = _loss_row(losses, alpha)
     worst = 0.0
-    for eta, projected in zip(etas, verify._projected_loss_densities(alpha, etas, n)):
+    for eta, projected in zip(etas, verify._projected_loss_densities(alpha, etas, pairs)):
         basis = loss_basis(alpha, eta, n)
         rho_ab = fock.partial_trace(lossy_pair_fock(alpha, eta, n), keep=(0, 1))
         reference = basis.conj().T @ rho_ab @ basis
         assert np.max(np.abs(projected - reference)) < 1e-13
         closed = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         worst = max(worst, np.max(np.abs(reference - closed)))
-    assert abs(verify.check_loss_density(n).deviation - worst) < 1e-13
+    assert abs(verify.check_loss_density(losses).deviation - worst) < 1e-13
 
 
 def test_environment_purity_equals_trace(lossy_pair_fock):
-    alpha, n = 1.0, fock.adequate_truncation(1.0)
+    losses = verify._loss_grid(None)
+    alpha = 1.0
+    n, _ = _loss_row(losses, alpha)
     expected = 0.0
-    for eta in (0.3, 0.5):
+    for eta in verify._LOSS_ETAS:
         psi = lossy_pair_fock(alpha, eta, n)
         rho_ab = fock.partial_trace(psi, keep=(0, 1))
         rho_env = fock.partial_trace(psi, keep=(2,))
-        by_trace = np.trace(rho_ab @ rho_ab).real
+        by_trace = np.einsum("ij,ji->", rho_ab, rho_ab).real  # Tr(rho rho), without the matmul
         assert abs(np.vdot(rho_env, rho_env).real - by_trace) < 1e-13
         closed_rho = decoherence.apply_loss(alpha, decoherence.LossChannel(eta)).matrix
         closed = np.trace(closed_rho @ closed_rho).real
         expected = max(expected, abs(by_trace - closed))
-    deviation = verify.check_loss_purity(n).deviation
+    deviation = verify.check_loss_purity(losses).deviation
     assert abs(deviation - expected) < 1e-13
 
 
 def test_loss_checks_never_form_the_joint_density():
     # one (61^2)-square complex rho_AB alone would take 61^4 * 16 B = 222 MB,
     # and one complex (A, B, E) state 61^3 * 16 B = 3.6 MB: both checks
-    # work from the pair's two terms and stay below the smaller
-    verify.check_loss_density(60)  # fill the splitter and displacement caches
-    verify.check_loss_purity(60)
+    # work from the pairs' two terms and stay below the smaller.  The grid
+    # is built, and the number-level cache filled, before the measurement
+    losses = verify._loss_grid(60)
+    for check in (verify.check_loss_purity, verify.check_loss_density):
+        check(losses)
     for check in (verify.check_loss_purity, verify.check_loss_density):
         tracemalloc.start()
         try:
-            check(60)
+            check(losses)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -97,25 +109,26 @@ def test_verify_calls_no_dense_fock_helper():
 
 
 def test_too_small_truncation_is_named_by_the_term_checks():
-    # every check that takes a truncation, 0 included, and the grid the
-    # other grid checks read; the mean photon check's unequal pairs take
+    # every check that takes a truncation, 0 included, and the two grids
+    # the other checks read; the mean photon check's unequal pairs take
     # the truncation beside an adequate grid
     grid = verify._state_grid(None)
     for truncation in (0, 20):
         for check in (
             verify._state_grid,
+            verify._loss_grid,
             verify.check_coherent_overlap,
             lambda n: verify.check_mean_photons(n, grid),
             verify.check_asymmetric_spectra,
             verify.check_char_function,
             verify.check_beam_splitter_rule,
-            verify.check_loss_density,
-            verify.check_loss_purity,
-            verify.check_family_overlap,
-            verify.check_optimal_beta,
         ):
             with pytest.raises(fock.TruncationError, match="below the adequacy rule"):
                 check(truncation)
+    # a loss grid at 65 holds its pairs, and the family probes of
+    # 1.75 alpha = 3.5 need 69
+    with pytest.raises(fock.TruncationError, match=r"\(69 for amplitude 3\.5\)"):
+        verify.check_family_overlap(verify._loss_grid(65))
 
 
 def test_check_points_are_a_fixed_lattice(monkeypatch):
@@ -251,13 +264,15 @@ def test_loss_checks_take_the_vacuum_kernel(monkeypatch):
         raise AssertionError("a loss check called fock.beam_splitter")
 
     monkeypatch.setattr(fock, "beam_splitter", refuse)
+    assert verify.check_beam_splitter_rule(None).passed
+    losses = verify._loss_grid(None)
     for check in (
-        verify.check_beam_splitter_rule,
-        verify.check_family_overlap,
         verify.check_loss_density,
         verify.check_loss_purity,
+        verify.check_family_overlap,
+        verify.check_optimal_beta,
     ):
-        assert check(None).passed, check
+        assert check(losses).passed, check
 
 
 def test_spectra_checks_take_the_term_cores(monkeypatch):
@@ -279,8 +294,9 @@ def test_spectra_checks_take_the_term_cores(monkeypatch):
     assert max(shape[-1] for shape in shapes) <= 2, shapes
 
 
-def _count_calls(monkeypatch, name, check):
-    # each call's first argument and the truncation its build used
+def _count_calls(monkeypatch, name, run):
+    # run()'s result, and each call's first argument and the truncation
+    # its build used
     calls = []
     original = getattr(fock, name)
 
@@ -290,49 +306,107 @@ def _count_calls(monkeypatch, name, check):
         return built
 
     monkeypatch.setattr(fock, name, counted)
-    assert check(None).passed
-    return calls
+    result = run()
+    monkeypatch.setattr(fock, name, original)
+    return result, calls
+
+
+def _count_splits(monkeypatch):
+    # the transmissivity of each fock._splitter_on_vacuum call from now on
+    etas = []
+    splitter = fock._splitter_on_vacuum
+
+    def counted(vec_a, eta):
+        etas.append(eta)
+        return splitter(vec_a, eta)
+
+    monkeypatch.setattr(fock, "_splitter_on_vacuum", counted)
+    return etas
 
 
 def test_oracle_checks_build_each_vector_once(monkeypatch):
-    # the beam-splitter rule's 25 (amplitude, truncation) vectors and the
-    # family overlap's 21 probes are each built once per battery, one
-    # stacked build per amplitude; the lossy pairs of each loss amplitude
-    # take the middle probe's terms, |B2(alpha)> itself, so they add no
-    # call.  The loss density builds |B2(1)> once for both transmissivities
-    # and both modes' bases in one stacked build of +/-alpha and
-    # +/-sqrt(eta) alpha, and no battery check builds a single vector.
-    # The optimal-beta check builds, per amplitude, one stack of its nine
-    # probes beta*(1 + {-h, 0, h}) and |B2(alpha)> once, both at alpha's
-    # adequacy rule
+    # the beam-splitter rule's 25 (amplitude, truncation) vectors are each
+    # built once per battery, one stacked build per amplitude, and no
+    # battery check builds a single vector.  The loss grid builds
+    # |B2(alpha)> once per amplitude, at the adequacy rule of its largest
+    # family probe, 1.75 alpha, and sends each through the splitter once
+    # per eta, 18 splitter calls for its 9 pairs of 2 terms; the loss
+    # checks read those pairs and build only their probes: the family
+    # overlap's 7 and the optimal beta's 9 (beta*(1 + {-h, 0, h}) at each
+    # eta) per amplitude, and the loss density's bases, +/-alpha and
+    # +/-sqrt(eta) alpha in one build.  With the rule's 25 splitter calls,
+    # a battery makes 43
     def refuse(*args, **kwargs):
         raise AssertionError("a check called fock.coherent_vector")
 
     monkeypatch.setattr(fock, "coherent_vector", refuse)
-    calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_beam_splitter_rule)
+    rule, calls = _count_calls(
+        monkeypatch, "_coherent_vectors", lambda: verify.check_beam_splitter_rule(None)
+    )
+    assert rule.passed
     assert [len(amplitudes) for amplitudes, _ in calls] == [5] * 5
     keys = {(float(alpha), n) for amplitudes, n in calls for alpha in amplitudes}
     assert len(keys) == 25
-    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_family_overlap)
-    assert [len(states) for states, _ in calls] == [7] * 3
+    sizes = [fock.adequate_truncation(1.75 * alpha) for alpha in verify._LOSS_ALPHAS]
+    splits = _count_splits(monkeypatch)
+    losses, calls = _count_calls(monkeypatch, "_quasi_bell_terms", lambda: verify._loss_grid(None))
+    assert losses.truncations == tuple(sizes)
+    assert [(len(states), n) for states, n in calls] == [(1, n) for n in sizes]
+    keys = [(state.index, state.alpha, state.beta) for states, _ in calls for state in states]
+    assert keys == [(2, alpha, alpha) for alpha in verify._LOSS_ALPHAS]
+    assert splits == [eta for eta in verify._LOSS_ETAS for _ in range(2)] * 3
+
+    def refuse_b2(*args):
+        raise AssertionError("a loss check built |B2(alpha)>")
+
+    monkeypatch.setattr(verify, "_b2_terms", refuse_b2)
+    result, calls = _count_calls(
+        monkeypatch, "_quasi_bell_terms", lambda: verify.check_family_overlap(losses)
+    )
+    assert result.passed
+    assert [(len(states), n) for states, n in calls] == [(7, n) for n in sizes]
     keys = [(state.index, state.alpha, state.beta, n) for states, n in calls for state in states]
     assert len(keys) == len(set(keys)) == 21
-    for alpha in (0.5, 1.0, 2.0):
-        assert keys.count((2, alpha, alpha, fock.adequate_truncation(1.75 * alpha))) == 1
-    n = fock.adequate_truncation(1.0)
-    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_loss_density)
-    assert [(len(states), built) for states, built in calls] == [(1, n)]
-    calls = _count_calls(monkeypatch, "_coherent_vectors", verify.check_loss_density)
-    assert [(len(amplitudes), built) for amplitudes, built in calls] == [(6, n)]
-    calls = _count_calls(monkeypatch, "_quasi_bell_terms", verify.check_optimal_beta)
-    sizes = [fock.adequate_truncation(alpha) for alpha in (0.5, 1.0, 2.0)]
-    assert [(len(states), built) for states, built in calls] == [
-        (count, n) for n in sizes for count in (9, 1)
-    ]
-    keys = [(state.index, state.alpha, state.beta) for states, _ in calls for state in states]
-    assert len(keys) == len(set(keys)) == 30
-    assert {(2, alpha, alpha) for alpha in (0.5, 1.0, 2.0)} <= set(keys)
+    result, calls = _count_calls(
+        monkeypatch, "_quasi_bell_terms", lambda: verify.check_optimal_beta(losses)
+    )
+    assert result.passed
+    assert [(len(states), n) for states, n in calls] == [(9, n) for n in sizes]
+    keys = [(state.index, state.alpha, state.beta, n) for states, n in calls for state in states]
+    assert len(keys) == len(set(keys)) == 27
+    for check in (verify.check_loss_density, verify.check_loss_purity):
+        result, calls = _count_calls(monkeypatch, "_quasi_bell_terms", lambda: check(losses))
+        assert result.passed and calls == []
+    result, calls = _count_calls(
+        monkeypatch, "_coherent_vectors", lambda: verify.check_loss_density(losses)
+    )
+    assert [(len(amplitudes), n) for amplitudes, n in calls] == [(8, sizes[1])]
+    assert len(splits) == 18
+    monkeypatch.undo()
+    splits = _count_splits(monkeypatch)
     assert all(r.passed for r in verify.run_all())
+    assert len(splits) == 43
+
+
+def test_battery_cache_counts():
+    # the counts the fock module docstring and its cache comments give for
+    # one default battery in a fresh process: the eigensystems, blocks,
+    # vacuum columns (1513 read, 458 computed) and tables, and the
+    # number-level and displacement sizes
+    counts = {
+        fock._number_levels: 9,
+        fock._sector_eigensystem: 90,
+        fock._splitter_block: 123,
+        fock._vacuum_column: 458,
+        fock._vacuum_columns: 34,
+        fock._displacement_eigensystem: 2,
+    }
+    for cache in counts:
+        cache.cache_clear()
+    assert all(r.passed for r in verify.run_all())
+    assert {cache: cache.cache_info().currsize for cache in counts} == counts
+    info = fock._vacuum_column.cache_info()
+    assert info.hits + info.misses == 1513
 
 
 def _grid_builds(monkeypatch):
@@ -402,7 +476,7 @@ def test_zero_loss_amplitude_is_domain_error():
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
         verify.family_overlap_curve(0.0, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero, got 0.0"):
-        verify._projected_loss_densities(0.0, [0.5], 30)
+        verify._b2_terms(0.0, 30)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
@@ -410,7 +484,7 @@ def test_non_finite_loss_amplitude_is_domain_error(alpha):
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
         verify.family_overlap_curve(alpha, 0.5, [1.0])
     with pytest.raises(ValueError, match="loss amplitude must be finite and nonzero"):
-        verify._projected_loss_densities(alpha, [0.5], 30)
+        verify._b2_terms(alpha, 30)
 
 
 @pytest.mark.parametrize("betas", [[], np.array([]), [1.0, float("nan")]])
@@ -444,7 +518,7 @@ def test_optimal_beta_check_keeps_the_position_rule(monkeypatch):
     # the oracle's peak stays at the true beta*, 1e-5 relative below the
     # shifted one, and the vertex reads that offset
     _patched_optimum(monkeypatch, lambda beta, f: (beta * (1.0 + 1e-5), f))
-    result = verify.check_optimal_beta(None)
+    result = verify.check_optimal_beta(verify._loss_grid(None))
     assert not result.passed
     assert result.deviation == pytest.approx(1e-5, rel=1e-3)
 
@@ -453,7 +527,7 @@ def test_optimal_beta_check_keeps_the_overlap_rule(monkeypatch):
     # reported as a failure, not raised: 1e-6 relative is 1e3 times the
     # overlap rule, so 1e-3 on the check's scale
     _patched_optimum(monkeypatch, lambda beta, f: (beta, f * (1.0 + 1e-6)))
-    result = verify.check_optimal_beta(None)
+    result = verify.check_optimal_beta(verify._loss_grid(None))
     assert not result.passed
     assert result.deviation == pytest.approx(1e-3, rel=1e-6)
 
@@ -462,7 +536,7 @@ def test_optimal_beta_check_fails_a_nan_overlap(monkeypatch):
     # a NaN f* never passes: optimal_beta's own finiteness check names it
     _patched_optimum(monkeypatch, lambda beta, f: (beta, f * np.nan))
     with pytest.raises(ValueError, match="family overlap is not finite"):
-        verify.check_optimal_beta(None)
+        verify.check_optimal_beta(verify._loss_grid(None))
 
 
 def test_verify_never_names_the_search():
