@@ -24,13 +24,15 @@ DEFAULT_ETAS = (0.9, 0.7, 0.5, 0.3, 0.1)
 
 def fmt_float(x):
     """12-significant-digit float for data files: positional notation
-    for magnitudes in [1e-12, 1e12), scientific outside it."""
+    for magnitudes in [1e-12, 1e12), scientific outside it.  The switch
+    reads the magnitude rounded to those 12 digits, so a value that
+    rounds across 1e-12 or 1e12 prints as its rounded value does."""
     import numpy as np
 
     x = float(x)
     if x == 0.0:
         return "0.000000000000"
-    if not 1e-12 <= abs(x) < 1e12:
+    if not 1e-12 <= abs(float(f"{x:.11e}")) < 1e12:
         return np.format_float_scientific(x, precision=11, unique=False)
     return np.format_float_positional(
         x, precision=12, unique=False, fractional=False, trim="k"

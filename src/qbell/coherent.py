@@ -120,16 +120,19 @@ def _exp(a):
     return np.exp(a.astype(np.longdouble)).astype(float)
 
 
-def _displacement_elements(alpha, mode, zeta):
-    """(2, 2, n) array E[s][s'] = <s|exp(zeta a+) exp(-zeta* a)|s'> G over
-    the even/odd basis of amplitude alpha, at each of the n points of the
-    complex array zeta = x + iy, with mode = _cat_components(alpha),
-    G = exp(-|zeta|^2/2) and kappa = exp(-2 alpha^2):
+def _displacement_elements(amplitudes, zeta):
+    """(2, 2, M, P) array E[s][s'][r] = <s|exp(zeta a+) exp(-zeta* a)|s'> G
+    over the even/odd basis of amplitude alpha = amplitudes[r], at each of
+    the P points of row r of the complex (M, P) array zeta = x + iy, with
+    (plus, minus) = _cat_components(alpha), G = exp(-|zeta|^2/2) and
+    kappa = exp(-2 alpha^2):
 
         ee = (G cos 2y alpha + kappa G cosh 2x alpha) / (1 + kappa)
         oo = G - 2 (G sin^2 y alpha + kappa G sinh^2 x alpha) / (1 - kappa)
         eo, oe = (i G sin 2y alpha -/+ kappa G sinh 2x alpha) / sqrt(1 - kappa^2)
 
+    The amplitudes and their components are (M, 1) columns broadcast
+    against zeta, so each row is bitwise a stack of one.
     kappa exp(2|x alpha|) G = exp(-((|x| - 2|alpha|)^2 + y^2)/2) <= 1
     carries the kappa terms, through t = expm1(-2|x alpha|); sin y alpha
     and t are divided by <-|alpha> ~ |alpha| before squaring, so nothing
@@ -137,44 +140,60 @@ def _displacement_elements(alpha, mode, zeta):
     in float arithmetic, and only ever meets exp(-inf) = 0, expm1(-inf) =
     -1 or a zero envelope; |y| is capped at 40, beyond which both
     envelopes are exactly 0, so y alpha stays finite.  At alpha = 0 the
-    odd entries, which no state weights, are 0.
+    odd entries, which no state weights, are 0: those rows divide by 1
+    in place of minus = 0 and are then masked.
     """
-    plus, minus = mode
+    alpha = np.array(amplitudes, dtype=float)[:, None]
+    plus, minus = np.array([_cat_components(amp) for amp in amplitudes]).T[..., None]
+    vacuum = minus[:, 0] == 0.0
+    if vacuum.any():
+        minus[vacuum] = 1.0
     x, y = zeta.real, np.clip(zeta.imag, -40.0, 40.0)
-    e = np.zeros((2, 2) + zeta.shape, dtype=complex)
+    e = np.empty((2, 2) + zeta.shape, dtype=complex)
     with np.errstate(over="ignore"):
         xa, ya, y2 = x * alpha, y * alpha, y * y
-        shift = np.abs(x) - 2.0 * abs(alpha)
+        shift = np.abs(x) - 2.0 * np.abs(alpha)
         gauss = _exp(-0.5 * (x * x + y2))
         bounded = _exp(-0.5 * (shift * shift + y2))
         t = np.expm1(-2.0 * np.abs(xa))
         cosh = 0.5 * bounded * (1.0 + (1.0 + t) ** 2)
         e[0, 0] = (gauss * np.cos(2.0 * ya) + cosh) / (2.0 * plus * plus)
-        if minus == 0.0:
-            return e
         sin_ratio, t_ratio = np.sin(ya) / minus, 0.5 * t / minus
         e[1, 1] = gauss - gauss * sin_ratio * sin_ratio - bounded * t_ratio * t_ratio
         cross = 2.0 * plus * minus
         sinh = np.copysign(-0.5 * bounded * t * (2.0 + t), xa) / cross
         e[0, 1].imag = e[1, 0].imag = gauss * np.sin(2.0 * ya) / cross
     e[0, 1].real, e[1, 0].real = -sinh, sinh
+    if vacuum.any():
+        e[1, :, vacuum] = e[0, 1, vacuum] = 0.0
     return e
 
 
-def _char_values(state, zeta_a, zeta_b):
-    """Characteristic function of the state at the points (zeta_a[i],
-    zeta_b[i]) of two equal-length complex arrays: one
-    _displacement_elements call per mode, with that mode's amplitude,
-    summed as sum_{j,k} c_j c_k Ea[s_j][s_k] Eb[t_j][t_k] over the
-    state's two even/odd coefficients c_j on |s_j t_j>."""
-    ea, eb = (
-        _displacement_elements(amp, _cat_components(amp), zeta)
-        for amp, zeta in ((state.alpha, zeta_a), (state.beta, zeta_b))
+def _char_values(states, zeta_a, zeta_b):
+    """Characteristic function of S states, state s at the points
+    (zeta_a[s, p], zeta_b[s, p]) of two complex (S, P) arrays, as an
+    (S, P) array: one _displacement_elements call over the amplitudes of
+    both modes of every state, mode A's rows then mode B's, summed per
+    state as sum_{j,k} c_j c_k Ea[s_j][s_k] Eb[t_j][t_k] over its two
+    even/odd coefficients c_j on |s_j t_j>.  One state is a stack of
+    one."""
+    count = len(states)
+    e = _displacement_elements(
+        [state.alpha for state in states] + [state.beta for state in states],
+        np.concatenate((zeta_a, zeta_b)),
     )
-    return sum(
-        cj * ck * ea[j >> 1, k >> 1] * eb[j & 1, k & 1]
-        for j, cj in state.terms for k, ck in state.terms
+    # each state's four (j, k) term pairs, j-major as in the sum, taken
+    # from the kernel in one gather per mode
+    terms = np.array([state.terms for state in states])
+    first, second = terms[:, (0, 0, 1, 1)], terms[:, (0, 1, 0, 1)]
+    s_j, s_k = first[..., 0].astype(int), second[..., 0].astype(int)
+    rows = np.arange(count)[:, None]
+    products = (
+        (first[..., 1] * second[..., 1])[..., None]
+        * e[s_j >> 1, s_k >> 1, rows]
+        * e[s_j & 1, s_k & 1, rows + count]
     )
+    return sum(products[:, pair] for pair in range(4))
 
 
 def characteristic_function(state, point):
@@ -183,12 +202,12 @@ def characteristic_function(state, point):
     Evaluates Tr[rho exp(za a+) exp(-za* a) exp(zb b+) exp(-zb* b)]
     times exp(-(|za|^2 + |zb|^2)/2) as sum_{j,k} c_j c_k Ea[s_j][s_k]
     Eb[t_j][t_k] over the state's two even/odd coefficients c_j on
-    |s_j t_j>.  C(0, 0) = 1.
+    |s_j t_j>, a stack of one of _char_values.  C(0, 0) = 1.
     """
     value = _char_values(
-        state, np.array([complex(point.zeta_a)]), np.array([complex(point.zeta_b)])
+        (state,), np.array([[complex(point.zeta_a)]]), np.array([[complex(point.zeta_b)]])
     )
-    return complex(value[0])
+    return complex(value[0, 0])
 
 
 # the witness sample as coordinates (Re za, Im za, Re zb, Im zb): an
@@ -236,7 +255,7 @@ def _log_fit_residual(coords, values):
 def gaussianity_witness(state):
     """Non-Gaussianity witness: residual of the quadratic fit to the log
     characteristic function over the standard sample, the stencil and the
-    sample taken in one kernel evaluation per mode.
+    sample taken in one kernel evaluation for both modes.
 
     Order one for cat-like states, but not bounded away from zero:
     indices 1 and 3 tend to the vacuum as alpha -> 0 and their residual
@@ -248,9 +267,9 @@ def gaussianity_witness(state):
         raise ValueError("witness requires a positive amplitude")
     coords = np.concatenate((_STENCIL, _WITNESS_COORDS))
     values = _char_values(
-        state, coords[:, 0] + 1j * coords[:, 1], coords[:, 2] + 1j * coords[:, 3]
+        (state,), (coords[:, 0] + 1j * coords[:, 1])[None], (coords[:, 2] + 1j * coords[:, 3])[None]
     )
-    return _log_fit_residual(coords, values)
+    return _log_fit_residual(coords, values[0])
 
 
 def asymmetric_spectrum(alpha, beta, index):

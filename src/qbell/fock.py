@@ -30,12 +30,15 @@ The beam splitter runs per photon-number sector from theta-free sector
 eigensystems, each from one real symmetric eigensolve, and reads every
 sector of a C-ordered square as one strided run (_sector_run);
 beam_splitter takes any two-mode vector and moves each run in place,
-and the private _splitter_on_vacuum takes the one-mode g of g (x) |0>,
-the loss model's input, through one cached table of vacuum columns per
-(theta, size), whose runs are the cached columns per (theta, sector).
-A default verify battery makes 90 eigensystems, 458 columns, 34 tables
-and 123 sector blocks, and never recomputes one.  No state, term or
-Gram is cached: every battery builds its own.
+and the private _splitter_on_vacuum takes a stack of one-mode g of
+g (x) |0>, the loss model's input, at a sequence of transmissivities
+in one product with the cached tables of vacuum columns per (theta,
+size), whose runs are the cached columns per (theta, sector).  A
+default verify battery makes 8 _splitter_on_vacuum calls, one per
+amplitude of the beam-splitter rule and of the loss grid, fills 90
+eigensystems, 458 columns, 34 tables and 123 sector blocks, and never
+recomputes one.  No state, term or Gram is cached: every battery
+builds its own.
 """
 
 import math
@@ -70,7 +73,7 @@ def adequate_truncation(alpha):
     return int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0) + 20.0))
 
 
-# keyed on the size only; a default verify battery uses nine
+# keyed on the size only; a default verify battery uses eight
 @lru_cache(maxsize=16)
 def _number_levels(size):
     """n = 0..size-1 and (1/2) log n! over ``size`` levels, read-only
@@ -84,7 +87,13 @@ def _number_levels(size):
 
 def _check_truncation(amplitudes, truncation):
     """Raise a TruncationError naming the first amplitude the adequacy
-    rule puts above ``truncation``."""
+    rule puts above ``truncation``.  The rule grows with |amplitude|, so
+    a stack of finite amplitudes that passes costs one evaluation, at
+    its largest |amplitude|; only a failing or non-finite stack is read
+    amplitude by amplitude."""
+    sizes = [abs(float(alpha)) for alpha in amplitudes]
+    if math.isfinite(sum(sizes)) and truncation >= adequate_truncation(max(sizes, default=0.0)):
+        return
     for alpha in amplitudes:
         needed = adequate_truncation(alpha)
         if truncation < needed:
@@ -208,15 +217,15 @@ def _quasi_bell_terms(states, truncation=None):
     slots = {}
     for amp in amplitudes:
         slots.setdefault(abs(amp), len(slots))
-    rows = _coherent_rows(list(slots), truncation)
-    size = len(rows)
-    # blocks of the table: the rows, P rows, -rows, -P rows
+    size = len(slots)
+    # blocks of the table: the rows, P rows, -rows, -P rows; the rows
+    # live only in the table, so no second copy is held
     table = np.empty((4, size, truncation + 1), dtype=complex)
-    table[0] = table[1] = rows
+    table[0] = table[1] = _coherent_rows(list(slots), truncation)
     _negate_odd(table[1])
     np.negative(table[:2], out=table[2:])
     even_odd = [
-        (np.vdot(row[0::2], row[0::2]).real, np.vdot(row[1::2], row[1::2]).real) for row in rows
+        (np.vdot(row[0::2], row[0::2]).real, np.vdot(row[1::2], row[1::2]).real) for row in table[0]
     ]
     picks_a, picks_b, norms = [], [], []
     for sign, alpha, beta, amp_b in specs:
@@ -371,33 +380,42 @@ def beam_splitter(vec, eta, check_tail=True):
     return out
 
 
-def _splitter_on_vacuum(vec_a, eta):
-    """beam_splitter(np.outer(vec_a, |0>), eta) without the sector loop.
+def _splitter_on_vacuum(vecs, etas):
+    """beam_splitter(np.outer(vecs[v], |0>), etas[e]) at out[e, v] for
+    every row of the (V, size) stack ``vecs`` and every transmissivity
+    of ``etas``, shape (E, V, size, size), without the sector loop.
 
-    |n>|0> lies in sector n alone, so the output is T[k, m] vec_a[k + m]
-    with T the cached vacuum-column table (_vacuum_columns) and vec_a
-    zero-padded to 2 size - 1 entries: one strided view and one product.
-    Like beam_splitter it moves every sector, and beam_splitter's
-    boundary rule always applies.
+    |n>|0> lies in sector n alone, so out[e, v, k, m] is T_e[k, m]
+    vecs[v, k + m] with T_e the cached vacuum-column table of etas[e]
+    (_vacuum_columns) and each row zero-padded to 2 size - 1 entries:
+    one Hankel view of all the rows, one stack of the tables and one
+    product, each entry bitwise that of a stack of one.  One vector at
+    one eta is a stack of one.  Like beam_splitter it moves every
+    sector, and beam_splitter's boundary rule always applies, naming
+    the first offending output in (eta, vector) order.
     """
-    vec_a = np.asarray(vec_a, dtype=complex)
-    if vec_a.ndim != 1 or vec_a.size == 0:
-        raise ValueError("expected a nonempty one-mode vector")
-    theta = _splitter_angle(eta)
-    size = len(vec_a)
-    padded = np.zeros(2 * size - 1, dtype=complex)
-    padded[:size] = vec_a
-    # a Hankel view of the fresh buffer: entry (k, m) is padded[k + m]
-    hankel = np.ndarray((size, size), complex, padded, 0, padded.strides * 2)
-    out = _vacuum_columns(theta, size) * hankel
+    vecs = np.asarray(vecs, dtype=complex)
+    if vecs.ndim != 2 or vecs.size == 0:
+        raise ValueError("expected a nonempty stack of one-mode vectors, shape (V, N)")
+    thetas = [_splitter_angle(eta) for eta in etas]
+    count, size = vecs.shape
+    padded = np.zeros((count, 2 * size - 1), dtype=complex)
+    padded[:, :size] = vecs
+    # a Hankel view of each row of the fresh buffer: entry (v, k, m) is
+    # padded[v, k + m]
+    step = padded.itemsize
+    hankel = np.ndarray((count, size, size), complex, padded, 0, (padded.strides[0], step, step))
+    tables = np.stack([_vacuum_columns(theta, size) for theta in thetas])
+    out = tables[:, None] * hankel
     _check_tail(_boundary_mass(out), "beam splitter output")
     return out
 
 
 def _boundary_mass(vec):
-    """Probability the two-mode ``vec`` holds on its last row and column
-    (the corner counted twice)."""
-    return np.sum(np.abs(vec[-1, :]) ** 2) + np.sum(np.abs(vec[:, -1]) ** 2)
+    """Probability each two-mode state of ``vec`` (its last two axes)
+    holds on its last row and column (the corner counted twice)."""
+    last_row, last_col = vec[..., -1, :], vec[..., :, -1]
+    return np.sum(np.abs(last_row) ** 2, axis=-1) + np.sum(np.abs(last_col) ** 2, axis=-1)
 
 
 def _check_tail(boundary, what):
@@ -517,11 +535,18 @@ def _char_traces(terms_a, terms_b, zeta_a, zeta_b):
         # rows, weighted to x E, with the Gram (x E) x+; x is conjugated
         # in place, so two such arrays are live at a time
         w, v = _displacement_eigensystem(terms.shape[-1])
-        phases = np.exp(-1j * np.angle(zeta)[..., None] * np.arange(terms.shape[-1]))
+        # R* = diag(e^{-i n phi}) by recurrence: the cumulative product of
+        # the unit phase zeta* / |zeta|, which is 1 at zeta = 0
+        radius = np.abs(zeta)
+        unit = np.divide(np.conjugate(zeta), radius, out=np.ones_like(zeta), where=radius > 0.0)
+        phases = np.empty(zeta.shape + terms.shape[-1:], dtype=complex)
+        phases[..., 0] = 1.0
+        phases[..., 1:] = unit[..., None]
+        np.cumprod(phases, axis=-1, out=phases)
         rows = phases[:, :, None, :] * terms[:, None]
         x = (rows.reshape(-1, rows.shape[-1]) @ v.conj()).reshape(rows.shape)
         del rows
-        xe = x * np.exp(-1j * np.abs(zeta)[..., None] * w)[:, :, None, :]
+        xe = x * np.exp(-1j * radius[..., None] * w)[:, :, None, :]
         gram = xe @ np.swapaxes(np.conjugate(x, out=x), -1, -2)
         return xe, gram, v
 

@@ -10,14 +10,14 @@ once and passes them to the checks that read them, each doing its own
 arithmetic, and nothing is kept from one battery to the next:
 _state_grid, the states 1-4 at each _ALPHA_GRID amplitude and their
 4 x 4 Fock Grams, for the Gram, spectra, entropy, mean photon and
-quasi-Werner checks, and _loss_grid, the lossy pairs (_lossy_pair:
-|B2(alpha)> with mode B sent through fock's vacuum-input splitter) at
-each _LOSS_ALPHAS x _LOSS_ETAS point, for the loss density, purity,
-family overlap and optimal-beta checks, which read them through one
-environment contraction (_environment_amplitudes).  The optimal-beta
-check reads the maximizer from the oracle overlaps, not from an argmax
-of the closed-form kernel.  The CLI ``verify`` subcommand runs the
-battery.
+quasi-Werner checks, and _loss_grid, the lossy pairs (_lossy_pairs:
+|B2(alpha)> with mode B sent through fock's vacuum-input splitter, one
+call per amplitude for all its eta) at each _LOSS_ALPHAS x _LOSS_ETAS
+point, for the loss density, purity, family overlap and optimal-beta
+checks, which read them through one environment contraction
+(_environment_amplitudes).  The optimal-beta check reads the maximizer
+from the oracle overlaps, not from an argmax of the closed-form
+kernel.  The CLI ``verify`` subcommand runs the battery.
 """
 
 import math
@@ -67,23 +67,24 @@ def _b2_terms(alpha, n):
     return terms_a[0], terms_b[0]
 
 
-def _lossy_pair(terms, eta):
+def _lossy_pairs(terms, etas):
     """|B2(alpha)>, given as its _b2_terms, with mode B sent through the
-    loss splitter as stacked terms (pair_a, pair_be), psi = sum_t
-    pair_a[t] (x) pair_be[t]: the mode-B terms' (B, E) outputs of fock's
+    loss splitter at each transmissivity of ``etas``, one lossy pair per
+    eta as stacked terms (pair_a, pair_be), psi = sum_t pair_a[t] (x)
+    pair_be[t]: the mode-B terms' (B, E) outputs of one call of fock's
     vacuum-input splitter, which is unitary, so psi keeps the norm."""
     pair_a, terms_b = terms
-    return pair_a, np.array([fock._splitter_on_vacuum(b, eta) for b in terms_b])
+    return tuple((pair_a, pair_be) for pair_be in fock._splitter_on_vacuum(terms_b, etas))
 
 
 def _environment_amplitudes(pair, probe_a, probe_b):
-    """<probe|_AB psi> for the _lossy_pair ``pair`` as one mode-E row per
-    probe, each probe given as stacked product terms (probe_a[p, s],
-    probe_b[p, s]) over modes A and B, shape (P, S, N+1).  Each
-    probe's terms meet pair_a first, giving the mode-B vectors
-    sum_s <probe_a[s]|pair_a[t]> conj(probe_b[s]) for each term t, and
-    one matmul against pair_be sums t and b; neither a dense probe nor
-    the (N+1)^3 three-mode state is formed."""
+    """<probe|_AB psi> for the lossy pair ``pair`` (_lossy_pairs) as one
+    mode-E row per probe, each probe given as stacked product terms
+    (probe_a[p, s], probe_b[p, s]) over modes A and B, shape (P, S,
+    N+1).  Each probe's terms meet pair_a first, giving the mode-B
+    vectors sum_s <probe_a[s]|pair_a[t]> conj(probe_b[s]) for each term
+    t, and one matmul against pair_be sums t and b; neither a dense
+    probe nor the (N+1)^3 three-mode state is formed."""
     pair_a, pair_be = pair
     on_b = np.swapaxes(probe_a.conj() @ pair_a.T, -1, -2) @ probe_b.conj()
     return on_b.reshape(len(on_b), -1) @ pair_be.reshape(-1, pair_be.shape[-1])
@@ -99,7 +100,7 @@ def _family_probes(betas, truncation):
 
 
 def _probe_overlaps(pair, probes):
-    """<probe| rho_AB |probe> of the _lossy_pair ``pair`` for each probe
+    """<probe| rho_AB |probe> of the lossy pair ``pair`` for each probe
     of a _family_probes stack: the squared norm of its environment
     amplitudes."""
     return np.sum(np.abs(_environment_amplitudes(pair, *probes)) ** 2, axis=1)
@@ -114,7 +115,7 @@ def family_overlap_curve(alpha, eta, betas):
     if betas.size == 0 or not np.all(np.isfinite(betas)):
         raise ValueError(f"comparison amplitudes must be a nonempty finite list, got {betas}")
     truncation = fock.adequate_truncation(max(abs(alpha), np.abs(betas).max()))
-    pair = _lossy_pair(_b2_terms(alpha, truncation), eta)
+    (pair,) = _lossy_pairs(_b2_terms(alpha, truncation), (eta,))
     return _probe_overlaps(pair, _family_probes(betas, truncation))
 
 
@@ -196,16 +197,18 @@ def _photon_deviation(quasi_bells, terms):
 def check_mean_photons(truncation, grid):
     # states 1 and 2, the first two of each grid amplitude's four, read
     # from the grid as views, and at three unequal amplitude pairs, one
-    # stacked build each at ``truncation``
+    # stacked build of all six at ``truncation``
     dev = _photon_deviation(
         [state for state in grid.quasi_bells if state.index in (1, 2)],
         [mode.reshape(len(_ALPHA_GRID), 4, 2, -1)[:, :2] for mode in grid.terms],
     )
-    for alpha, beta in ((0.5, 1.5), (2.0, 0.6), (1.0, 0.0)):
-        quasi_bells = [coherent.CoherentQuasiBell(index, alpha, beta) for index in (1, 2)]
-        terms = fock._quasi_bell_terms(quasi_bells, truncation)
-        dev = max(dev, _photon_deviation(quasi_bells, terms))
-    return CheckResult("mean_photons", dev, 1e-9)
+    quasi_bells = [
+        coherent.CoherentQuasiBell(index, alpha, beta)
+        for alpha, beta in ((0.5, 1.5), (2.0, 0.6), (1.0, 0.0))
+        for index in (1, 2)
+    ]
+    terms = fock._quasi_bell_terms(quasi_bells, truncation)
+    return CheckResult("mean_photons", max(dev, _photon_deviation(quasi_bells, terms)), 1e-9)
 
 
 def check_asymmetric_spectra(truncation):
@@ -242,16 +245,23 @@ def _char_points():
 
 
 def check_char_function(truncation):
-    # each amplitude pair's four states as one stacked build, at the
-    # adequacy rule of the pair without a truncation, and one stacked
-    # trace call over their 20 points each
+    # the four states of each amplitude pair at their 20 points each: one
+    # closed-form call for all 8 states, and per pair one stacked build,
+    # at the adequacy rule of the pair without a truncation, and one
+    # stacked trace call (one call for both pairs would hold twice the
+    # trace temporaries)
+    quasi_bells = [
+        coherent.CoherentQuasiBell(index, alpha, beta)
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.6))
+        for index in (1, 2, 3, 4)
+    ]
+    za, zb = np.swapaxes(_char_points(), 0, 1)
+    closed = coherent._char_values(quasi_bells, za, zb)
     dev = 0.0
-    for (alpha, beta), points in zip(((0.5, 0.5), (1.0, 0.6)), _char_points().reshape(2, 4, 2, -1)):
-        quasi_bells = [coherent.CoherentQuasiBell(index, alpha, beta) for index in (1, 2, 3, 4)]
-        closed = np.array([coherent._char_values(s, *zeta) for s, zeta in zip(quasi_bells, points)])
-        za, zb = np.swapaxes(points, 0, 1)
-        numeric = fock._char_traces(*fock._quasi_bell_terms(quasi_bells, truncation), za, zb)
-        dev = max(dev, float(np.max(np.abs(closed - numeric))))
+    for pair in (slice(0, 4), slice(4, 8)):
+        terms = fock._quasi_bell_terms(quasi_bells[pair], truncation)
+        numeric = fock._char_traces(*terms, za[pair], zb[pair])
+        dev = max(dev, float(np.max(np.abs(closed[pair] - numeric))))
     return CheckResult("char_function", dev, 1e-8)
 
 
@@ -259,15 +269,17 @@ def check_beam_splitter_rule(truncation):
     # the grid is symmetric about 1/2 with exact complements 1 - eta, so
     # |sqrt(1 - eta) alpha> is the target vector of the mirrored eta, and
     # the one at eta = 1 is |alpha>, the input: five vectors per amplitude,
-    # one stacked build
+    # one stacked build, and one splitter call at all five eta; the
+    # fidelity's amplitude is <kept| sent |lost*> by matmul
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     dev = 0.0
     for alpha in _ALPHA_GRID:
         targets = fock._coherent_vectors(np.sqrt(etas) * alpha, truncation)
-        for eta, kept, lost in zip(etas, targets, targets[::-1]):
-            sent = fock._splitter_on_vacuum(targets[-1], eta)
-            fidelity = abs(np.vdot(np.outer(kept, lost), sent)) ** 2
-            dev = max(dev, 1.0 - fidelity)
+        sent = fock._splitter_on_vacuum(targets[-1:], etas)[:, 0]
+        kept, lost = targets.conj(), targets[::-1].conj()
+        fidelity = np.abs(kept[:, None] @ sent @ lost[:, :, None]) ** 2
+        # np.max, unlike max, passes a NaN on
+        dev = np.max((dev, np.max(1.0 - fidelity)))
     return CheckResult("beam_splitter_rule", dev, 1e-9)
 
 
@@ -293,8 +305,8 @@ _FAMILY_SCALES = np.linspace(0.25, 1.75, 7)  # the family probes over alpha
 @dataclass(frozen=True)
 class _LossGrid:
     """The loss checks' pairs (_loss_grid): per _LOSS_ALPHAS amplitude,
-    its truncation and its _lossy_pair at each _LOSS_ETAS
-    transmissivity, from one _b2_terms build."""
+    its truncation and its lossy pair at each _LOSS_ETAS
+    transmissivity, from one _b2_terms build and one _lossy_pairs call."""
 
     truncations: tuple
     pairs: tuple
@@ -306,14 +318,13 @@ def _loss_grid(truncation):
     truncations, pairs = [], []
     for alpha in _LOSS_ALPHAS:
         n = fock.adequate_truncation(_FAMILY_SCALES[-1] * alpha) if truncation is None else truncation
-        terms = _b2_terms(alpha, n)
         truncations.append(n)
-        pairs.append(tuple(_lossy_pair(terms, eta) for eta in _LOSS_ETAS))
+        pairs.append(_lossy_pairs(_b2_terms(alpha, n), _LOSS_ETAS))
     return _LossGrid(tuple(truncations), tuple(pairs))
 
 
 def _projected_loss_densities(alpha, etas, pairs):
-    """rho_AB of each _lossy_pair of |B2(alpha)> in ``pairs``, one per
+    """rho_AB of each lossy pair of |B2(alpha)> in ``pairs``, one per
     eta of ``etas``, projected onto the 4x4 basis of DecoheredState.matrix:
     phi phi+, phi the environment amplitudes of the four products
     a_i (x) b_j.  Each mode's orthonormal pair (|g> +/- |-g>) / norm,
@@ -347,7 +358,7 @@ def check_loss_density(losses):
 
 
 def _loss_purity(pair):
-    """Tr rho_AB^2 of the _lossy_pair psi = sum_t A_t (x) T_t, taken as
+    """Tr rho_AB^2 of the lossy pair psi = sum_t A_t (x) T_t, taken as
     Tr rho_E^2 (psi is pure): the Frobenius sum |rho_E_ij|^2 of the
     Hermitian (n+1)-square rho_E = sum_tu <A_u|A_t> T_t^T conj(T_u)."""
     pair_a, pair_be = pair

@@ -51,6 +51,12 @@ def test_fmt_float():
     assert fmt_float(999999999999.0) == "999999999999."
     assert fmt_float(1e12) == "1.00000000000e+12"
     assert fmt_float(-2e100) == "-2.00000000000e+100"
+    # the switches read the value rounded to 12 significant digits: one
+    # that rounds onto 1e12 or 1e-12 prints as that rounded value does
+    assert fmt_float(999999999999.5) == "1.00000000000e+12"
+    assert fmt_float(-999999999999.5) == "-1.00000000000e+12"
+    assert fmt_float(9.9999999999995e-13) == fmt_float(1e-12) == "0.000000000001"
+    assert fmt_float(9.99999999999e-13) == "9.99999999999e-13"
 
 
 def test_measures_bell_limit(run_cli):

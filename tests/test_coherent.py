@@ -132,6 +132,92 @@ def test_non_finite_argument_is_domain_error(za, zb, name):
         )
 
 
+def _one_amplitude_elements(alpha, zeta):
+    """The kernel's entries at one amplitude and a 1-D array of points,
+    evaluated with scalar components: the reference each broadcast row
+    must equal bit for bit."""
+    plus, minus = coherent._cat_components(alpha)
+    x, y = zeta.real, np.clip(zeta.imag, -40.0, 40.0)
+    e = np.zeros((2, 2) + zeta.shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        xa, ya, y2 = x * alpha, y * alpha, y * y
+        shift = np.abs(x) - 2.0 * abs(alpha)
+        gauss = coherent._exp(-0.5 * (x * x + y2))
+        bounded = coherent._exp(-0.5 * (shift * shift + y2))
+        t = np.expm1(-2.0 * np.abs(xa))
+        cosh = 0.5 * bounded * (1.0 + (1.0 + t) ** 2)
+        e[0, 0] = (gauss * np.cos(2.0 * ya) + cosh) / (2.0 * plus * plus)
+        if minus == 0.0:
+            return e
+        sin_ratio, t_ratio = np.sin(ya) / minus, 0.5 * t / minus
+        e[1, 1] = gauss - gauss * sin_ratio * sin_ratio - bounded * t_ratio * t_ratio
+        cross = 2.0 * plus * minus
+        sinh = np.copysign(-0.5 * bounded * t * (2.0 + t), xa) / cross
+        e[0, 1].imag = e[1, 0].imag = gauss * np.sin(2.0 * ya) / cross
+    e[0, 1].real, e[1, 0].real = -sinh, sinh
+    return e
+
+
+def _one_state_values(state, zeta_a, zeta_b):
+    # the characteristic function of one state as a sum over its two
+    # even/odd coefficients, one reference kernel call per mode
+    ea, eb = (
+        _one_amplitude_elements(amp, zeta)
+        for amp, zeta in ((state.alpha, zeta_a), (state.beta, zeta_b))
+    )
+    return sum(
+        cj * ck * ea[j >> 1, k >> 1] * eb[j & 1, k & 1]
+        for j, cj in state.terms for k, ck in state.terms
+    )
+
+
+def test_broadcast_kernel_rows_are_the_one_amplitude_evaluation():
+    # each row of one call over a column of amplitudes, alpha = 0, a
+    # subnormal alpha^2, a negative alpha and |Im zeta| > 40 among them,
+    # is bitwise the scalar evaluation at that row's amplitude
+    rng = np.random.default_rng(3001)
+    amplitudes = [0.0, 1e-160, 0.05, 0.5, 1.0, -2.0, 3.0, 27.0]
+    zeta = rng.uniform(-3.0, 3.0, (8, 9)) + 1j * rng.uniform(-3.0, 3.0, (8, 9))
+    zeta[:, 0] = 0.0
+    zeta[:, 1] = 0.4 + 41.0j
+    zeta[:, 2] = -1e200 - 55.0j
+    zeta[:, 3] = 6.0 - 0.5j
+    e = coherent._displacement_elements(amplitudes, zeta)
+    assert e.shape == (2, 2, 8, 9)
+    assert np.isfinite(e).all()
+    for row, alpha in enumerate(amplitudes):
+        assert np.array_equal(e[:, :, row], _one_amplitude_elements(alpha, zeta[row])), alpha
+        one = coherent._displacement_elements([alpha], zeta[row : row + 1])
+        assert np.array_equal(one[:, :, 0], e[:, :, row]), alpha
+    # the vacuum row's odd entries, which no state weights, are 0
+    assert not e[1, :, 0].any() and not e[0, 1, 0].any()
+
+
+def test_stacked_char_values_are_the_one_state_sums():
+    # characteristic_function, gaussianity_witness and the stacked
+    # _char_values give bitwise the one-state sums over the scalar kernel
+    rng = np.random.default_rng(3002)
+    quasi_bells = [
+        coherent.CoherentQuasiBell(index, alpha, beta)
+        for alpha, beta in ((1.0, 1.0), (0.5, 1.5), (2.0, 0.0), (1e-3, 0.7))
+        for index in (1, 2, 3, 4)
+    ]
+    za = rng.uniform(-2.0, 2.0, (16, 5)) + 1j * rng.uniform(-2.0, 2.0, (16, 5))
+    zb = rng.uniform(-2.0, 2.0, (16, 5)) + 1j * rng.uniform(-2.0, 2.0, (16, 5))
+    za[:, 0] = zb[:, 1] = 0.0
+    stacked = coherent._char_values(quasi_bells, za, zb)
+    assert stacked.shape == (16, 5)
+    coords = np.concatenate((coherent._STENCIL, coherent._WITNESS_COORDS))
+    sample_a, sample_b = coords[:, 0] + 1j * coords[:, 1], coords[:, 2] + 1j * coords[:, 3]
+    for s, state in enumerate(quasi_bells):
+        reference = _one_state_values(state, za[s], zb[s])
+        assert np.array_equal(stacked[s], reference), state
+        point = coherent.CharFuncPoint(za[s, 2], zb[s, 2])
+        assert coherent.characteristic_function(state, point) == reference[2], state
+        witness = coherent._log_fit_residual(coords, _one_state_values(state, sample_a, sample_b))
+        assert coherent.gaussianity_witness(state) == witness, state
+
+
 def test_witness_cat_states_not_gaussian():
     res = coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
     assert res > 0.01
@@ -154,14 +240,15 @@ def test_witness_is_one_kernel_evaluation(monkeypatch):
     calls = []
     kernel = coherent._displacement_elements
 
-    def counted(*args):
-        calls.append(len(args[2]))
-        return kernel(*args)
+    def counted(amplitudes, zeta):
+        calls.append((list(amplitudes), zeta.shape))
+        return kernel(amplitudes, zeta)
 
     monkeypatch.setattr(coherent, "_displacement_elements", counted)
-    coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0))
-    # one call per mode, each at the 8 stencil and 128 sample points
-    assert calls == [8 + 128, 8 + 128]
+    coherent.gaussianity_witness(coherent.CoherentQuasiBell(2, 1.0, 0.5))
+    # one call for both modes, one row each at the 8 stencil and 128
+    # sample points
+    assert calls == [([1.0, 0.5], (2, 8 + 128))]
 
 
 def test_witness_floor():

@@ -16,6 +16,26 @@ def test_adequate_truncation_rule():
         fock.coherent_vector(1.0, 5)
 
 
+def test_truncation_error_names_the_first_offending_amplitude():
+    # a passing stack is checked at its largest |amplitude| alone; a
+    # failing one is read in order, so the error names the first
+    # amplitude the rule puts above the truncation, not the largest
+    amplitudes = [1.0, -2.5, 3.0]
+    assert [fock.adequate_truncation(alpha) for alpha in amplitudes] == [36, 54, 61]
+    with pytest.raises(fock.TruncationError) as error:
+        fock._coherent_vectors(amplitudes, 50)
+    assert str(error.value) == (
+        "truncation 50 is below the adequacy rule (54 for amplitude -2.5); raise it"
+    )
+    with pytest.raises(fock.TruncationError, match=r"^truncation 60 .* \(61 for amplitude 3\.0\)"):
+        fock._coherent_vectors(amplitudes, 60)
+    assert fock._coherent_vectors(amplitudes, 61).shape == (3, 62)
+    # a non-finite amplitude anywhere in a stack still reaches the rule,
+    # which cannot be evaluated there
+    with pytest.raises(ValueError, match="NaN"):
+        fock._coherent_vectors([3.0, float("nan")], 61)
+
+
 def test_coherent_vector():
     vac = fock.coherent_vector(0.0, 30)
     assert vac[0] == 1.0 and np.all(vac[1:] == 0.0)
@@ -190,18 +210,32 @@ def _vacuum_kernel_inputs(size):
 
 @pytest.mark.parametrize("size", [2, 21, 37, 62, 70])
 def test_vacuum_kernel_matches_beam_splitter(size):
-    # BS(g (x) |0>) from the vacuum-column table against the general
-    # per-sector path on the dense input
+    # BS(g (x) |0>) from the vacuum-column table, one vector at one eta as
+    # a stack of one, against the general per-sector path on the dense input
     worst = 0.0
     for vec_a in _vacuum_kernel_inputs(size):
         for eta in (0.0, 0.3, 0.5, 1.0):
-            out = fock._splitter_on_vacuum(vec_a, eta)
+            out = fock._splitter_on_vacuum(vec_a[None], (eta,))[0, 0]
             dense = fock.beam_splitter(np.outer(vec_a, _vacuum(size)), eta, check_tail=False)
             assert out.shape == (size, size) and out.flags.c_contiguous
             worst = max(worst, np.max(np.abs(out - dense)))
-            flipped = fock._splitter_on_vacuum(fock._parity(vec_a), eta)
+            flipped = fock._splitter_on_vacuum(fock._parity(vec_a)[None], (eta,))[0, 0]
             assert np.array_equal(flipped, fock._parity(out)), (size, eta)
     assert worst < 1e-15, worst
+
+
+@pytest.mark.parametrize("size", [2, 21, 70])
+def test_stacked_vacuum_kernel_is_the_single_calls(size):
+    # every vector of a stack at every eta of one call, out[e, v], is
+    # bitwise the stack-of-one call of that vector at that eta
+    vecs = np.array(list(_vacuum_kernel_inputs(size)))
+    etas = (0.0, 0.3, 0.5, 0.9, 1.0)
+    out = fock._splitter_on_vacuum(vecs, etas)
+    assert out.shape == (len(etas), len(vecs), size, size)
+    for e, eta in enumerate(etas):
+        for v, vec_a in enumerate(vecs):
+            single = fock._splitter_on_vacuum(vec_a[None], (eta,))[0, 0]
+            assert np.array_equal(out[e, v], single), (size, eta, v)
 
 
 def test_vacuum_kernel_keeps_the_boundary_rule():
@@ -209,14 +243,20 @@ def test_vacuum_kernel_keeps_the_boundary_rule():
     with pytest.raises(fock.TruncationError) as general:
         fock.beam_splitter(np.outer(amps, _vacuum(13)), 0.5)
     with pytest.raises(fock.TruncationError) as kernel:
-        fock._splitter_on_vacuum(amps, 0.5)
+        fock._splitter_on_vacuum(amps[None], (0.5,))
     assert str(kernel.value) == str(general.value)
     assert str(general.value).startswith("beam splitter output holds ")
+    # in a stack, the first offending output in (eta, vector) order is named
+    quiet = np.zeros(13, dtype=complex)
+    quiet[0] = 1.0
+    with pytest.raises(fock.TruncationError) as stacked:
+        fock._splitter_on_vacuum(np.array([quiet, amps]), (0.5, 0.2))
+    assert str(stacked.value) == str(general.value)
     with pytest.raises(ValueError, match="transmissivity must lie in"):
-        fock._splitter_on_vacuum(amps, 1.5)
-    for bad in (np.outer(amps, amps), np.zeros(0)):
-        with pytest.raises(ValueError, match="expected a nonempty one-mode vector"):
-            fock._splitter_on_vacuum(bad, 0.5)
+        fock._splitter_on_vacuum(amps[None], (0.5, 1.5))
+    for bad in (amps, amps[None, None], np.zeros((0, 13)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match=r"nonempty stack of one-mode vectors, shape \(V, N\)"):
+            fock._splitter_on_vacuum(bad, (0.5,))
 
 
 def test_sector_eigensystem_is_the_real_form():

@@ -312,34 +312,37 @@ def _count_calls(monkeypatch, name, run):
 
 
 def _count_splits(monkeypatch):
-    # the transmissivity of each fock._splitter_on_vacuum call from now on
-    etas = []
+    # the number of vectors and the transmissivities of each
+    # fock._splitter_on_vacuum call from now on
+    calls = []
     splitter = fock._splitter_on_vacuum
 
-    def counted(vec_a, eta):
-        etas.append(eta)
-        return splitter(vec_a, eta)
+    def counted(vecs, etas):
+        calls.append((len(vecs), tuple(etas)))
+        return splitter(vecs, etas)
 
     monkeypatch.setattr(fock, "_splitter_on_vacuum", counted)
-    return etas
+    return calls
 
 
 def test_oracle_checks_build_each_vector_once(monkeypatch):
     # the beam-splitter rule's 25 (amplitude, truncation) vectors are each
-    # built once per battery, one stacked build per amplitude, and no
+    # built once per battery, one stacked build per amplitude, and sent
+    # through the splitter at all five eta in one call per amplitude; no
     # battery check builds a single vector.  The loss grid builds
     # |B2(alpha)> once per amplitude, at the adequacy rule of its largest
-    # family probe, 1.75 alpha, and sends each through the splitter once
-    # per eta, 18 splitter calls for its 9 pairs of 2 terms; the loss
-    # checks read those pairs and build only their probes: the family
-    # overlap's 7 and the optimal beta's 9 (beta*(1 + {-h, 0, h}) at each
-    # eta) per amplitude, and the loss density's bases, +/-alpha and
-    # +/-sqrt(eta) alpha in one build.  With the rule's 25 splitter calls,
-    # a battery makes 43
+    # family probe, 1.75 alpha, and sends its 2 mode-B terms through the
+    # splitter at the 3 eta in one call per amplitude; the loss checks
+    # read those pairs and build only their probes: the family overlap's
+    # 7 and the optimal beta's 9 (beta*(1 + {-h, 0, h}) at each eta) per
+    # amplitude, and the loss density's bases, +/-alpha and +/-sqrt(eta)
+    # alpha in one build.  With the rule's 5 splitter calls, a battery
+    # makes 8
     def refuse(*args, **kwargs):
         raise AssertionError("a check called fock.coherent_vector")
 
     monkeypatch.setattr(fock, "coherent_vector", refuse)
+    splits = _count_splits(monkeypatch)
     rule, calls = _count_calls(
         monkeypatch, "_coherent_vectors", lambda: verify.check_beam_splitter_rule(None)
     )
@@ -347,14 +350,15 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     assert [len(amplitudes) for amplitudes, _ in calls] == [5] * 5
     keys = {(float(alpha), n) for amplitudes, n in calls for alpha in amplitudes}
     assert len(keys) == 25
+    assert splits == [(1, (0.0, 0.25, 0.5, 0.75, 1.0))] * 5
     sizes = [fock.adequate_truncation(1.75 * alpha) for alpha in verify._LOSS_ALPHAS]
-    splits = _count_splits(monkeypatch)
+    splits.clear()
     losses, calls = _count_calls(monkeypatch, "_quasi_bell_terms", lambda: verify._loss_grid(None))
     assert losses.truncations == tuple(sizes)
     assert [(len(states), n) for states, n in calls] == [(1, n) for n in sizes]
     keys = [(state.index, state.alpha, state.beta) for states, _ in calls for state in states]
     assert keys == [(2, alpha, alpha) for alpha in verify._LOSS_ALPHAS]
-    assert splits == [eta for eta in verify._LOSS_ETAS for _ in range(2)] * 3
+    assert splits == [(2, verify._LOSS_ETAS)] * 3
 
     def refuse_b2(*args):
         raise AssertionError("a loss check built |B2(alpha)>")
@@ -381,11 +385,11 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
         monkeypatch, "_coherent_vectors", lambda: verify.check_loss_density(losses)
     )
     assert [(len(amplitudes), n) for amplitudes, n in calls] == [(8, sizes[1])]
-    assert len(splits) == 18
+    assert len(splits) == 3
     monkeypatch.undo()
     splits = _count_splits(monkeypatch)
     assert all(r.passed for r in verify.run_all())
-    assert len(splits) == 43
+    assert len(splits) == 8
 
 
 def test_battery_cache_counts():
@@ -394,7 +398,7 @@ def test_battery_cache_counts():
     # vacuum columns (1513 read, 458 computed) and tables, and the
     # number-level and displacement sizes
     counts = {
-        fock._number_levels: 9,
+        fock._number_levels: 8,
         fock._sector_eigensystem: 90,
         fock._splitter_block: 123,
         fock._vacuum_column: 458,
@@ -407,6 +411,22 @@ def test_battery_cache_counts():
     assert {cache: cache.cache_info().currsize for cache in counts} == counts
     info = fock._vacuum_column.cache_info()
     assert info.hits + info.misses == 1513
+
+
+def test_battery_makes_one_closed_form_char_call(monkeypatch):
+    # the characteristic-function check takes the closed form of its 8
+    # states at their 20 points each in one _displacement_elements call,
+    # both modes of every state: 16 rows
+    calls = []
+    kernel = coherent._displacement_elements
+
+    def counted(amplitudes, zeta):
+        calls.append((len(amplitudes), zeta.shape))
+        return kernel(amplitudes, zeta)
+
+    monkeypatch.setattr(coherent, "_displacement_elements", counted)
+    assert all(r.passed for r in verify.run_all())
+    assert calls == [(16, (16, 20))]
 
 
 def _grid_builds(monkeypatch):
