@@ -23,22 +23,23 @@ read a stack without forming psi or a reduced density; _char_traces
 takes only (S, T, N) stacks.  Still formed densely: the splitter
 outputs and vacuum tables, the displacement eigensystems, and in verify
 the 4 x 4 projected loss densities and the purity check's (N+1)-square
-environment density.  No check calls quasi_bell_fock, partial_trace,
-operator_trace_charfunc or mean_photon, the tests' dense references.
+environment density.  No check calls quasi_bell_fock, beam_splitter,
+partial_trace, operator_trace_charfunc or mean_photon, the tests' dense
+references.
 
 The beam splitter runs per photon-number sector from theta-free sector
 eigensystems, each from one real symmetric eigensolve, and reads every
-sector of a C-ordered square as one strided run (_sector_run);
-beam_splitter takes any two-mode vector and moves each run in place,
-and the private _splitter_on_vacuum takes a stack of one-mode g of
-g (x) |0>, the loss model's input, at a sequence of transmissivities
-in one product with the cached tables of vacuum columns per (theta,
-size), whose runs are the cached columns per (theta, sector).  A
-default verify battery makes 8 _splitter_on_vacuum calls, one per
-amplitude of the beam-splitter rule and of the loss grid, fills 90
-eigensystems, 458 columns, 34 tables and 123 sector blocks, and never
-recomputes one.  No state, term or Gram is cached: every battery
-builds its own.
+sector of a C-ordered square as one strided run (_sector_run).  The
+oracle's one splitter kernel is the private _splitter_on_vacuum: it
+takes a stack of one-mode g of g (x) |0>, the loss model's input, at a
+sequence of transmissivities in one product with the cached tables of
+vacuum columns per (theta, size), each column the image of |n>|0>.
+beam_splitter takes any two-mode vector and moves each run in place by
+a block formed per call.  A default verify battery makes 9
+_splitter_on_vacuum calls, one per amplitude of the beam-splitter rule
+and of the loss grid and one for the unitarity check, fills 70
+eigensystems and 37 tables, and never recomputes one.  No state, term
+or Gram is cached: every battery builds its own.
 """
 
 import math
@@ -158,19 +159,6 @@ def _negate_odd(stack, axis=-1):
     np.negative(odd, out=odd)
 
 
-def _parity(vec):
-    """The photon-number parity (-1)^(n_1 + ... + n_m) applied to a pure
-    state with one axis per mode: a copy with each axis's odd-index slice
-    negated in turn (_negate_odd), so the odd-total entries end negated,
-    bit for bit.  It takes |alpha> to |-alpha>, and a beam splitter,
-    which conserves the total photon number, commutes with it:
-    beam_splitter(_parity(psi)) is _parity(beam_splitter(psi))."""
-    out = np.array(vec, dtype=complex)
-    for axis in range(out.ndim):
-        _negate_odd(out, axis)
-    return out
-
-
 _SIGN_PATTERNS = {
     # (relative sign, mode-B amplitudes flipped?) as in states.FORMS,
     # kept apart because this oracle never imports the closed-form modules
@@ -189,12 +177,12 @@ def _quasi_bell_terms(states, truncation=None):
     sits on mode A.  One state is a stack of one.
 
     a = |alpha> and b the first mode-B vector; the second term is
-    sign (P a) (x) (P b) with P the parity (_parity).  Every vector of
+    sign (P a) (x) (P b) with P the parity (-1)^n.  Every vector of
     the stack is a row of one table: the _coherent_rows of the distinct
     magnitudes (one exp over all of them), their parity images
     (_negate_odd) and the negatives of both, so a negative amplitude, P
     and the sign are each a choice of row, bitwise the per-vector
-    coherent_vector and _parity.
+    coherent_vector and its parity image.
     An entry (n, m) of a state is 2 a_n b_m when sign (-1)^(n+m) = +1
     and exactly 0 otherwise, so its squared norm is
     4 (E_a E_b + O_a O_b) for sign +1 and 4 (E_a O_b + O_a E_b) for
@@ -267,8 +255,7 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^j at j mod 4, exactly
 
 
 # keyed on the sector alone, theta-free; a default verify battery uses
-# 90: the full sectors 0..69 of the loss checks' columns and the 20
-# partial sectors of the unitarity check's 21-level pair
+# 70, the full sectors 0..69 of the vacuum columns its tables read
 @lru_cache(maxsize=128)
 def _sector_eigensystem(sector, low, high):
     """Eigensystem (w, V) of the Hermitian i K on the photon-number sector
@@ -291,36 +278,6 @@ def _sector_eigensystem(sector, low, high):
     return w, v
 
 
-# keyed on the angle; a default verify battery fills 123 blocks, the
-# unitarity check's three angles at size 21 (the loss checks take
-# _splitter_on_vacuum); the bound keeps a long-lived process that visits
-# many transmissivities from growing
-@lru_cache(maxsize=1024)
-def _splitter_block(theta, sector, low, high):
-    """Unitary on the photon-number sector n_first = low..high of total
-    photon number ``sector``, the exponential of the two-mode coupling
-    generator theta (a b+ - a+ b); read-only because it is cached."""
-    w, v = _sector_eigensystem(sector, low, high)
-    block = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    block.flags.writeable = False
-    return block
-
-
-# keyed on (angle, sector), the table's sector n for every size above n;
-# a default verify battery reads 1513 columns for its 34 tables but
-# computes only the 458 distinct ones, of at most 70 complex entries each
-@lru_cache(maxsize=1024)
-def _vacuum_column(theta, sector):
-    """<k, sector - k| U |sector, 0> for k = 0..sector, U the splitter of
-    angle theta: |n>|0> is the last state of the full sector n (low 0,
-    high n), so its image is that block's last column.  Read-only because
-    it is cached."""
-    w, v = _sector_eigensystem(sector, 0, sector)
-    column = v @ (np.exp(-1j * theta * w) * v[-1].conj())
-    column.flags.writeable = False
-    return column
-
-
 def _sector_run(square, sector, low, high):
     """Writable view of the entries (k, sector - k), k = low..high, of
     the C-ordered size x size array ``square``: entry (k, sector - k)
@@ -330,17 +287,21 @@ def _sector_run(square, sector, low, high):
     return square.reshape(-1)[low * step + sector : high * step + sector + 1 : step or 1]
 
 
-# keyed on (angle, size); a default verify battery makes 34 tables of at
-# most 70 x 70 complex entries (78 KB) each, for 7 angles at 8 sizes
+# keyed on (angle, size); a default verify battery makes 37 tables of at
+# most 70 x 70 complex entries (78 KB) each, for 9 angles at 9 sizes
 @lru_cache(maxsize=64)
 def _vacuum_columns(theta, size):
     """T[k, m] = <k, m| U |k+m, 0>, the splitter of angle theta on the
     vacuum-input states of a ``size``-level first mode: sector n's
-    column (_vacuum_column) laid out on the anti-diagonal k + m = n.
-    Entries with k + m >= size are 0.  Read-only because it is cached."""
+    column laid out on the anti-diagonal k + m = n.  |n>|0> is the last
+    state of the full sector n (low 0, high n), so that column is the
+    last column of its block V diag(e^{-i theta w}) V+, computed as
+    V (e^{-i theta w} conj(V[-1])).  Entries with k + m >= size are 0.
+    Read-only because it is cached."""
     table = np.zeros((size, size), dtype=complex)
     for sector in range(size):
-        _sector_run(table, sector, 0, sector)[...] = _vacuum_column(theta, sector)
+        w, v = _sector_eigensystem(sector, 0, sector)
+        _sector_run(table, sector, 0, sector)[...] = v @ (np.exp(-1j * theta * w) * v[-1].conj())
     table.flags.writeable = False
     return table
 
@@ -353,17 +314,18 @@ def _splitter_angle(eta):
     return math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
 
 
-def beam_splitter(vec, eta, check_tail=True):
+def beam_splitter(vec, eta):
     """Transmissivity-eta beam splitter acting on a two-mode vector.
 
     Maps |g>|0> to |sqrt(eta) g>|sqrt(1-eta) g> for coherent g.  The
     generator conserves total photon number, so the exponential is
     evaluated sector by sector on one C-ordered copy of the input: each
     of the 2 size - 1 sectors is a strided run of it (_sector_run),
-    multiplied in place by its block.  Every sector is moved; at eta = 1
-    each block is V V+ from its sector's eigensystem, the identity to
-    rounding only.  With ``check_tail``, probability accumulating on the
-    truncation boundary above 1e-9 raises a TruncationError.
+    multiplied in place by its block V diag(e^{-i theta w}) V+, formed
+    per call from the sector's cached eigensystem.  Every sector is
+    moved; at eta = 1 each block is V V+, the identity to rounding only.
+    Probability accumulating on the truncation boundary above 1e-9
+    raises a TruncationError.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 2 or vec.shape[0] != vec.shape[1]:
@@ -374,9 +336,9 @@ def beam_splitter(vec, eta, check_tail=True):
     for sector in range(2 * size - 1):
         low, high = max(0, sector - size + 1), min(sector, size - 1)
         run = _sector_run(out, sector, low, high)
-        run[...] = _splitter_block(theta, sector, low, high) @ run
-    if check_tail:
-        _check_tail(_boundary_mass(out), "beam splitter output")
+        w, v = _sector_eigensystem(sector, low, high)
+        run[...] = ((v * np.exp(-1j * theta * w)) @ v.conj().T) @ run
+    _check_tail(_boundary_mass(out), "beam splitter output")
     return out
 
 
@@ -391,8 +353,8 @@ def _splitter_on_vacuum(vecs, etas):
     one Hankel view of all the rows, one stack of the tables and one
     product, each entry bitwise that of a stack of one.  One vector at
     one eta is a stack of one.  Like beam_splitter it moves every
-    sector, and beam_splitter's boundary rule always applies, naming
-    the first offending output in (eta, vector) order.
+    sector and keeps its boundary rule, naming the first offending
+    output in (eta, vector) order.
     """
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 2 or vecs.size == 0:

@@ -15,7 +15,10 @@ quasi-Werner checks, and _loss_grid, the lossy pairs (_lossy_pairs:
 call per amplitude for all its eta) at each _LOSS_ALPHAS x _LOSS_ETAS
 point, for the loss density, purity, family overlap and optimal-beta
 checks, which read them through one environment contraction
-(_environment_amplitudes).  The optimal-beta check reads the maximizer
+(_environment_amplitudes).  The beam-splitter rule and unitarity checks
+take that vacuum-input splitter too, the unitarity check on every
+number state its tables cover up to sector 20, so the battery reads
+one splitter kernel.  The optimal-beta check reads the maximizer
 from the oracle overlaps, not from an argmax of the closed-form
 kernel.  The CLI ``verify`` subcommand runs the battery.
 """
@@ -284,16 +287,13 @@ def check_beam_splitter_rule(truncation):
 
 
 def check_beam_splitter_unitary():
-    # a 21-level pair with a nonzero entry in each of its 41 sectors, so
-    # every sector block is applied: the lattice's first two coordinates,
-    # centred, as real and imaginary parts (k >= 1 keeps them off 1/2)
-    parts = _lattice(21 * 21)[:, :2] - 0.5
-    vec = (parts[:, 0] + 1j * parts[:, 1]).reshape(21, 21)
-    vec /= np.linalg.norm(vec)
-    dev = 0.0
-    for eta in (0.2, 0.5, 0.8):
-        out = fock.beam_splitter(vec, eta, check_tail=False)
-        dev = max(dev, abs(np.linalg.norm(out) - 1.0))
+    # the loss checks' splitter kernel on each number state |n>|0>, n <=
+    # 20, at three angles: each output is the vacuum column of sector n
+    # and must keep unit norm.  The 22 levels are one more than sector 20
+    # needs, so no output reaches the truncation boundary
+    out = fock._splitter_on_vacuum(np.eye(21, 22), (0.2, 0.5, 0.8))
+    # np.max, unlike max, passes a NaN on
+    dev = np.max(np.abs(np.linalg.norm(out, axis=(-2, -1)) - 1.0))
     return CheckResult("beam_splitter_unitary", dev, 1e-12)
 
 

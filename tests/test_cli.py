@@ -2,14 +2,19 @@ import argparse
 import ast
 import importlib
 import json
+import math
 import pkgutil
+import struct
 import subprocess
 import sys
+from decimal import Context, Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbell.cli import build_parser, fmt_float, main
 
@@ -57,6 +62,45 @@ def test_fmt_float():
     assert fmt_float(-999999999999.5) == "-1.00000000000e+12"
     assert fmt_float(9.9999999999995e-13) == fmt_float(1e-12) == "0.000000000001"
     assert fmt_float(9.99999999999e-13) == "9.99999999999e-13"
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every finite float: hypothesis's floats, which favour edge values, and
+# uniform 64-bit patterns, which spread over every binade
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_float_of_bits).filter(math.isfinite),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(x=finite_floats)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=sys.float_info.min)
+@example(x=-sys.float_info.max)
+@example(x=999999999999.5)
+@example(x=9.9999999999995e-13)
+@example(x=1.000000000005)
+def test_fmt_float_over_every_finite_float(x):
+    text = fmt_float(x)
+    if x == 0.0:
+        assert text == "0.000000000000"
+        return
+    # the printed decimal is x to within 5e-12 of it, exactly, and parsing
+    # it rounds by at most half an ulp more, subnormals included
+    exact = Fraction(x)
+    bound = Fraction(5, 10**12) * abs(exact)
+    assert abs(Fraction(Decimal(text)) - exact) <= bound, text
+    back = float(text)
+    assert abs(Fraction(back) - exact) <= bound + Fraction(math.ulp(back)) / 2, text
+    # scientific exactly when x rounded to 12 significant digits (half to
+    # even, in exact decimal arithmetic) lies outside [1e-12, 1e12)
+    rounded = abs(Context(prec=12).plus(Decimal(x)))
+    assert ("e" in text) == (not Decimal("1e-12") <= rounded < Decimal("1e12")), text
 
 
 def test_measures_bell_limit(run_cli):
@@ -535,7 +579,13 @@ def test_package_caches_are_bounded():
         for name, value in vars(importlib.import_module(f"qbell.{info.name}")).items()
         if callable(getattr(value, "cache_info", None))
     }
-    assert {"fock._number_levels", "fock._splitter_block"} <= set(caches)
+    # the exact set, so a new cache is a deliberate edit here
+    assert set(caches) == {
+        "fock._number_levels",
+        "fock._sector_eigensystem",
+        "fock._vacuum_columns",
+        "fock._displacement_eigensystem",
+    }
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 

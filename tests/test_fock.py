@@ -103,15 +103,26 @@ def test_beam_splitter_coherent_rule():
     assert np.linalg.norm(out.ravel()[1:]) < 1e-14
 
 
+def _block(theta, sector, low, high):
+    # the splitter's unitary on one photon-number sector, V diag(e^{-i
+    # theta w}) V+ from the sector's cached eigensystem: the expression
+    # beam_splitter forms per call
+    w, v = fock._sector_eigensystem(sector, low, high)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
 def test_beam_splitter_unitary():
+    # a 21-level pair padded to 42 levels: its sectors end at 40, so no
+    # output reaches the truncation boundary
     rng = np.random.default_rng(3)
-    vec = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
+    vec = np.zeros((42, 42), dtype=complex)
+    vec[:21, :21] = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
     vec /= np.linalg.norm(vec)
     for eta in (0.0, 0.37, 1.0):
-        out = fock.beam_splitter(vec, eta, check_tail=False)
+        out = fock.beam_splitter(vec, eta)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     # eta = 1 is the identity to rounding: each block is V V+
-    assert np.max(np.abs(fock.beam_splitter(vec, 1.0, check_tail=False) - vec)) < 1e-15
+    assert np.max(np.abs(fock.beam_splitter(vec, 1.0) - vec)) < 1e-15
     # each block, full (low 0, high n) or partial, against the direct
     # exponential of its explicit generator theta (a b+ - a+ b); the
     # eigenvalues reach the sector, so the phases round to ~theta sector eps
@@ -120,7 +131,7 @@ def test_beam_splitter_unitary():
         coupling = np.sqrt(n_first * (sector - n_first + 1.0))
         gen = np.diag(coupling, k=1) - np.diag(coupling, k=-1)
         for theta in (0.0, 0.7, math.pi / 2):
-            block = fock._splitter_block(theta, sector, low, high)
+            block = _block(theta, sector, low, high)
             diff = np.max(np.abs(block - _expm_antihermitian(theta * gen)))
             assert diff < 10 * np.finfo(float).eps * (1 + theta * sector), (sector, theta)
 
@@ -158,13 +169,17 @@ def _sector_loop_splitter(vec, eta):
         idx_first = np.arange(low, high + 1)
         idx_second = sector - idx_first
         component = vec[idx_first, idx_second]
-        out[idx_first, idx_second] = fock._splitter_block(theta, sector, low, high) @ component
+        out[idx_first, idx_second] = _block(theta, sector, low, high) @ component
     return out
 
 
 def _splitter_inputs(size):
+    # noise in every sector, partial ones included, scaled by 2^-27 so
+    # that its boundary mass (below 1e-13) keeps within the rule; a power
+    # of two scales every product and sum exactly, so the bits are the
+    # unit noise's, scaled
     rng = np.random.default_rng(size)
-    noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    noise = 2.0**-27 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
     # |g>|0> holds one entry per sector; zeroing the upper half of g
     # leaves every sector from size // 2 on empty, and setting it to
     # 1e-19 leaves those sectors nonzero but below 1e-18 in magnitude,
@@ -184,7 +199,7 @@ def _splitter_inputs(size):
 def test_beam_splitter_matches_sector_loop(size):
     for vec in _splitter_inputs(size):
         for eta in (0.0, 0.3, 1.0):
-            out = fock.beam_splitter(vec, eta, check_tail=False)
+            out = fock.beam_splitter(vec, eta)
             assert np.array_equal(out, _sector_loop_splitter(vec, eta)), (size, eta)
 
 
@@ -216,11 +231,11 @@ def test_vacuum_kernel_matches_beam_splitter(size):
     for vec_a in _vacuum_kernel_inputs(size):
         for eta in (0.0, 0.3, 0.5, 1.0):
             out = fock._splitter_on_vacuum(vec_a[None], (eta,))[0, 0]
-            dense = fock.beam_splitter(np.outer(vec_a, _vacuum(size)), eta, check_tail=False)
+            dense = fock.beam_splitter(np.outer(vec_a, _vacuum(size)), eta)
             assert out.shape == (size, size) and out.flags.c_contiguous
             worst = max(worst, np.max(np.abs(out - dense)))
-            flipped = fock._splitter_on_vacuum(fock._parity(vec_a)[None], (eta,))[0, 0]
-            assert np.array_equal(flipped, fock._parity(out)), (size, eta)
+            flipped = fock._splitter_on_vacuum(_parity(vec_a)[None], (eta,))[0, 0]
+            assert np.array_equal(flipped, _parity(out)), (size, eta)
     assert worst < 1e-15, worst
 
 
@@ -287,16 +302,33 @@ def test_vacuum_tables_of_two_sizes_agree():
 
 def test_vacuum_columns_are_the_block_columns():
     # sector n of the table, T[k, n - k] for k = 0..n, is the last column
-    # of the full sector block; nothing lies past the last input sector
-    for eta in (0.0, 0.3, 1.0):
+    # of the full sector block, and bitwise V (e^{-i theta w} conj(V[-1]))
+    # from the sector's eigensystem, the column the tables have always
+    # held; nothing lies past the last input sector.  The sizes include
+    # the battery's smallest and largest tables, 22 and 70 levels
+    for eta in (0.0, 0.2, 0.3, 0.5, 0.9, 1.0):
         theta = fock._splitter_angle(eta)
-        for size in (2, 21, 62):
+        for size in (2, 21, 22, 62, 70):
             table = fock._vacuum_columns(theta, size)
             for n in range(size):
                 k = np.arange(n + 1)
-                column = fock._splitter_block(theta, n, 0, n)[:, -1]
-                assert np.max(np.abs(table[k, n - k] - column)) < 1e-15, (eta, size, n)
+                w, v = fock._sector_eigensystem(n, 0, n)
+                column = v @ (np.exp(-1j * theta * w) * v[-1].conj())
+                assert np.array_equal(table[k, n - k], column), (eta, size, n)
+                block_column = _block(theta, n, 0, n)[:, -1]
+                assert np.max(np.abs(column - block_column)) < 1e-15, (eta, size, n)
             assert not np.any(table[np.add.outer(np.arange(size), np.arange(size)) >= size])
+
+
+def _parity(vec):
+    # the photon-number parity (-1)^(n_1 + ... + n_m) of a pure state with
+    # one axis per mode: a copy with each axis's odd-index slice negated
+    # in turn (fock._negate_odd), so the odd-total entries end negated,
+    # bit for bit
+    out = np.array(vec, dtype=complex)
+    for axis in range(out.ndim):
+        fock._negate_odd(out, axis)
+    return out
 
 
 def test_coherent_parity_is_bitwise():
@@ -306,13 +338,13 @@ def test_coherent_parity_is_bitwise():
             for sign in (1.0, -1.0):
                 vec = fock.coherent_vector(sign * alpha, truncation)
                 flipped = fock.coherent_vector(-sign * alpha, truncation)
-                assert np.array_equal(fock._parity(vec), flipped), (alpha, truncation)
+                assert np.array_equal(_parity(vec), flipped), (alpha, truncation)
                 if alpha:
                     # sign bits too, away from the vacuum's zeros
-                    assert np.array_equal(fock._parity(vec).view(np.uint64), flipped.view(np.uint64))
+                    assert np.array_equal(_parity(vec).view(np.uint64), flipped.view(np.uint64))
                 assert np.array_equal(np.abs(vec), np.abs(flipped))
                 assert np.linalg.norm(vec) == np.linalg.norm(flipped)
-    assert np.array_equal(fock._parity(fock._parity(vec)), vec)
+    assert np.array_equal(_parity(_parity(vec)), vec)
 
 
 @pytest.mark.parametrize("size", [2, 21, 37, 62])
@@ -321,13 +353,16 @@ def test_beam_splitter_commutes_with_parity(size):
     # (-1)^(n_1 + n_2) entry for entry: each sector moves with one sign
     vac = np.zeros(size, dtype=complex)
     vac[0] = 1.0
+    # |g>|0> with g cut to size - 1 levels and padded with one zero level,
+    # so that no output reaches the boundary
     one_mode = np.outer(fock.coherent_vector(1.7, max(size - 1, 47))[:size], vac)
+    one_mode[-1] = 0.0
     for vec in list(_splitter_inputs(size)) + [one_mode]:
         for eta in (0.0, 0.3, 1.0):
-            moved = fock.beam_splitter(vec, eta, check_tail=False)
-            flipped = fock.beam_splitter(fock._parity(vec), eta, check_tail=False)
-            assert np.array_equal(flipped, fock._parity(moved)), (size, eta)
-    signs = fock._parity(np.ones((3, 4)))
+            moved = fock.beam_splitter(vec, eta)
+            flipped = fock.beam_splitter(_parity(vec), eta)
+            assert np.array_equal(flipped, _parity(moved)), (size, eta)
+    signs = _parity(np.ones((3, 4)))
     assert np.array_equal(signs, (-1.0) ** np.add.outer(np.arange(3), np.arange(4)))
 
 
@@ -643,30 +678,19 @@ def test_densities_are_physical():
 
 
 def test_splitter_cache_is_bounded():
-    caches = (
-        fock._splitter_block,
-        fock._sector_eigensystem,
-        fock._vacuum_column,
-        fock._vacuum_columns,
-    )
+    caches = (fock._sector_eigensystem, fock._vacuum_columns)
     assert all(cache.cache_info().maxsize is not None for cache in caches)
     verify.run_all()
-    # sixty angles: more tables than the bound, and with every sector of
-    # a 21-level pair, more blocks than the bound
+    # sixty angles beside the battery's 37 tables: more tables than the
+    # bound
     for eta in np.linspace(0.05, 0.95, 60):
         verify.family_overlap_curve(3.0, float(eta), [2.0])
-        fock.beam_splitter(np.ones((21, 21), dtype=complex), float(eta), check_tail=False)
     # the eigensystems are theta-free, so they grow with the sectors only
     for sector in range(1, 1 + 2 * fock._sector_eigensystem.cache_info().maxsize):
         fock._sector_eigensystem(sector, sector - 1, sector)
     for cache in caches:
         assert cache.cache_info().currsize <= cache.cache_info().maxsize, cache
-    cached = (
-        *fock._sector_eigensystem(5, 0, 5),
-        fock._splitter_block(0.4, 5, 0, 5),
-        fock._vacuum_column(0.4, 5),
-        fock._vacuum_columns(0.4, 6),
-    )
+    cached = (*fock._sector_eigensystem(5, 0, 5), fock._vacuum_columns(0.4, 6))
     assert not any(array.flags.writeable for array in cached)
 
 

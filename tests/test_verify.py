@@ -132,8 +132,8 @@ def test_too_small_truncation_is_named_by_the_term_checks():
 
 
 def test_check_points_are_a_fixed_lattice(monkeypatch):
-    # the char-function points and the unitarity vector come from a fixed
-    # Kronecker lattice, not a random number generator
+    # the char-function points come from a fixed Kronecker lattice, not a
+    # random number generator
     assert abs(verify._LATTICE_ROOT**5 - verify._LATTICE_ROOT - 1.0) < 1e-14
     points = verify._char_points()
     assert points.shape == (8, 2, 20)
@@ -142,26 +142,46 @@ def test_check_points_are_a_fixed_lattice(monkeypatch):
     assert parts.min() >= -1.5 and parts.max() < 1.5
     pairs = points.transpose(0, 2, 1).reshape(-1, 2)
     assert len({(complex(za), complex(zb)) for za, zb in pairs}) == 160
-    # the 21-level unitarity vector has a nonzero entry in each of its 41
-    # sectors, so the check multiplies all 41 blocks at each of 3 angles
-    vectors, blocks = [], []
-    beam_splitter, splitter_block = fock.beam_splitter, fock._splitter_block
+    # the unitarity check's inputs are fixed too: the number states
+    # |n>|0>, n = 0..20, at 22 levels, so each sector 0..20 holds one
+    # input and no output reaches the boundary, in one vacuum-kernel
+    # call at 3 angles
+    calls = []
+    splitter = fock._splitter_on_vacuum
 
-    def recorded(vec, *args, **kwargs):
-        vectors.append(np.array(vec))
-        return beam_splitter(vec, *args, **kwargs)
+    def recorded(vecs, etas):
+        calls.append((np.array(vecs), tuple(etas)))
+        return splitter(vecs, etas)
 
-    def counted(*args):
-        blocks.append(args)
-        return splitter_block(*args)
-
-    monkeypatch.setattr(fock, "beam_splitter", recorded)
-    monkeypatch.setattr(fock, "_splitter_block", counted)
+    monkeypatch.setattr(fock, "_splitter_on_vacuum", recorded)
     assert verify.check_beam_splitter_unitary().passed
-    assert len(vectors) == 3 and all(np.array_equal(v, vectors[0]) for v in vectors)
-    sectors = np.add.outer(np.arange(21), np.arange(21))
-    assert all(np.any(vectors[0][sectors == n] != 0.0) for n in range(41))
-    assert len(blocks) == len(set(blocks)) == 123
+    ((vecs, etas),) = calls
+    assert np.array_equal(vecs, np.eye(21, 22)) and etas == (0.2, 0.5, 0.8)
+
+
+def test_unitarity_check_reads_the_vacuum_tables(monkeypatch):
+    # the unitarity check reads the vacuum-column tables every loss check
+    # reads: one column of one table scaled by 1 + 1e-10 fails it
+    tables, theta = fock._vacuum_columns, fock._splitter_angle(0.5)
+
+    def perturbed(angle, size):
+        table = tables(angle, size)
+        if angle == theta:
+            table = np.array(table)
+            fock._sector_run(table, 20, 0, 20)[...] *= 1.0 + 1e-10
+        return table
+
+    monkeypatch.setattr(fock, "_vacuum_columns", perturbed)
+    result = verify.check_beam_splitter_unitary()
+    assert not result.passed and result.deviation == pytest.approx(1e-10, rel=1e-4)
+    monkeypatch.undo()
+
+    # and a default battery never calls the general per-sector splitter
+    def refuse(*args, **kwargs):
+        raise AssertionError("the battery called fock.beam_splitter")
+
+    monkeypatch.setattr(fock, "beam_splitter", refuse)
+    assert all(r.passed for r in verify.run_all())
 
 
 def test_battery_imports_no_random_module():
@@ -336,8 +356,8 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     # read those pairs and build only their probes: the family overlap's
     # 7 and the optimal beta's 9 (beta*(1 + {-h, 0, h}) at each eta) per
     # amplitude, and the loss density's bases, +/-alpha and +/-sqrt(eta)
-    # alpha in one build.  With the rule's 5 splitter calls, a battery
-    # makes 8
+    # alpha in one build.  With the rule's 5 splitter calls and the
+    # unitarity check's one, a battery makes 9
     def refuse(*args, **kwargs):
         raise AssertionError("a check called fock.coherent_vector")
 
@@ -389,28 +409,25 @@ def test_oracle_checks_build_each_vector_once(monkeypatch):
     monkeypatch.undo()
     splits = _count_splits(monkeypatch)
     assert all(r.passed for r in verify.run_all())
-    assert len(splits) == 8
+    assert len(splits) == 9
 
 
 def test_battery_cache_counts():
     # the counts the fock module docstring and its cache comments give for
-    # one default battery in a fresh process: the eigensystems, blocks,
-    # vacuum columns (1513 read, 458 computed) and tables, and the
-    # number-level and displacement sizes
+    # one default battery in a fresh process: the eigensystems, the vacuum
+    # tables (each read by one splitter call), and the number-level and
+    # displacement sizes
     counts = {
         fock._number_levels: 8,
-        fock._sector_eigensystem: 90,
-        fock._splitter_block: 123,
-        fock._vacuum_column: 458,
-        fock._vacuum_columns: 34,
+        fock._sector_eigensystem: 70,
+        fock._vacuum_columns: 37,
         fock._displacement_eigensystem: 2,
     }
     for cache in counts:
         cache.cache_clear()
     assert all(r.passed for r in verify.run_all())
     assert {cache: cache.cache_info().currsize for cache in counts} == counts
-    info = fock._vacuum_column.cache_info()
-    assert info.hits + info.misses == 1513
+    assert fock._vacuum_columns.cache_info().hits == 0
 
 
 def test_battery_makes_one_closed_form_char_call(monkeypatch):
